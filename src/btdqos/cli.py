@@ -24,7 +24,7 @@ from .data_io import (
     write_split_manifest,
 )
 from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError
-from .evaluation import mae, rmse, run_benchmark
+from .evaluation import rmse_and_mae, run_benchmark
 from .model import BlockStructure, cp_structure, predict_entry, tucker_structure
 from .rng import derive_seed
 from .trainer import TrainConfig, fit, grid_search
@@ -247,8 +247,8 @@ def cmd_evaluate(args) -> int:
         dims=model.dims, source_path=args.data)
     result = parse_qos_log(_resolve_input(args.data), descriptor,
                            one_based=args.one_based)
-    print(f"rmse={rmse(model, result.tensor):.6f} "
-          f"mae={mae(model, result.tensor):.6f}")
+    test_rmse, test_mae = rmse_and_mae(model, result.tensor)
+    print(f"rmse={test_rmse:.6f} mae={test_mae:.6f}")
     return 0
 
 

@@ -41,14 +41,26 @@ def _residuals(model: BnbtModel, test: SparseTensor3) -> np.ndarray:
     return test.values - pred
 
 
-def rmse(model: BnbtModel, test: SparseTensor3) -> float:
-    resid = _residuals(model, test)
+def _rmse_of(resid: np.ndarray) -> float:
     return float(np.sqrt(resid @ resid / resid.size))
 
 
-def mae(model: BnbtModel, test: SparseTensor3) -> float:
-    resid = _residuals(model, test)
+def _mae_of(resid: np.ndarray) -> float:
     return float(np.abs(resid).mean())
+
+
+def rmse(model: BnbtModel, test: SparseTensor3) -> float:
+    return _rmse_of(_residuals(model, test))
+
+
+def mae(model: BnbtModel, test: SparseTensor3) -> float:
+    return _mae_of(_residuals(model, test))
+
+
+def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
+    """``(rmse, mae)`` from one prediction pass over the test entries."""
+    resid = _residuals(model, test)
+    return _rmse_of(resid), _mae_of(resid)
 
 
 @dataclass(frozen=True)
@@ -165,6 +177,7 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
                                    structure, grids, cell_cfg)
         model, report = fit(parts.train, parts.validation, source.dims,
                             structure, cell_cfg)
+        test_rmse, test_mae = rmse_and_mae(model, parts.test)
         cell = BenchmarkCell(
             dataset=label,
             model=model_label,
@@ -173,8 +186,8 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
             lambda2=cell_cfg.lambda2,
             lambda3=cell_cfg.lambda3,
             epochs=report.epochs_run,
-            rmse=rmse(model, parts.test),
-            mae=mae(model, parts.test),
+            rmse=test_rmse,
+            mae=test_mae,
             wall_time_s=report.wall_time,
         )
         logger.info("cell %s/%s seed=%d: rmse=%.4f mae=%.4f (%d epochs)",

@@ -26,6 +26,9 @@ from .errors import (
 #: Cell budget for dense materialization; it exists as a test oracle only.
 DENSE_CELL_LIMIT = 1_000_000
 
+#: Entries per chunk in ``predict_entries``.
+PREDICT_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -190,20 +193,65 @@ def predict_entry(model: BnbtModel, i: int, j: int, k: int) -> float:
     return total + float(model.user_bias[i] + model.service_bias[j] + model.time_bias[k])
 
 
+def gather_rows(factor: np.ndarray, ids) -> np.ndarray:
+    """Rows ``factor[ids]`` laid out transposed, as a ``(rank, p)`` array.
+
+    One row per rank component and one column per entry keeps every
+    component contiguous over the entries: the layout ``row_outer``,
+    ``predict_block`` and the trainer's per-slice sums read.
+    """
+    return np.take(factor.T, ids, axis=1)
+
+
+def row_outer(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Per-entry outer product of gathered rows ``x (a, p)`` and ``y (b, p)``.
+
+    Returns ``(a * b, p)`` whose row ``i * b + j`` is ``x[i] * y[j]``: the
+    row order of a C-order reshape of a core whose leading axes are the
+    modes of ``x`` and ``y``, in that order.
+    """
+    a, p = x.shape
+    b = y.shape[0]
+    if out is None:
+        out = np.empty((a * b, p), dtype=np.float64)
+    np.multiply(x[:, None, :], y[None, :, :], out=out.reshape(a, b, p))
+    return out
+
+
+def predict_block(core: np.ndarray, ab: np.ndarray, c: np.ndarray,
+                  out=None, work=None) -> np.ndarray:
+    """One block's predictions from its gathered rows (see ``gather_rows``).
+
+    ``ab`` is ``row_outer`` of the user and service rows and ``c`` the time
+    rows.  ``core.reshape(L*M, N).T @ ab`` contracts the core with the user
+    and service rows in one matrix product (written to ``work`` if given);
+    its per-entry dot with ``c`` is the block term.
+    """
+    l, m, n = core.shape
+    contr = np.matmul(core.reshape(l * m, n).T, ab, out=work)
+    return np.einsum("np,np->p", contr, c, out=out)
+
+
 def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.ndarray:
-    """Vectorized predictions for parallel index arrays."""
-    user_ids = np.asarray(user_ids)
-    service_ids = np.asarray(service_ids)
-    time_ids = np.asarray(time_ids)
-    out = np.zeros(user_ids.shape, dtype=np.float64)
-    for r in range(model.structure.n_blocks):
-        ae = model.user_factors[r][user_ids]
-        be = model.service_factors[r][service_ids]
-        ce = model.time_factors[r][time_ids]
-        out += np.einsum("pl,pm,pn,lmn->p", ae, be, ce, model.cores[r])
-    out += model.user_bias[user_ids]
-    out += model.service_bias[service_ids]
-    out += model.time_bias[time_ids]
+    """Vectorized predictions for parallel 1-d index arrays.
+
+    Each block costs one factored contraction (``predict_block``) over the
+    gathered factor rows, on top of the three gathered biases.  Entries go
+    through in chunks of ``PREDICT_CHUNK``, so the temporaries stay small
+    and cache-resident however many entries are asked for.
+    """
+    ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
+    out = np.empty(ids[0].shape, dtype=np.float64)
+    for lo in range(0, out.size, PREDICT_CHUNK):
+        u, s, t = (x[lo:lo + PREDICT_CHUNK] for x in ids)
+        part = out[lo:lo + PREDICT_CHUNK]
+        np.add(model.user_bias[u], model.service_bias[s], out=part)
+        part += model.time_bias[t]
+        for r in range(model.structure.n_blocks):
+            ab = row_outer(gather_rows(model.user_factors[r], u),
+                           gather_rows(model.service_factors[r], s))
+            part += predict_block(model.cores[r], ab,
+                                  gather_rows(model.time_factors[r], t))
     return out
 
 

@@ -22,11 +22,14 @@ with g the core/factor contraction for that entry, and for a user bias::
 
 Ratios of nonnegative sums keep every parameter nonnegative without any
 projection step.  The prediction cache is refreshed after each of the seven
-update passes (cores, A, B, C, d, e, f), not after every coordinate:
-per-coordinate refreshes would cost a full prediction pass per coordinate
-and destroy the linear-in-observations epoch cost.  Every denominator gets
-a small additive guard so empty or all-zero slices cannot divide by zero;
-parameters of slices with no observations are left untouched.
+update passes (cores, A, B, C, d, e, f), not after every coordinate, and
+never by a full prediction pass: the epoch keeps one prediction vector per
+block plus the bias sum.  A core or factor pass already holds, per block,
+the contraction g of the core with the other two gathered factor families;
+the dot of the updated rows with g is that block's new prediction.  A bias
+pass moves only the bias sum.  Every denominator gets a small additive
+guard so empty or all-zero slices cannot divide by zero; parameters of
+slices with no observations are left untouched.
 """
 
 import logging
@@ -44,7 +47,15 @@ from .errors import (
     InvalidCoordinateError,
     NonFiniteError,
 )
-from .model import BnbtModel, check_dims, init_random, predict_entries
+from .model import (
+    BnbtModel,
+    check_dims,
+    gather_rows,
+    init_random,
+    predict_block,
+    predict_entries,
+    row_outer,
+)
 from .sparse import SparseTensor3
 
 logger = logging.getLogger(__name__)
@@ -189,12 +200,13 @@ def gradient(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig, coord) ->
 
 # -- one training epoch ---------------------------------------------------
 
-def _column_sums(idx, weights, dim):
-    # Segment-sum each column of `weights` by `idx`.  bincount accumulates
-    # in entry order, so the sums follow the tensor's lexicographic order.
-    out = np.empty((dim, weights.shape[1]), dtype=np.float64)
-    for col in range(weights.shape[1]):
-        out[:, col] = np.bincount(idx, weights=weights[:, col], minlength=dim)
+def _segment_sums(idx, weights, dim):
+    # Segment-sum each row of `weights` (one rank component per row) by
+    # `idx` into a (dim, rank) array.  bincount accumulates in entry order,
+    # so the sums follow the tensor's lexicographic order.
+    out = np.empty((dim, weights.shape[0]), dtype=np.float64)
+    for k, row in enumerate(weights):
+        out[:, k] = np.bincount(idx, weights=row, minlength=dim)
     return out
 
 
@@ -202,8 +214,15 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
     """One full multiplicative-update pass; returns a new model.
 
     Pass order is cores, user factors, service factors, time factors, then
-    the three biases; predictions over the observed entries are recomputed
-    after each pass.  Parameters whose slice has no observations keep their
+    the three biases; every pass sees the predictions left by the one
+    before.  The epoch gathers each block's factor rows once (re-gathering
+    only the family a pass updates) and keeps one prediction vector per
+    block.  Each pass contracts a block's core with the outer product of
+    the two other gathered families in one matrix product; after the
+    update, the dot of the new rows with that same contraction is the
+    block's new prediction, and a bias pass changes only the bias sum.
+    Predictions are the bias sum plus the block predictions, never a full
+    recomputation.  Parameters whose slice has no observations keep their
     current values.
     """
     check_dims(model, train.dims)
@@ -211,69 +230,101 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
     if train.n_entries == 0:
         return m
 
-    u, s, t = train.user_ids, train.service_ids, train.time_ids
+    ids = (train.user_ids, train.service_ids, train.time_ids)
     y = train.values
     n_obs = train.n_entries
     guard = cfg.epsilon_guard
-    counts = {mode: train.slice_counts(mode) for mode in ("user", "service", "time")}
-    yhat = predict_entries(m, u, s, t)
+    blocks = m.structure.blocks
+    families = (m.user_factors, m.service_factors, m.time_factors)
+    # rows[axis][r]: block r's factor rows of one family, as (rank, n_obs).
+    rows = [[gather_rows(f, idx) for f in family]
+            for family, idx in zip(families, ids)]
+
+    # Scratch shared by every pass and block (outer products, contractions,
+    # contractions weighted by y or yhat): fresh entry-sized temporaries
+    # per block and pass would stay behind in each thread's malloc arena
+    # and raise peak memory when fits run in threads.
+    widest = max(max(l * mm, l * n, mm * n) for l, mm, n in blocks)
+    top_rank = max(max(b) for b in blocks)
+    outer_buf = np.empty(widest * n_obs, dtype=np.float64)
+    contr_buf = np.empty(top_rank * n_obs, dtype=np.float64)
+    weighted_buf = np.empty(top_rank * n_obs, dtype=np.float64)
+
+    def scratch(buf, n_rows):
+        return buf[:n_rows * n_obs].reshape(n_rows, n_obs)
+
+    def take_into(values, idx, out):
+        # The tensor's indices are in range, so "clip" never clips; the
+        # default mode="raise" would stage the result in a fresh array.
+        return np.take(values, idx, axis=values.ndim - 1, out=out, mode="clip")
+
+    bias_sum = np.zeros(n_obs, dtype=np.float64)
+    for bias, idx in zip((m.user_bias, m.service_bias, m.time_bias), ids):
+        bias_sum += take_into(bias, idx, scratch(weighted_buf, 1)[0])
+    block_pred = np.empty((len(blocks), n_obs), dtype=np.float64)
+    for r, (l, mm, n) in enumerate(blocks):
+        ab = row_outer(rows[0][r], rows[1][r], out=scratch(outer_buf, l * mm))
+        predict_block(m.cores[r], ab, rows[2][r], out=block_pred[r],
+                      work=scratch(contr_buf, n))
+    yhat = np.empty(n_obs, dtype=np.float64)
+
+    def refresh():
+        np.sum(block_pred, axis=0, out=yhat)
+        np.add(yhat, bias_sum, out=yhat)
+
+    refresh()
     if not np.isfinite(yhat).all():
         raise NonFiniteError("model predictions are non-finite before the epoch")
 
     if not cfg.freeze_cores:
-        new_cores = []
-        for r in range(m.structure.n_blocks):
-            ae = m.user_factors[r][u]
-            be = m.service_factors[r][s]
-            ce = m.time_factors[r][t]
-            num = np.einsum("p,pl,pm,pn->lmn", y, ae, be, ce)
-            den = np.einsum("p,pl,pm,pn->lmn", yhat, ae, be, ce)
-            den += cfg.lambda1 * n_obs * m.cores[r]
-            new_cores.append(m.cores[r] * num / (den + guard))
-        m.cores = new_cores
-        yhat = predict_entries(m, u, s, t)
-
-    for mode, idx, factors in (("user", u, m.user_factors),
-                               ("service", s, m.service_factors),
-                               ("time", t, m.time_factors)):
-        cnt = counts[mode]
-        observed = cnt[:, None] > 0
-        updated = []
-        for r in range(m.structure.n_blocks):
+        for r, (l, mm, n) in enumerate(blocks):
+            a, b, c = (rows[axis][r] for axis in range(3))
+            ab = row_outer(a, b, out=scratch(outer_buf, l * mm))
             core = m.cores[r]
-            ae = m.user_factors[r][u]
-            be = m.service_factors[r][s]
-            ce = m.time_factors[r][t]
-            if mode == "user":
-                contr = np.einsum("lmn,pm,pn->pl", core, be, ce)
-            elif mode == "service":
-                contr = np.einsum("lmn,pl,pn->pm", core, ae, ce)
-            else:
-                contr = np.einsum("lmn,pl,pm->pn", core, ae, be)
+            weighted = np.multiply(c, y, out=scratch(weighted_buf, n))
+            num = (ab @ weighted.T).reshape(core.shape)
+            np.multiply(c, yhat, out=weighted)
+            den = (ab @ weighted.T).reshape(core.shape)
+            den += cfg.lambda1 * n_obs * core
+            m.cores[r] = core * num / (den + guard)
+            predict_block(m.cores[r], ab, c, out=block_pred[r],
+                          work=scratch(contr_buf, n))
+        refresh()
+
+    for axis, (mode, idx, factors) in enumerate(zip(("user", "service", "time"),
+                                                    ids, families)):
+        cnt = train.slice_counts(mode)
+        observed = cnt[:, None] > 0
+        for r, core in enumerate(m.cores):
+            rank = core.shape[axis]
+            x, z = (rows[k][r] for k in range(3) if k != axis)
+            xz = row_outer(x, z, out=scratch(outer_buf, x.shape[0] * z.shape[0]))
+            # Mode `axis` first, the other two in order, matching row_outer(x, z).
+            unfolded = np.moveaxis(core, axis, 0).reshape(rank, -1)
+            contr = np.matmul(unfolded, xz, out=scratch(contr_buf, rank))
+            weighted = scratch(weighted_buf, rank)
             f = factors[r]
-            num = _column_sums(idx, y[:, None] * contr, f.shape[0])
-            den = _column_sums(idx, yhat[:, None] * contr, f.shape[0])
+            num = _segment_sums(idx, np.multiply(contr, y, out=weighted), f.shape[0])
+            den = _segment_sums(idx, np.multiply(contr, yhat, out=weighted), f.shape[0])
             den += cfg.lambda2 * cnt[:, None] * f
-            updated.append(np.where(observed, f * num / (den + guard), f))
-        if mode == "user":
-            m.user_factors = updated
-        elif mode == "service":
-            m.service_factors = updated
-        else:
-            m.time_factors = updated
-        yhat = predict_entries(m, u, s, t)
+            factors[r] = np.where(observed, f * num / (den + guard), f)
+            take_into(factors[r].T, idx, rows[axis][r])
+            np.einsum("kp,kp->p", rows[axis][r], contr, out=block_pred[r])
+        refresh()
 
     if cfg.bias_enabled:
-        for mode, idx, which in (("user", u, "user_bias"),
-                                 ("service", s, "service_bias"),
-                                 ("time", t, "time_bias")):
-            cnt = counts[mode]
+        for mode, idx, which in (("user", ids[0], "user_bias"),
+                                 ("service", ids[1], "service_bias"),
+                                 ("time", ids[2], "time_bias")):
+            cnt = train.slice_counts(mode)
             bias = getattr(m, which)
             num = np.bincount(idx, weights=y, minlength=bias.size)
             den = np.bincount(idx, weights=yhat, minlength=bias.size)
             den += cfg.lambda3 * cnt * bias
-            setattr(m, which, np.where(cnt > 0, bias * num / (den + guard), bias))
-            yhat = predict_entries(m, u, s, t)
+            updated = np.where(cnt > 0, bias * num / (den + guard), bias)
+            setattr(m, which, updated)
+            bias_sum += take_into(updated - bias, idx, scratch(weighted_buf, 1)[0])
+            refresh()
 
     for arr in m.parameter_arrays():
         if not np.isfinite(arr).all():

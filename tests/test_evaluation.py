@@ -12,6 +12,7 @@ from btdqos.evaluation import (
     DETAIL_COLUMNS,
     mae,
     rmse,
+    rmse_and_mae,
     run_benchmark,
 )
 from btdqos.model import BlockStructure, cp_structure, tucker_structure
@@ -64,6 +65,15 @@ class TestMetrics:
             rmse(m, t)
         with pytest.raises(EmptyTestSetError):
             mae(m, t)
+        with pytest.raises(EmptyTestSetError):
+            rmse_and_mae(m, t)
+
+    def test_rmse_and_mae_match_separate_metrics(self):
+        """The one-pass pair is bitwise the two metrics computed apart."""
+        for seed in range(10):
+            _, _, tensor, model = random_instance(seed, max_dim=5)
+            assert rmse_and_mae(model, tensor) == (rmse(model, tensor),
+                                                   mae(model, tensor))
 
     def test_rmse_at_least_mae(self):
         """Quadratic mean dominates the mean of absolute residuals."""

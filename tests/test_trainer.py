@@ -154,11 +154,18 @@ class TestEpoch:
         np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-300)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(bias_enabled=False), dict(freeze_cores=True), dict(lambda1=0.0)])
+        dict(bias_enabled=False), dict(freeze_cores=True), dict(lambda1=0.0),
+        # Distinct L, M, N: a wrong axis order in a per-mode reshape of the
+        # core only shows when the three ranks differ.
+        dict(lambda1=0.01, blocks=((1, 2, 3), (3, 1, 2)))])
     def test_matches_reference_epoch_variants(self, kwargs):
+        kwargs = dict(kwargs)
+        blocks = kwargs.pop("blocks", None)
         cfg = TrainConfig(lambda2=0.01, lambda3=0.01, stop_on="train_loss", **kwargs)
         dims, structure, tensor, model = random_instance(31, max_dim=5,
                                                          max_blocks=2, max_rank=2)
+        if blocks is not None:
+            model = init_random(dims, BlockStructure(blocks), 31)
         fast = model_params_vector(epoch(model, tensor, cfg))
         slow = model_params_vector(ref_epoch(model, tensor, cfg))
         np.testing.assert_allclose(fast, slow, rtol=1e-10)
