@@ -24,13 +24,11 @@ from .errors import (
     DuplicateIndexError,
     EmptyInputError,
     EmptyTestSetError,
-    InvalidCoordinateError,
     InvalidStructureError,
     NegativeValueError,
     NonFiniteError,
     OutOfBoundsError,
     ParseError,
-    TooLargeError,
 )
 from .evaluation import (
     BenchmarkCell,
@@ -44,7 +42,6 @@ from .model import (
     BlockStructure,
     BnbtModel,
     cp_structure,
-    dense_reconstruct,
     init_random,
     predict_entries,
     predict_entry,
@@ -58,7 +55,6 @@ from .trainer import (
     TrainReport,
     epoch,
     fit,
-    gradient,
     grid_search,
     objective,
 )

@@ -7,6 +7,7 @@ usage or validation problems, 3 on runtime or numerical failures.
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -85,9 +86,7 @@ def _structure_from_dict(d) -> BlockStructure:
 
 
 def _train_config_from_dict(d, seed_override=None) -> TrainConfig:
-    known = {"lambda1", "lambda2", "lambda3", "max_iter", "tol", "seed",
-             "epsilon_guard", "bias_enabled", "freeze_cores", "stop_on"}
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
     kwargs = dict(d)

@@ -22,16 +22,8 @@ class InvalidStructureError(BtdqosError):
     """A block structure or dimension tuple contains a non-positive size."""
 
 
-class TooLargeError(BtdqosError):
-    """Dense materialization refused: the tensor exceeds the cell budget."""
-
-
 class DimMismatchError(BtdqosError):
     """Model dimensions and tensor dimensions disagree."""
-
-
-class InvalidCoordinateError(BtdqosError):
-    """A parameter coordinate does not exist in the model."""
 
 
 class NonFiniteError(BtdqosError):
@@ -76,7 +68,6 @@ VALIDATION_ERRORS = (
     DuplicateIndexError,
     InvalidStructureError,
     DimMismatchError,
-    InvalidCoordinateError,
     ParseError,
     EmptyInputError,
     EmptyTestSetError,

@@ -20,11 +20,7 @@ from .errors import (
     InvalidStructureError,
     NegativeValueError,
     OutOfBoundsError,
-    TooLargeError,
 )
-
-#: Cell budget for dense materialization; it exists as a test oracle only.
-DENSE_CELL_LIMIT = 1_000_000
 
 #: Entries per chunk in ``predict_entries``.
 PREDICT_CHUNK = 4096
@@ -174,7 +170,7 @@ def predict_entry(model: BnbtModel, i: int, j: int, k: int) -> float:
     """Predicted QoS value at one cell, by direct quadruple summation.
 
     This is the scalar reference path; batched prediction goes through
-    ``predict_entries`` and the dense oracle through ``dense_reconstruct``.
+    ``predict_entries``.
     """
     for axis, v in enumerate((i, j, k)):
         if not 0 <= v < model.dims[axis]:
@@ -252,29 +248,6 @@ def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.nda
                            gather_rows(model.service_factors[r], s))
             part += predict_block(model.cores[r], ab,
                                   gather_rows(model.time_factors[r], t))
-    return out
-
-
-def dense_reconstruct(model: BnbtModel, cell_limit: int = DENSE_CELL_LIMIT) -> np.ndarray:
-    """Materialize the full approximation tensor (test oracle).
-
-    Each block is assembled by three successive mode products of its core
-    with the factor matrices, then blocks are summed and biases broadcast
-    on top.  This path shares no summation code with ``predict_entry``,
-    which is what makes the pair a useful cross-check.
-    """
-    i, j, k = model.dims
-    if i * j * k > cell_limit:
-        raise TooLargeError(f"{i * j * k} cells exceed the limit of {cell_limit}")
-    out = np.zeros((i, j, k), dtype=np.float64)
-    for r in range(model.structure.n_blocks):
-        t = np.tensordot(model.user_factors[r], model.cores[r], axes=(1, 0))  # (I, M, N)
-        t = np.tensordot(model.service_factors[r], t, axes=(1, 1))            # (J, I, N)
-        t = np.tensordot(model.time_factors[r], t, axes=(1, 2))               # (K, J, I)
-        out += t.transpose(2, 1, 0)
-    out += model.user_bias[:, None, None]
-    out += model.service_bias[None, :, None]
-    out += model.time_bias[None, None, :]
     return out
 
 

@@ -1,10 +1,13 @@
 """Coordinate-format storage for sparse third-order QoS tensors.
 
 Observed entries of a ``|I| x |J| x |K|`` tensor are kept as parallel arrays
-``(user_ids, service_ids, time_ids, values)`` sorted lexicographically by
-index.  Per-mode observation counts and per-mode entry groupings are built
-once at construction; the update rules need per-slice sums for every mode
-each epoch, so rebuilding groupings on the fly would dominate runtime.
+``(user_ids, service_ids, time_ids, values)`` plus their linear index codes
+``(i * |J| + j) * |K| + k``.  The one index a tensor holds is its invariant:
+entries are sorted by code and each code occurs once.  ``subset`` relies on
+it to slice partitions without sorting or validating again, and the
+partition disjointness checks rely on it to intersect codes without a
+uniqueness pass.  Per-mode observation counts are kept as well; the update
+rules form their per-slice sums with ``bincount`` over the index arrays.
 
 Tensors are immutable after construction and safe to read concurrently.
 """
@@ -35,11 +38,11 @@ class SparseTensor3:
     """An immutable third-order tensor holding only its observed entries."""
 
     __slots__ = ("dims", "user_ids", "service_ids", "time_ids", "values",
-                 "_codes", "_counts", "_perms", "_starts")
+                 "_codes", "_counts")
 
     def __init__(self, dims, user_ids, service_ids, time_ids, values, _codes):
-        # Internal constructor: arrays are already validated, deduplicated
-        # and in lexicographic (i, j, k) order.  Use from_entries/from_arrays.
+        # Internal constructor: arrays are already validated and sorted by
+        # code, each code once.  Use from_entries/from_arrays or subset.
         self.dims = dims
         self.user_ids = user_ids
         self.service_ids = service_ids
@@ -50,14 +53,6 @@ class SparseTensor3:
         self._counts = tuple(
             np.bincount(idx[a], minlength=dims[a]).astype(np.int64)
             for a in range(3)
-        )
-        # Stable sort keeps entries within each slice in lexicographic order,
-        # which fixes the accumulation order of all per-slice sums.
-        self._perms = tuple(
-            np.argsort(idx[a], kind="stable").astype(np.int64) for a in range(3)
-        )
-        self._starts = tuple(
-            np.concatenate(([0], np.cumsum(self._counts[a]))) for a in range(3)
         )
         for arr in (user_ids, service_ids, time_ids, values, _codes):
             arr.setflags(write=False)
@@ -155,19 +150,6 @@ class SparseTensor3:
         counts.setflags(write=False)
         return counts
 
-    def slice_entries(self, mode: str, index: int):
-        """Entries touching one slice, as (user, service, time, value) arrays.
-
-        Entries come back in lexicographic (i, j, k) order.
-        """
-        axis = _mode_axis(mode)
-        if not 0 <= index < self.dims[axis]:
-            raise OutOfBoundsError(
-                f"{mode} index {index} out of range [0, {self.dims[axis]})")
-        pos = self._perms[axis][self._starts[axis][index]:self._starts[axis][index + 1]]
-        return (self.user_ids[pos], self.service_ids[pos],
-                self.time_ids[pos], self.values[pos])
-
     def iter_entries(self):
         """Yield ``((i, j, k), value)`` in lexicographic order."""
         for i, j, k, v in zip(self.user_ids, self.service_ids,
@@ -178,14 +160,27 @@ class SparseTensor3:
         return list(self.iter_entries())
 
     def subset(self, positions) -> "SparseTensor3":
-        """New tensor holding the entries at the given storage positions."""
-        positions = np.asarray(positions, dtype=np.int64)
-        return SparseTensor3.from_arrays(
-            self.dims, self.user_ids[positions], self.service_ids[positions],
-            self.time_ids[positions], self.values[positions])
+        """New tensor holding the entries at the given storage positions.
+
+        Positions are sorted and repeats dropped, so the stored arrays are
+        sliced in code order and the result keeps the sorted-unique-code
+        invariant without being validated or sorted again.
+        """
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.ndim != 1:
+            raise OutOfBoundsError("positions must be a 1-D sequence")
+        pos = np.sort(pos)
+        if pos.size and (pos[0] < 0 or pos[-1] >= self.n_entries):
+            bad = pos[0] if pos[0] < 0 else pos[-1]
+            raise OutOfBoundsError(
+                f"position {bad} out of range [0, {self.n_entries})")
+        if pos.size > 1:
+            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
+        return SparseTensor3(self.dims, self.user_ids[pos], self.service_ids[pos],
+                             self.time_ids[pos], self.values[pos], self._codes[pos])
 
     def index_codes(self) -> np.ndarray:
-        """Linearized (i, j, k) codes, sorted ascending; used for set algebra."""
+        """Linearized (i, j, k) codes, sorted ascending, each once."""
         return self._codes
 
     def _check_index(self, i, j, k):
@@ -223,8 +218,10 @@ class SplitTensor:
                 f"partition dims differ: {dims}, {self.validation.dims}, {self.test.dims}")
         pairs = (("train", "validation"), ("train", "test"), ("validation", "test"))
         for a, b in pairs:
+            # Index codes are sorted and unique within each tensor.
             common = np.intersect1d(getattr(self, a).index_codes(),
-                                    getattr(self, b).index_codes())
+                                    getattr(self, b).index_codes(),
+                                    assume_unique=True)
             if common.size:
                 raise DuplicateIndexError(
                     f"{a} and {b} partitions share {common.size} entries")

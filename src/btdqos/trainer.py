@@ -44,7 +44,6 @@ from .errors import (
     DimMismatchError,
     DuplicateIndexError,
     EmptyInputError,
-    InvalidCoordinateError,
     NonFiniteError,
 )
 from .model import (
@@ -77,7 +76,6 @@ class TrainConfig:
     seed: int = 0
     epsilon_guard: float = 1e-12
     bias_enabled: bool = True
-    freeze_cores: bool = False  # keep cores fixed (CP-emulation ablation)
     stop_on: str = STOP_ON_VALIDATION
 
     def __post_init__(self):
@@ -104,7 +102,7 @@ class TrainReport:
     wall_time: float = 0.0
 
 
-# -- objective and its analytic gradient ---------------------------------
+# -- objective ------------------------------------------------------------
 
 def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> float:
     """Regularized training loss over the observed entries."""
@@ -127,75 +125,6 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> float
                            (model.time_bias, "time")):
             loss += cfg.lambda3 * float(train.slice_counts(mode) @ (bias * bias))
     return loss
-
-
-def gradient(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig, coord) -> float:
-    """Analytic descent direction for one parameter coordinate.
-
-    Returns the additive-rule bracket, which equals exactly half of
-    ``d objective / d coord`` (the squared-error term is differentiated
-    without its factor 2; the same convention rescales the eliminated
-    per-parameter learning rate and cancels in the multiplicative rules).
-    Used by tests as the gradient oracle; the trainer never evaluates it.
-
-    Coordinates: ("core", r, l, m, n), ("user", r, i, l),
-    ("service", r, j, m), ("time", r, k, n), ("user_bias", i),
-    ("service_bias", j), ("time_bias", k).
-    """
-    check_dims(model, train.dims)
-    kind, rest = coord[0], coord[1:]
-    blocks = model.structure.blocks
-
-    def _check(cond, msg):
-        if not cond:
-            raise InvalidCoordinateError(f"{coord}: {msg}")
-
-    if kind == "core":
-        _check(len(rest) == 4, "expected (r, l, m, n)")
-        r, l, m, n = rest
-        _check(0 <= r < len(blocks), "block out of range")
-        _check(all(0 <= x < d for x, d in zip((l, m, n), blocks[r])), "rank index out of range")
-        u, s, t, y = (train.user_ids, train.service_ids, train.time_ids, train.values)
-        w = (model.user_factors[r][u, l] * model.service_factors[r][s, m]
-             * model.time_factors[r][t, n])
-        delta = y - predict_entries(model, u, s, t)
-        return cfg.lambda1 * float(model.cores[r][l, m, n]) * train.n_entries - float(delta @ w)
-
-    if kind in ("user", "service", "time"):
-        _check(len(rest) == 3, "expected (r, index, rank)")
-        r, idx, rank = rest
-        _check(0 <= r < len(blocks), "block out of range")
-        axis = ("user", "service", "time").index(kind)
-        _check(0 <= rank < blocks[r][axis], "rank index out of range")
-        _check(0 <= idx < model.dims[axis], "slice index out of range")
-        factors = (model.user_factors, model.service_factors, model.time_factors)[axis]
-        u, s, t, y = train.slice_entries(kind, idx)
-        core = model.cores[r]
-        if kind == "user":
-            contr = np.einsum("mn,pm,pn->p", core[rank],
-                              model.service_factors[r][s], model.time_factors[r][t])
-        elif kind == "service":
-            contr = np.einsum("ln,pl,pn->p", core[:, rank, :],
-                              model.user_factors[r][u], model.time_factors[r][t])
-        else:
-            contr = np.einsum("lm,pl,pm->p", core[:, :, rank],
-                              model.user_factors[r][u], model.service_factors[r][s])
-        delta = y - predict_entries(model, u, s, t)
-        value = float(factors[r][idx, rank])
-        return cfg.lambda2 * value * y.size - float(delta @ contr)
-
-    if kind in ("user_bias", "service_bias", "time_bias"):
-        _check(len(rest) == 1, "expected (index,)")
-        (idx,) = rest
-        mode = kind.split("_")[0]
-        axis = ("user", "service", "time").index(mode)
-        _check(0 <= idx < model.dims[axis], "slice index out of range")
-        bias = (model.user_bias, model.service_bias, model.time_bias)[axis]
-        u, s, t, y = train.slice_entries(mode, idx)
-        delta = y - predict_entries(model, u, s, t)
-        return cfg.lambda3 * float(bias[idx]) * y.size - float(delta.sum())
-
-    raise InvalidCoordinateError(f"unknown coordinate kind {kind!r}")
 
 
 # -- one training epoch ---------------------------------------------------
@@ -276,20 +205,19 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
     if not np.isfinite(yhat).all():
         raise NonFiniteError("model predictions are non-finite before the epoch")
 
-    if not cfg.freeze_cores:
-        for r, (l, mm, n) in enumerate(blocks):
-            a, b, c = (rows[axis][r] for axis in range(3))
-            ab = row_outer(a, b, out=scratch(outer_buf, l * mm))
-            core = m.cores[r]
-            weighted = np.multiply(c, y, out=scratch(weighted_buf, n))
-            num = (ab @ weighted.T).reshape(core.shape)
-            np.multiply(c, yhat, out=weighted)
-            den = (ab @ weighted.T).reshape(core.shape)
-            den += cfg.lambda1 * n_obs * core
-            m.cores[r] = core * num / (den + guard)
-            predict_block(m.cores[r], ab, c, out=block_pred[r],
-                          work=scratch(contr_buf, n))
-        refresh()
+    for r, (l, mm, n) in enumerate(blocks):
+        a, b, c = (rows[axis][r] for axis in range(3))
+        ab = row_outer(a, b, out=scratch(outer_buf, l * mm))
+        core = m.cores[r]
+        weighted = np.multiply(c, y, out=scratch(weighted_buf, n))
+        num = (ab @ weighted.T).reshape(core.shape)
+        np.multiply(c, yhat, out=weighted)
+        den = (ab @ weighted.T).reshape(core.shape)
+        den += cfg.lambda1 * n_obs * core
+        m.cores[r] = core * num / (den + guard)
+        predict_block(m.cores[r], ab, c, out=block_pred[r],
+                      work=scratch(contr_buf, n))
+    refresh()
 
     for axis, (mode, idx, factors) in enumerate(zip(("user", "service", "time"),
                                                     ids, families)):
@@ -357,7 +285,9 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
         if tuple(tensor.dims) != tuple(dims):
             raise DimMismatchError(
                 f"tensor dims {tuple(tensor.dims)} differ from requested dims {tuple(dims)}")
-    overlap = np.intersect1d(train.index_codes(), validation.index_codes())
+    # Index codes are sorted and unique within each tensor.
+    overlap = np.intersect1d(train.index_codes(), validation.index_codes(),
+                             assume_unique=True)
     if overlap.size:
         raise DuplicateIndexError(
             f"train and validation sets share {overlap.size} entries")

@@ -1,14 +1,28 @@
 """Naive reference implementations used as independent test oracles.
 
-Everything here recomputes results with plain Python loops over entries,
-deliberately sharing no accumulation code with the package's vectorized
-paths.  Slow by construction; use only at small sizes.
+The oracles recompute results along paths that share no accumulation code
+with the package's vectorized ones:
+
+- ``ref_objective`` and ``ref_epoch``: plain Python loops over entries;
+- ``ref_dense``: the full approximation tensor from mode products;
+- ``ref_gradient``: the analytic descent direction of one coordinate,
+  checked in turn against ``ref_gradient_fd``, a finite difference of the
+  objective.
+
+Slow by construction; use only at small sizes.
 """
 
 import numpy as np
 
-from btdqos.model import BlockStructure, BnbtModel, init_random, predict_entry
-from btdqos.sparse import SparseTensor3
+from btdqos.model import (
+    BlockStructure,
+    BnbtModel,
+    check_dims,
+    init_random,
+    predict_entries,
+    predict_entry,
+)
+from btdqos.sparse import MODES, SparseTensor3
 
 
 def ref_objective(model, tensor, cfg):
@@ -48,25 +62,24 @@ def ref_epoch(model, tensor, cfg):
     g = cfg.epsilon_guard
     yhat = _yhat_list(m, entries)
 
-    if not cfg.freeze_cores:
-        new_cores = []
-        for r in range(m.structure.n_blocks):
-            core = m.cores[r]
-            a, b, c = m.user_factors[r], m.service_factors[r], m.time_factors[r]
-            new = np.empty_like(core)
-            for l in range(core.shape[0]):
-                for mm in range(core.shape[1]):
-                    for n in range(core.shape[2]):
-                        num = den = 0.0
-                        for ((i, j, k), y), yh in zip(entries, yhat):
-                            w = a[i, l] * b[j, mm] * c[k, n]
-                            num += y * w
-                            den += yh * w
-                        den += cfg.lambda1 * n_obs * core[l, mm, n]
-                        new[l, mm, n] = core[l, mm, n] * num / (den + g)
-            new_cores.append(new)
-        m.cores = new_cores
-        yhat = _yhat_list(m, entries)
+    new_cores = []
+    for r in range(m.structure.n_blocks):
+        core = m.cores[r]
+        a, b, c = m.user_factors[r], m.service_factors[r], m.time_factors[r]
+        new = np.empty_like(core)
+        for l in range(core.shape[0]):
+            for mm in range(core.shape[1]):
+                for n in range(core.shape[2]):
+                    num = den = 0.0
+                    for ((i, j, k), y), yh in zip(entries, yhat):
+                        w = a[i, l] * b[j, mm] * c[k, n]
+                        num += y * w
+                        den += yh * w
+                    den += cfg.lambda1 * n_obs * core[l, mm, n]
+                    new[l, mm, n] = core[l, mm, n] * num / (den + g)
+        new_cores.append(new)
+    m.cores = new_cores
+    yhat = _yhat_list(m, entries)
 
     for mode_axis, factors_name in ((0, "user_factors"), (1, "service_factors"),
                                     (2, "time_factors")):
@@ -124,6 +137,102 @@ def ref_epoch(model, tensor, cfg):
             yhat = _yhat_list(m, entries)
 
     return m
+
+
+def ref_dense(model):
+    """Materialize the full approximation tensor.
+
+    Each block is assembled by three successive mode products of its core
+    with the factor matrices, then blocks are summed and biases broadcast
+    on top.  This path shares no summation code with ``predict_entry``,
+    which is what makes the pair a useful cross-check.
+    """
+    i, j, k = model.dims
+    out = np.zeros((i, j, k), dtype=np.float64)
+    for r in range(model.structure.n_blocks):
+        t = np.tensordot(model.user_factors[r], model.cores[r], axes=(1, 0))  # (I, M, N)
+        t = np.tensordot(model.service_factors[r], t, axes=(1, 1))            # (J, I, N)
+        t = np.tensordot(model.time_factors[r], t, axes=(1, 2))               # (K, J, I)
+        out += t.transpose(2, 1, 0)
+    out += model.user_bias[:, None, None]
+    out += model.service_bias[None, :, None]
+    out += model.time_bias[None, None, :]
+    return out
+
+
+def ref_gradient(model, tensor, cfg, coord):
+    """Analytic descent direction for one parameter coordinate.
+
+    Returns the additive-rule bracket, which equals exactly half of
+    ``d objective / d coord`` (the squared-error term is differentiated
+    without its factor 2; the same convention rescales the eliminated
+    per-parameter learning rate and cancels in the multiplicative rules).
+    A slice's entries are picked with a mask on the tensor's index arrays,
+    which keeps them in storage order.
+
+    Coordinates: ("core", r, l, m, n), ("user", r, i, l),
+    ("service", r, j, m), ("time", r, k, n), ("user_bias", i),
+    ("service_bias", j), ("time_bias", k).  A coordinate that does not
+    exist in the model raises ``ValueError``.
+    """
+    check_dims(model, tensor.dims)
+    kind, rest = coord[0], coord[1:]
+    blocks = model.structure.blocks
+
+    def _check(cond, msg):
+        if not cond:
+            raise ValueError(f"{coord}: {msg}")
+
+    def _slice(axis, idx):
+        ids = (tensor.user_ids, tensor.service_ids, tensor.time_ids)
+        mask = ids[axis] == idx
+        return (ids[0][mask], ids[1][mask], ids[2][mask], tensor.values[mask])
+
+    if kind == "core":
+        _check(len(rest) == 4, "expected (r, l, m, n)")
+        r, l, m, n = rest
+        _check(0 <= r < len(blocks), "block out of range")
+        _check(all(0 <= x < d for x, d in zip((l, m, n), blocks[r])), "rank index out of range")
+        u, s, t, y = (tensor.user_ids, tensor.service_ids, tensor.time_ids, tensor.values)
+        w = (model.user_factors[r][u, l] * model.service_factors[r][s, m]
+             * model.time_factors[r][t, n])
+        delta = y - predict_entries(model, u, s, t)
+        return cfg.lambda1 * float(model.cores[r][l, m, n]) * tensor.n_entries - float(delta @ w)
+
+    if kind in MODES:
+        _check(len(rest) == 3, "expected (r, index, rank)")
+        r, idx, rank = rest
+        _check(0 <= r < len(blocks), "block out of range")
+        axis = MODES.index(kind)
+        _check(0 <= rank < blocks[r][axis], "rank index out of range")
+        _check(0 <= idx < model.dims[axis], "slice index out of range")
+        factors = (model.user_factors, model.service_factors, model.time_factors)[axis]
+        u, s, t, y = _slice(axis, idx)
+        core = model.cores[r]
+        if kind == "user":
+            contr = np.einsum("mn,pm,pn->p", core[rank],
+                              model.service_factors[r][s], model.time_factors[r][t])
+        elif kind == "service":
+            contr = np.einsum("ln,pl,pn->p", core[:, rank, :],
+                              model.user_factors[r][u], model.time_factors[r][t])
+        else:
+            contr = np.einsum("lm,pl,pm->p", core[:, :, rank],
+                              model.user_factors[r][u], model.service_factors[r][s])
+        delta = y - predict_entries(model, u, s, t)
+        value = float(factors[r][idx, rank])
+        return cfg.lambda2 * value * y.size - float(delta @ contr)
+
+    if kind in ("user_bias", "service_bias", "time_bias"):
+        _check(len(rest) == 1, "expected (index,)")
+        (idx,) = rest
+        axis = MODES.index(kind.split("_")[0])
+        _check(0 <= idx < model.dims[axis], "slice index out of range")
+        bias = (model.user_bias, model.service_bias, model.time_bias)[axis]
+        u, s, t, y = _slice(axis, idx)
+        delta = y - predict_entries(model, u, s, t)
+        return cfg.lambda3 * float(bias[idx]) * y.size - float(delta.sum())
+
+    raise ValueError(f"unknown coordinate kind {kind!r}")
 
 
 def ref_gradient_fd(model, tensor, cfg, coord, objective_fn, step=1e-2):
@@ -276,8 +385,6 @@ def planted_tensor(seed, dims, structure, density, noise_frac=0.0,
     standard deviation over the sampled cells.  Values are clipped at zero
     to respect the nonnegativity of QoS observations.
     """
-    from btdqos.model import predict_entries
-
     rng = np.random.default_rng(seed)
     truth = planted_model(seed + 1, dims, structure, bias_high=bias_high)
     cells = dims[0] * dims[1] * dims[2]
@@ -297,8 +404,6 @@ def planted_tensor(seed, dims, structure, density, noise_frac=0.0,
 
 def exact_fit_instance(seed, dims=(4, 4, 4), structure=None, density=0.5):
     """A tensor whose values equal a model's own predictions (zero residual)."""
-    from btdqos.model import predict_entries
-
     if structure is None:
         structure = BlockStructure(((2, 2, 2),))
     rng = np.random.default_rng(seed)

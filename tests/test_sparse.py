@@ -105,18 +105,43 @@ def test_slice_counts_sum_to_entry_count():
         assert int(t.slice_counts(mode).sum()) == t.n_entries
 
 
-def test_slice_entries_grouping():
-    rng = np.random.default_rng(23)
-    dims = (6, 5, 4)
-    sel = rng.choice(120, size=60, replace=False)
+def _random_tensor(seed, dims=(6, 5, 4), n=60):
+    rng = np.random.default_rng(seed)
+    sel = rng.choice(dims[0] * dims[1] * dims[2], size=n, replace=False)
     ii, jj, kk = np.unravel_index(sel, dims)
-    t = SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 1, 60))
-    for mode, axis in zip(MODES, range(3)):
-        for index in range(dims[axis]):
-            u, s, tt, v = t.slice_entries(mode, index)
-            expected = [(idx, val) for idx, val in t.iter_entries() if idx[axis] == index]
-            got = list(zip(zip(u.tolist(), s.tolist(), tt.tolist()), v.tolist()))
-            assert got == expected  # same entries, same lexicographic order
+    return SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 1, n))
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "prefix", "repeated", "empty"])
+def test_subset_matches_from_arrays(kind):
+    """Slicing at sorted positions gives what rebuilding the rows gives."""
+    t = _random_tensor(23)
+    perm = np.random.default_rng(29).permutation(t.n_entries)
+    positions = {
+        "shuffled": perm,
+        "prefix": perm[:17],
+        "repeated": np.concatenate((perm[:9], perm[3:12], perm[:2])),
+        "empty": perm[:0],
+    }[kind]
+    got = t.subset(positions)
+    want = SparseTensor3.from_arrays(
+        t.dims, t.user_ids[positions], t.service_ids[positions],
+        t.time_ids[positions], t.values[positions])
+    for name in ("user_ids", "service_ids", "time_ids", "values"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert not getattr(got, name).flags.writeable
+    np.testing.assert_array_equal(got.index_codes(), want.index_codes())
+    for mode in MODES:
+        np.testing.assert_array_equal(got.slice_counts(mode), want.slice_counts(mode))
+
+
+@pytest.mark.parametrize("positions", [[-1], [0, 60], [3, -60, 5], [[0, 1]]])
+def test_subset_rejects_bad_positions(positions):
+    """Positions outside [0, n_entries), or not a 1-D sequence, raise."""
+    t = _random_tensor(23)
+    with pytest.raises(OutOfBoundsError):
+        t.subset(positions)
 
 
 def test_value_at_unobserved_and_out_of_bounds():
@@ -159,6 +184,14 @@ class TestSplitTensor:
                 train=self._tensor([((0, 0, 0), 1.0)]),
                 validation=self._tensor([((0, 0, 0), 1.0)]),
                 test=self._tensor([((2, 2, 2), 3.0)]),
+            )
+        shared = [((0, 0, 0), 1.0), ((1, 2, 0), 2.0), ((2, 1, 2), 3.0)]
+        with pytest.raises(DuplicateIndexError,
+                           match="train and test partitions share 3 entries"):
+            SplitTensor(
+                train=self._tensor(shared + [((0, 1, 1), 1.0)]),
+                validation=self._tensor([((1, 1, 1), 2.0)]),
+                test=self._tensor([((2, 2, 2), 3.0)] + shared),
             )
 
     def test_dims_must_match(self):
