@@ -17,6 +17,7 @@ from pathlib import Path
 from .data_io import (
     DatasetDescriptor,
     SplitSpec,
+    atomic_write,
     load_model,
     parse_qos_log,
     save_model,
@@ -63,6 +64,18 @@ def _resolve_input(path_str, config_dir=None):
     raise ConfigError(f"input file not found: {path_str}")
 
 
+def _object(value, where):
+    """``value`` if it is a JSON object; otherwise a ConfigError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r:.40}")
+    return value
+
+
+def _section(doc, key):
+    """Config section ``key`` (an empty object when absent)."""
+    return _object(doc.get(key, {}), f"config section {key!r}")
+
+
 def _descriptor_from_dict(d) -> DatasetDescriptor:
     try:
         return DatasetDescriptor(
@@ -95,9 +108,10 @@ def _train_config_from_dict(d, seed_override=None) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
-def _grids_from_dict(d):
-    if d is None:
+def _grids_from_config(doc):
+    if doc.get("grid") is None:
         return None
+    d = _section(doc, "grid")
     try:
         return (d["lambda1"], d["lambda2"], d["lambda3"])
     except KeyError as exc:
@@ -172,15 +186,16 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     doc, config_dir = _load_config(args.config)
-    descriptor = _descriptor_from_dict(doc.get("dataset", {}))
+    dataset_doc = _section(doc, "dataset")
+    descriptor = _descriptor_from_dict(dataset_doc)
     if descriptor.source_path is None:
         raise ConfigError("train config needs dataset.path")
-    split_doc = doc.get("split")
+    split_doc = _section(doc, "split")
     if not split_doc:
         raise ConfigError("train config needs a split section")
-    structure = _structure_from_dict(doc.get("structure", {}))
+    structure = _structure_from_dict(_section(doc, "structure"))
 
-    train_doc = dict(doc.get("train", {}))
+    train_doc = dict(_section(doc, "train"))
     if args.max_iter is not None:
         train_doc["max_iter"] = args.max_iter
     if args.tol is not None:
@@ -193,13 +208,13 @@ def cmd_train(args) -> int:
             train_doc[lam] = value
     cfg = _train_config_from_dict(train_doc, seed_override=args.seed)
 
-    out_doc = doc.get("output", {})
+    out_doc = _section(doc, "output")
     checkpoint_path = Path(args.checkpoint or out_doc.get("checkpoint", "model.json"))
     trajectory_path = Path(args.trajectory or out_doc.get("trajectory_csv", "trajectory.csv"))
 
     data_path = _resolve_input(descriptor.source_path, config_dir)
     result = parse_qos_log(data_path, descriptor,
-                           one_based=doc.get("dataset", {}).get("one_based", False))
+                           one_based=dataset_doc.get("one_based", False))
     spec = SplitSpec(split_doc["train"], split_doc["validation"],
                      split_doc["test"], seed=split_doc.get("seed", 0))
     parts = split(result.tensor, spec)
@@ -207,7 +222,7 @@ def cmd_train(args) -> int:
                 parts.train.n_entries, parts.validation.n_entries,
                 parts.test.n_entries)
 
-    grids = _grids_from_dict(doc.get("grid"))
+    grids = _grids_from_config(doc)
     if grids is not None:
         cfg = grid_search(parts.train, parts.validation, descriptor.dims,
                           structure, grids, cfg)
@@ -219,7 +234,7 @@ def cmd_train(args) -> int:
     for parent in (checkpoint_path.parent, trajectory_path.parent):
         parent.mkdir(parents=True, exist_ok=True)
     save_model(model, checkpoint_path)
-    with trajectory_path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(trajectory_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "objective", "validation_rmse"))
         for n, (loss, vr) in enumerate(zip(report.loss_trajectory,
@@ -260,17 +275,19 @@ def cmd_predict(args) -> int:
 
 def cmd_benchmark(args) -> int:
     doc, config_dir = _load_config(args.config)
-    descriptor = _descriptor_from_dict(doc.get("dataset", {}))
+    dataset_doc = _section(doc, "dataset")
+    descriptor = _descriptor_from_dict(dataset_doc)
     if descriptor.source_path is None:
         raise ConfigError("benchmark config needs dataset.path")
     data_path = _resolve_input(descriptor.source_path, config_dir)
     result = parse_qos_log(data_path, descriptor,
-                           one_based=doc.get("dataset", {}).get("one_based", False))
+                           one_based=dataset_doc.get("one_based", False))
     logger.info("benchmark source %s: %d observed entries",
                 descriptor.name, result.tensor.n_entries)
 
     split_specs = []
     for entry in doc.get("splits", ()):
+        entry = _object(entry, "every splits entry")
         try:
             split_specs.append((entry["label"],
                                 (entry["train"], entry["validation"], entry["test"])))
@@ -285,7 +302,7 @@ def cmd_benchmark(args) -> int:
                       for label, structure in DEFAULT_BENCHMARK_MODELS]
     model_configs = []
     for entry in models_doc:
-        if "label" not in entry:
+        if "label" not in _object(entry, "every models entry"):
             raise ConfigError("every model config needs a label")
         structure = _structure_from_dict(entry)
         model_configs.append((entry["label"], structure))
@@ -293,14 +310,14 @@ def cmd_benchmark(args) -> int:
     repeats = args.repeats if args.repeats is not None else int(doc.get("repeats", 1))
     top_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     run_seeds = [derive_seed(top_seed, "run", r) for r in range(repeats)]
-    cfg = _train_config_from_dict(doc.get("train", {}))
-    grids = _grids_from_dict(doc.get("grid"))
+    cfg = _train_config_from_dict(_section(doc, "train"))
+    grids = _grids_from_config(doc)
 
     report = run_benchmark(result.tensor, split_specs, model_configs, cfg,
                            repeats=run_seeds, grids=grids,
                            threads=max(1, args.threads))
 
-    out_doc = doc.get("output", {})
+    out_doc = _section(doc, "output")
     detail_path = Path(args.out_detail or out_doc.get("detail_csv", "benchmark_detail.csv"))
     aggregate_path = Path(args.out_aggregate
                           or out_doc.get("aggregate_csv", "benchmark_aggregate.csv"))
@@ -318,19 +335,18 @@ def cmd_benchmark(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="top-level random seed (overrides config)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for benchmark cells")
     common.add_argument("--quiet", action="store_true",
                         help="only warnings and errors on stderr")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="top-level random seed (overrides config)")
 
     parser = argparse.ArgumentParser(
         prog="btdqos",
         description="Sparse tensor completion benchmarks for dynamic QoS prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest", parents=[seeded],
                        help="parse a QoS log and write split partitions")
     p.add_argument("--data", required=True, help="QoS log file")
     p.add_argument("--users", type=int, required=True)
@@ -348,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="list every entry index in the manifest")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[seeded],
                        help="train a model from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--max-iter", type=int, default=None)
@@ -377,9 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("benchmark", parents=[common],
+    p = sub.add_parser("benchmark", parents=[seeded],
                        help="run the cross-density model comparison")
     p.add_argument("--config", required=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for benchmark cells")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--out-detail", default=None)
     p.add_argument("--out-aggregate", default=None)

@@ -5,11 +5,14 @@ Log format: plain UTF-8 text, one observation per line as
 decimal value).  Lines starting with ``#`` and blank lines are ignored.
 Values below zero follow the WS-DREAM missing-data convention and are
 dropped (but counted).  See docs/formats.md for the checkpoint and
-manifest layouts.
+manifest layouts.  Every artifact is written through ``atomic_write``, so a
+write that fails part-way leaves the previous file in place.
 """
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,11 +26,38 @@ from .errors import (
     ParseError,
 )
 from .model import BlockStructure, BnbtModel, validate_model
-from .sparse import SparseTensor3, SplitTensor
+from .sparse import MODES, SparseTensor3, SplitTensor
 
 CHECKPOINT_VERSION = 1
 
+#: Checkpoint keys of the per-mode parameters, in axis order.
+_FACTOR_KEYS = tuple(f"{mode}_factors" for mode in MODES)
+_BIAS_KEYS = tuple(f"{mode}_bias" for mode in MODES)
+
 QOS_TYPES = ("response_time", "throughput")
+
+
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open ``path`` for writing text so that it changes all at once or not at all.
+
+    The text goes to a new file in the same directory, which is flushed,
+    synced to disk and then moved onto ``path``; if anything fails before
+    the move, the new file is removed and ``path`` keeps its old content.
+    The file is created like ``open(path, "w")`` would create it, so it
+    gets the same permissions.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -115,7 +145,7 @@ def parse_qos_log(path, descriptor: DatasetDescriptor,
             for axis, (x, d) in enumerate(zip((i, j, k), dims)):
                 if not 0 <= x < d:
                     raise OutOfBoundsError(
-                        f"line {line_no}: index {x} out of range [0, {d}) on axis {axis}")
+                        f"line {line_no}: {MODES[axis]} index {x} out of range [0, {d})")
             users.append(i)
             services.append(j)
             times.append(k)
@@ -130,12 +160,10 @@ def parse_qos_log(path, descriptor: DatasetDescriptor,
 
 def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
     """Serialize a tensor in the log format, losslessly (repr floats)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         if header:
             fh.write(f"# {header}\n")
-        for i, j, k, v in zip(tensor.user_ids, tensor.service_ids,
-                              tensor.time_ids, tensor.values):
+        for i, j, k, v in zip(*tensor.ids, tensor.values):
             fh.write(f"{i} {j} {k} {float(v)!r}\n")
 
 
@@ -184,8 +212,8 @@ def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
                                ("validation", parts.validation),
                                ("test", parts.test))
         }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 # -- checkpoints -----------------------------------------------------------
@@ -197,15 +225,13 @@ def save_model(model: BnbtModel, path):
         "dims": list(model.dims),
         "blocks": [list(b) for b in model.structure.blocks],
         "cores": [s.tolist() for s in model.cores],
-        "user_factors": [a.tolist() for a in model.user_factors],
-        "service_factors": [b.tolist() for b in model.service_factors],
-        "time_factors": [c.tolist() for c in model.time_factors],
-        "user_bias": model.user_bias.tolist(),
-        "service_bias": model.service_bias.tolist(),
-        "time_bias": model.time_bias.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    for key, family in zip(_FACTOR_KEYS, model.factors):
+        doc[key] = [f.tolist() for f in family]
+    for key, bias in zip(_BIAS_KEYS, model.biases):
+        doc[key] = bias.tolist()
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_model(path) -> BnbtModel:
@@ -219,8 +245,7 @@ def load_model(path) -> BnbtModel:
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise CorruptCheckpointError(
             f"{path}: unsupported format_version {doc.get('format_version')!r}")
-    required = ("dims", "blocks", "cores", "user_factors", "service_factors",
-                "time_factors", "user_bias", "service_bias", "time_bias")
+    required = ("dims", "blocks", "cores", *_FACTOR_KEYS, *_BIAS_KEYS)
     missing = [key for key in required if key not in doc]
     if missing:
         raise CorruptCheckpointError(f"{path}: missing fields {missing}")
@@ -229,12 +254,9 @@ def load_model(path) -> BnbtModel:
             dims=tuple(int(d) for d in doc["dims"]),
             structure=BlockStructure(tuple(tuple(b) for b in doc["blocks"])),
             cores=[np.array(s, dtype=np.float64) for s in doc["cores"]],
-            user_factors=[np.array(a, dtype=np.float64) for a in doc["user_factors"]],
-            service_factors=[np.array(b, dtype=np.float64) for b in doc["service_factors"]],
-            time_factors=[np.array(c, dtype=np.float64) for c in doc["time_factors"]],
-            user_bias=np.array(doc["user_bias"], dtype=np.float64),
-            service_bias=np.array(doc["service_bias"], dtype=np.float64),
-            time_bias=np.array(doc["time_bias"], dtype=np.float64),
+            factors=[[np.array(f, dtype=np.float64) for f in doc[key]]
+                     for key in _FACTOR_KEYS],
+            biases=[np.array(doc[key], dtype=np.float64) for key in _BIAS_KEYS],
         )
         validate_model(model)
     except CorruptCheckpointError:

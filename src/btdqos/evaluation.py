@@ -14,11 +14,10 @@ import csv
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data_io import SplitSpec, split
+from .data_io import SplitSpec, atomic_write, split
 from .errors import ConfigError, EmptyTestSetError
 from .model import BlockStructure, BnbtModel, check_dims, predict_entries
 from .rng import derive_seed
@@ -37,7 +36,7 @@ def _residuals(model: BnbtModel, test: SparseTensor3) -> np.ndarray:
     check_dims(model, test.dims)
     if test.n_entries == 0:
         raise EmptyTestSetError("metrics need at least one test entry")
-    pred = predict_entries(model, test.user_ids, test.service_ids, test.time_ids)
+    pred = predict_entries(model, *test.ids)
     return test.values - pred
 
 
@@ -104,7 +103,7 @@ class MetricsReport:
 
 
 def _write_csv(path, columns, rows):
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
@@ -112,17 +111,14 @@ def _write_csv(path, columns, rows):
 
 
 def _aggregate(cells):
-    out = []
-    seen = []
+    # Dicts keep insertion order: groups come out in first-seen order.
+    groups = {}
     for cell in cells:
-        key = (cell.dataset, cell.model)
-        if key not in seen:
-            seen.append(key)
-    for dataset, model_label in seen:
-        rs = np.array([c.rmse for c in cells
-                       if (c.dataset, c.model) == (dataset, model_label)])
-        ms = np.array([c.mae for c in cells
-                       if (c.dataset, c.model) == (dataset, model_label)])
+        groups.setdefault((cell.dataset, cell.model), []).append(cell)
+    out = []
+    for (dataset, model_label), group in groups.items():
+        rs = np.array([c.rmse for c in group])
+        ms = np.array([c.mae for c in group])
         out.append(ModelAggregate(
             dataset=dataset,
             model=model_label,

@@ -9,6 +9,10 @@ blocks plus per-mode linear biases::
 where block r has a dense ``L_r x M_r x N_r`` core, factor matrices
 ``A_r (|I| x L_r)``, ``B_r (|J| x M_r)``, ``C_r (|K| x N_r)``, and d, e, f
 are the user/service/time bias vectors.  Every parameter is nonnegative.
+
+A model indexes its per-mode parameters by axis, in ``sparse.MODES`` order:
+``factors[axis][r]`` is block r's factor matrix of that mode (A_r, B_r or
+C_r) and ``biases[axis]`` its bias vector (d, e or f).
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ from .errors import (
     NegativeValueError,
     OutOfBoundsError,
 )
+from .sparse import MODES
 
 #: Entries per chunk in ``predict_entries``.
 PREDICT_CHUNK = 4096
@@ -74,32 +79,24 @@ class BnbtModel:
 
     dims: tuple
     structure: BlockStructure
-    cores: list          # per block: (L_r, M_r, N_r) array
-    user_factors: list   # per block: (|I|, L_r)
-    service_factors: list
-    time_factors: list
-    user_bias: np.ndarray
-    service_bias: np.ndarray
-    time_bias: np.ndarray
+    cores: list     # per block: (L_r, M_r, N_r) array
+    factors: list   # per axis, per block: (dims[axis], rank of that axis)
+    biases: list    # per axis: (dims[axis],) vector
 
     def copy(self) -> "BnbtModel":
         return BnbtModel(
             dims=self.dims,
             structure=self.structure,
             cores=[s.copy() for s in self.cores],
-            user_factors=[a.copy() for a in self.user_factors],
-            service_factors=[b.copy() for b in self.service_factors],
-            time_factors=[c.copy() for c in self.time_factors],
-            user_bias=self.user_bias.copy(),
-            service_bias=self.service_bias.copy(),
-            time_bias=self.time_bias.copy(),
+            factors=[[f.copy() for f in family] for family in self.factors],
+            biases=[b.copy() for b in self.biases],
         )
 
     def parameter_arrays(self):
-        """All parameter arrays, in a fixed (block-major) order."""
-        return (list(self.cores) + list(self.user_factors)
-                + list(self.service_factors) + list(self.time_factors)
-                + [self.user_bias, self.service_bias, self.time_bias])
+        """All parameter arrays, in a fixed (block-major) order: the cores,
+        each mode's factors, then the biases."""
+        return [*self.cores, *(f for family in self.factors for f in family),
+                *self.biases]
 
     def parameter_count(self) -> int:
         return sum(a.size for a in self.parameter_arrays())
@@ -113,26 +110,21 @@ class BnbtModel:
 
 def validate_model(model: BnbtModel):
     """Check shape consistency and nonnegativity; raise on violation."""
-    i, j, k = model.dims
     blocks = model.structure.blocks
-    if not (len(model.cores) == len(model.user_factors)
-            == len(model.service_factors) == len(model.time_factors)
-            == len(blocks)):
+    if not len(model.dims) == len(model.factors) == len(model.biases) == 3:
+        raise InvalidStructureError("a model needs dims, factors and biases for three modes")
+    if any(len(x) != len(blocks) for x in (model.cores, *model.factors)):
         raise InvalidStructureError("per-block array lists disagree with structure")
-    for r, (l, m, n) in enumerate(blocks):
-        if model.cores[r].shape != (l, m, n):
-            raise InvalidStructureError(f"core {r} has shape {model.cores[r].shape}, want {(l, m, n)}")
-        if model.user_factors[r].shape != (i, l):
-            raise InvalidStructureError(f"user factor {r} has shape {model.user_factors[r].shape}, want {(i, l)}")
-        if model.service_factors[r].shape != (j, m):
-            raise InvalidStructureError(f"service factor {r} has shape {model.service_factors[r].shape}, want {(j, m)}")
-        if model.time_factors[r].shape != (k, n):
-            raise InvalidStructureError(f"time factor {r} has shape {model.time_factors[r].shape}, want {(k, n)}")
-    for name, bias, dim in (("user", model.user_bias, i),
-                            ("service", model.service_bias, j),
-                            ("time", model.time_bias, k)):
+    for r, ranks in enumerate(blocks):
+        if model.cores[r].shape != ranks:
+            raise InvalidStructureError(f"core {r} has shape {model.cores[r].shape}, want {ranks}")
+    for axis, (mode, dim, bias) in enumerate(zip(MODES, model.dims, model.biases)):
+        for r, (f, ranks) in enumerate(zip(model.factors[axis], blocks)):
+            want = (dim, ranks[axis])
+            if f.shape != want:
+                raise InvalidStructureError(f"{mode} factor {r} has shape {f.shape}, want {want}")
         if bias.shape != (dim,):
-            raise InvalidStructureError(f"{name} bias has shape {bias.shape}, want {(dim,)}")
+            raise InvalidStructureError(f"{mode} bias has shape {bias.shape}, want {(dim,)}")
     for a in model.parameter_arrays():
         if not np.isfinite(a).all() or (a.size and a.min() < 0):
             raise NegativeValueError("model parameters must be finite and >= 0")
@@ -150,19 +142,15 @@ def init_random(dims, structure: BlockStructure, seed: int) -> BnbtModel:
         raise InvalidStructureError(f"dims must be three positive integers, got {dims}")
     if not isinstance(structure, BlockStructure):
         structure = BlockStructure(tuple(structure))
-    i, j, k = dims
     rng = np.random.default_rng(int(seed) % (2 ** 64))
     u = lambda *shape: rng.uniform(0.0, 0.05, shape)
     return BnbtModel(
         dims=dims,
         structure=structure,
-        cores=[u(l, m, n) for l, m, n in structure.blocks],
-        user_factors=[u(i, l) for l, _, _ in structure.blocks],
-        service_factors=[u(j, m) for _, m, _ in structure.blocks],
-        time_factors=[u(k, n) for _, _, n in structure.blocks],
-        user_bias=u(i),
-        service_bias=u(j),
-        time_bias=u(k),
+        cores=[u(*ranks) for ranks in structure.blocks],
+        factors=[[u(dim, ranks[axis]) for ranks in structure.blocks]
+                 for axis, dim in enumerate(dims)],
+        biases=[u(dim) for dim in dims],
     )
 
 
@@ -172,21 +160,22 @@ def predict_entry(model: BnbtModel, i: int, j: int, k: int) -> float:
     This is the scalar reference path; batched prediction goes through
     ``predict_entries``.
     """
-    for axis, v in enumerate((i, j, k)):
+    cell = (i, j, k)
+    for axis, v in enumerate(cell):
         if not 0 <= v < model.dims[axis]:
-            raise OutOfBoundsError(f"index {v} out of range [0, {model.dims[axis]}) on axis {axis}")
+            raise OutOfBoundsError(
+                f"{MODES[axis]} index {v} out of range [0, {model.dims[axis]})")
     total = 0.0
     for r in range(model.structure.n_blocks):
         core = model.cores[r]
-        a = model.user_factors[r][i]
-        b = model.service_factors[r][j]
-        c = model.time_factors[r][k]
+        a, b, c = (family[r][v] for family, v in zip(model.factors, cell))
         ll, mm, nn = core.shape
         for l in range(ll):
             for m in range(mm):
                 for n in range(nn):
                     total += core[l, m, n] * a[l] * b[m] * c[n]
-    return total + float(model.user_bias[i] + model.service_bias[j] + model.time_bias[k])
+    d, e, f = (bias[v] for bias, v in zip(model.biases, cell))
+    return total + float(d + e + f)
 
 
 def gather_rows(factor: np.ndarray, ids) -> np.ndarray:
@@ -237,17 +226,16 @@ def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.nda
     and cache-resident however many entries are asked for.
     """
     ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
+    (a, b, c), (d, e, f) = model.factors, model.biases
     out = np.empty(ids[0].shape, dtype=np.float64)
     for lo in range(0, out.size, PREDICT_CHUNK):
         u, s, t = (x[lo:lo + PREDICT_CHUNK] for x in ids)
         part = out[lo:lo + PREDICT_CHUNK]
-        np.add(model.user_bias[u], model.service_bias[s], out=part)
-        part += model.time_bias[t]
+        np.add(d[u], e[s], out=part)
+        part += f[t]
         for r in range(model.structure.n_blocks):
-            ab = row_outer(gather_rows(model.user_factors[r], u),
-                           gather_rows(model.service_factors[r], s))
-            part += predict_block(model.cores[r], ab,
-                                  gather_rows(model.time_factors[r], t))
+            ab = row_outer(gather_rows(a[r], u), gather_rows(b[r], s))
+            part += predict_block(model.cores[r], ab, gather_rows(c[r], t))
     return out
 
 

@@ -1,13 +1,14 @@
 """Coordinate-format storage for sparse third-order QoS tensors.
 
-Observed entries of a ``|I| x |J| x |K|`` tensor are kept as parallel arrays
-``(user_ids, service_ids, time_ids, values)`` plus their linear index codes
-``(i * |J| + j) * |K| + k``.  The one index a tensor holds is its invariant:
-entries are sorted by code and each code occurs once.  ``subset`` relies on
-it to slice partitions without sorting or validating again, and the
-partition disjointness checks rely on it to intersect codes without a
-uniqueness pass.  Per-mode observation counts are kept as well; the update
-rules form their per-slice sums with ``bincount`` over the index arrays.
+Observed entries of a ``|I| x |J| x |K|`` tensor are kept as parallel arrays,
+``ids[axis]`` (one index array per mode, in ``MODES`` order) and ``values``,
+plus their linear index codes ``(i * |J| + j) * |K| + k``.  The one index a
+tensor holds is its invariant: entries are sorted by code and each code
+occurs once.  ``subset`` relies on it to slice partitions without sorting
+or validating again, and the partition disjointness checks rely on it to
+intersect codes without a uniqueness pass.  ``counts[axis][index]`` is the
+number of observed entries in one slice; the update rules form their
+per-slice sums with ``bincount`` over the index arrays.
 
 Tensors are immutable after construction and safe to read concurrently.
 """
@@ -23,38 +24,26 @@ from .errors import (
     OutOfBoundsError,
 )
 
-#: The three tensor modes, in axis order.
+#: The three tensor modes, in axis order: the one table from a mode's name
+#: to its axis.  Everything per mode is indexed by axis.
 MODES = ("user", "service", "time")
-
-
-def _mode_axis(mode: str) -> int:
-    try:
-        return MODES.index(mode)
-    except ValueError:
-        raise OutOfBoundsError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
 class SparseTensor3:
     """An immutable third-order tensor holding only its observed entries."""
 
-    __slots__ = ("dims", "user_ids", "service_ids", "time_ids", "values",
-                 "_codes", "_counts")
+    __slots__ = ("dims", "ids", "values", "counts", "_codes")
 
-    def __init__(self, dims, user_ids, service_ids, time_ids, values, _codes):
+    def __init__(self, dims, ids, values, _codes):
         # Internal constructor: arrays are already validated and sorted by
         # code, each code once.  Use from_entries/from_arrays or subset.
         self.dims = dims
-        self.user_ids = user_ids
-        self.service_ids = service_ids
-        self.time_ids = time_ids
+        self.ids = tuple(ids)
         self.values = values
         self._codes = _codes
-        idx = (user_ids, service_ids, time_ids)
-        self._counts = tuple(
-            np.bincount(idx[a], minlength=dims[a]).astype(np.int64)
-            for a in range(3)
-        )
-        for arr in (user_ids, service_ids, time_ids, values, _codes):
+        self.counts = tuple(np.bincount(idx, minlength=d).astype(np.int64)
+                            for idx, d in zip(self.ids, dims))
+        for arr in (*self.ids, *self.counts, values, _codes):
             arr.setflags(write=False)
 
     # -- construction ----------------------------------------------------
@@ -70,14 +59,13 @@ class SparseTensor3:
         averaging would mask ingestion bugs.
         """
         dims = _validated_dims(dims)
-        ui = np.ascontiguousarray(user_ids, dtype=np.int64)
-        si = np.ascontiguousarray(service_ids, dtype=np.int64)
-        ti = np.ascontiguousarray(time_ids, dtype=np.int64)
+        ids = [np.ascontiguousarray(x, dtype=np.int64)
+               for x in (user_ids, service_ids, time_ids)]
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        if not (ui.shape == si.shape == ti.shape == vals.shape) or ui.ndim != 1:
+        if any(x.shape != vals.shape for x in ids) or vals.ndim != 1:
             raise OutOfBoundsError("index and value arrays must be 1-D and equal length")
 
-        for axis, idx in enumerate((ui, si, ti)):
+        for axis, idx in enumerate(ids):
             if idx.size and (idx.min() < 0 or idx.max() >= dims[axis]):
                 bad = idx[(idx < 0) | (idx >= dims[axis])][0]
                 raise OutOfBoundsError(
@@ -86,9 +74,10 @@ class SparseTensor3:
             bad = vals[~(np.isfinite(vals) & (vals >= 0))][0]
             raise NegativeValueError(f"QoS values must be finite and >= 0, got {bad}")
 
-        codes = (ui * dims[1] + si) * dims[2] + ti
+        codes = (ids[0] * dims[1] + ids[1]) * dims[2] + ids[2]
         order = np.argsort(codes, kind="stable")
-        codes, ui, si, ti, vals = codes[order], ui[order], si[order], ti[order], vals[order]
+        codes, vals = codes[order], vals[order]
+        ids = [x[order] for x in ids]
 
         if codes.size > 1:
             dup = np.nonzero(np.diff(codes) == 0)[0]
@@ -96,14 +85,13 @@ class SparseTensor3:
                 if not np.array_equal(vals[dup], vals[dup + 1]):
                     k = dup[vals[dup] != vals[dup + 1]][0]
                     raise DuplicateIndexError(
-                        f"index ({ui[k]}, {si[k]}, {ti[k]}) appears with values "
-                        f"{vals[k]} and {vals[k + 1]}")
+                        f"index ({', '.join(str(x[k]) for x in ids)}) appears "
+                        f"with values {vals[k]} and {vals[k + 1]}")
                 keep = np.concatenate(([True], np.diff(codes) != 0))
-                codes, ui, si, ti, vals = (
-                    codes[keep], ui[keep], si[keep], ti[keep], vals[keep])
+                codes, vals = codes[keep], vals[keep]
+                ids = [x[keep] for x in ids]
 
-        return cls(dims, ui.astype(np.int32), si.astype(np.int32),
-                   ti.astype(np.int32), vals, codes)
+        return cls(dims, [x.astype(np.int32) for x in ids], vals, codes)
 
     @classmethod
     def from_entries(cls, dims, entries):
@@ -136,24 +124,9 @@ class SparseTensor3:
             raise KeyError(f"entry ({i}, {j}, {k}) is not observed")
         return float(self.values[pos])
 
-    def slice_count(self, mode: str, index: int) -> int:
-        """Number of observed entries whose ``mode`` index equals ``index``."""
-        axis = _mode_axis(mode)
-        if not 0 <= index < self.dims[axis]:
-            raise OutOfBoundsError(
-                f"{mode} index {index} out of range [0, {self.dims[axis]})")
-        return int(self._counts[axis][index])
-
-    def slice_counts(self, mode: str) -> np.ndarray:
-        """Per-index observation counts for one mode (read-only array)."""
-        counts = self._counts[_mode_axis(mode)]
-        counts.setflags(write=False)
-        return counts
-
     def iter_entries(self):
         """Yield ``((i, j, k), value)`` in lexicographic order."""
-        for i, j, k, v in zip(self.user_ids, self.service_ids,
-                              self.time_ids, self.values):
+        for i, j, k, v in zip(*self.ids, self.values):
             yield (int(i), int(j), int(k)), float(v)
 
     def entry_list(self):
@@ -176,8 +149,8 @@ class SparseTensor3:
                 f"position {bad} out of range [0, {self.n_entries})")
         if pos.size > 1:
             pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
-        return SparseTensor3(self.dims, self.user_ids[pos], self.service_ids[pos],
-                             self.time_ids[pos], self.values[pos], self._codes[pos])
+        return SparseTensor3(self.dims, [x[pos] for x in self.ids],
+                             self.values[pos], self._codes[pos])
 
     def index_codes(self) -> np.ndarray:
         """Linearized (i, j, k) codes, sorted ascending, each once."""

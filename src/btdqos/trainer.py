@@ -33,8 +33,9 @@ slices with no observations are left untouched.
 """
 
 import logging
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
@@ -63,6 +64,9 @@ logger = logging.getLogger(__name__)
 STOP_ON_VALIDATION = "validation_rmse"
 STOP_ON_TRAIN_LOSS = "train_loss"
 
+#: What a ``TrainConfig`` field of each annotated type accepts.
+_FIELD_KINDS = {float: numbers.Real, int: numbers.Integral, bool: bool, str: str}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -79,6 +83,12 @@ class TrainConfig:
     stop_on: str = STOP_ON_VALIDATION
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, but true/false is no number.
+            if (not isinstance(value, _FIELD_KINDS[f.type])
+                    or isinstance(value, bool) and f.type is not bool):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
             raise ConfigError("regularization coefficients must be >= 0")
         if self.max_iter < 1:
@@ -107,23 +117,19 @@ class TrainReport:
 def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> float:
     """Regularized training loss over the observed entries."""
     check_dims(model, train.dims)
-    pred = predict_entries(model, train.user_ids, train.service_ids, train.time_ids)
+    pred = predict_entries(model, *train.ids)
     resid = train.values - pred
     loss = float(resid @ resid)
     if cfg.lambda1 > 0.0:
         core_sq = sum(float((s * s).sum()) for s in model.cores)
         loss += cfg.lambda1 * train.n_entries * core_sq
     if cfg.lambda2 > 0.0:
-        for factors, mode in ((model.user_factors, "user"),
-                              (model.service_factors, "service"),
-                              (model.time_factors, "time")):
-            row_sq = sum((f * f).sum(axis=1) for f in factors)
-            loss += cfg.lambda2 * float(train.slice_counts(mode) @ row_sq)
+        for family, cnt in zip(model.factors, train.counts):
+            row_sq = sum((f * f).sum(axis=1) for f in family)
+            loss += cfg.lambda2 * float(cnt @ row_sq)
     if cfg.lambda3 > 0.0:
-        for bias, mode in ((model.user_bias, "user"),
-                           (model.service_bias, "service"),
-                           (model.time_bias, "time")):
-            loss += cfg.lambda3 * float(train.slice_counts(mode) @ (bias * bias))
+        for bias, cnt in zip(model.biases, train.counts):
+            loss += cfg.lambda3 * float(cnt @ (bias * bias))
     return loss
 
 
@@ -159,15 +165,14 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
     if train.n_entries == 0:
         return m
 
-    ids = (train.user_ids, train.service_ids, train.time_ids)
+    ids = train.ids
     y = train.values
     n_obs = train.n_entries
     guard = cfg.epsilon_guard
     blocks = m.structure.blocks
-    families = (m.user_factors, m.service_factors, m.time_factors)
     # rows[axis][r]: block r's factor rows of one family, as (rank, n_obs).
     rows = [[gather_rows(f, idx) for f in family]
-            for family, idx in zip(families, ids)]
+            for family, idx in zip(m.factors, ids)]
 
     # Scratch shared by every pass and block (outer products, contractions,
     # contractions weighted by y or yhat): fresh entry-sized temporaries
@@ -188,7 +193,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
         return np.take(values, idx, axis=values.ndim - 1, out=out, mode="clip")
 
     bias_sum = np.zeros(n_obs, dtype=np.float64)
-    for bias, idx in zip((m.user_bias, m.service_bias, m.time_bias), ids):
+    for bias, idx in zip(m.biases, ids):
         bias_sum += take_into(bias, idx, scratch(weighted_buf, 1)[0])
     block_pred = np.empty((len(blocks), n_obs), dtype=np.float64)
     for r, (l, mm, n) in enumerate(blocks):
@@ -219,9 +224,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
                       work=scratch(contr_buf, n))
     refresh()
 
-    for axis, (mode, idx, factors) in enumerate(zip(("user", "service", "time"),
-                                                    ids, families)):
-        cnt = train.slice_counts(mode)
+    for axis, (idx, factors, cnt) in enumerate(zip(ids, m.factors, train.counts)):
         observed = cnt[:, None] > 0
         for r, core in enumerate(m.cores):
             rank = core.shape[axis]
@@ -241,16 +244,13 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
         refresh()
 
     if cfg.bias_enabled:
-        for mode, idx, which in (("user", ids[0], "user_bias"),
-                                 ("service", ids[1], "service_bias"),
-                                 ("time", ids[2], "time_bias")):
-            cnt = train.slice_counts(mode)
-            bias = getattr(m, which)
+        for axis, (idx, cnt) in enumerate(zip(ids, train.counts)):
+            bias = m.biases[axis]
             num = np.bincount(idx, weights=y, minlength=bias.size)
             den = np.bincount(idx, weights=yhat, minlength=bias.size)
             den += cfg.lambda3 * cnt * bias
             updated = np.where(cnt > 0, bias * num / (den + guard), bias)
-            setattr(m, which, updated)
+            m.biases[axis] = updated
             bias_sum += take_into(updated - bias, idx, scratch(weighted_buf, 1)[0])
             refresh()
 
@@ -263,8 +263,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
 # -- training loop --------------------------------------------------------
 
 def _validation_rmse(model, validation):
-    pred = predict_entries(model, validation.user_ids, validation.service_ids,
-                           validation.time_ids)
+    pred = predict_entries(model, *validation.ids)
     resid = validation.values - pred
     return float(np.sqrt(resid @ resid / resid.size))
 
@@ -301,9 +300,7 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
     started = time.perf_counter()
     model = init_random(dims, structure, cfg.seed)
     if not cfg.bias_enabled:
-        model.user_bias = np.zeros(dims[0])
-        model.service_bias = np.zeros(dims[1])
-        model.time_bias = np.zeros(dims[2])
+        model.biases = [np.zeros(dim) for dim in dims]
 
     losses = []
     val_rmses = []

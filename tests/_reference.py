@@ -24,6 +24,9 @@ from btdqos.model import (
 )
 from btdqos.sparse import MODES, SparseTensor3
 
+#: Coordinate kinds of the bias vectors, in axis order.
+BIAS_KINDS = tuple(f"{mode}_bias" for mode in MODES)
+
 
 def ref_objective(model, tensor, cfg):
     """Quadruple-loop evaluation of the regularized training loss."""
@@ -32,13 +35,13 @@ def ref_objective(model, tensor, cfg):
         delta = y - predict_entry(model, i, j, k)
         total += delta * delta
         for r in range(model.structure.n_blocks):
+            a, b, c = (family[r] for family in model.factors)
             total += cfg.lambda1 * float((model.cores[r] ** 2).sum())
-            total += cfg.lambda2 * float((model.user_factors[r][i] ** 2).sum())
-            total += cfg.lambda2 * float((model.service_factors[r][j] ** 2).sum())
-            total += cfg.lambda2 * float((model.time_factors[r][k] ** 2).sum())
-        total += cfg.lambda3 * float(model.user_bias[i] ** 2
-                                     + model.service_bias[j] ** 2
-                                     + model.time_bias[k] ** 2)
+            total += cfg.lambda2 * float((a[i] ** 2).sum())
+            total += cfg.lambda2 * float((b[j] ** 2).sum())
+            total += cfg.lambda2 * float((c[k] ** 2).sum())
+        d, e, f = model.biases
+        total += cfg.lambda3 * float(d[i] ** 2 + e[j] ** 2 + f[k] ** 2)
     return total
 
 
@@ -65,7 +68,7 @@ def ref_epoch(model, tensor, cfg):
     new_cores = []
     for r in range(m.structure.n_blocks):
         core = m.cores[r]
-        a, b, c = m.user_factors[r], m.service_factors[r], m.time_factors[r]
+        a, b, c = (family[r] for family in m.factors)
         new = np.empty_like(core)
         for l in range(core.shape[0]):
             for mm in range(core.shape[1]):
@@ -81,14 +84,12 @@ def ref_epoch(model, tensor, cfg):
     m.cores = new_cores
     yhat = _yhat_list(m, entries)
 
-    for mode_axis, factors_name in ((0, "user_factors"), (1, "service_factors"),
-                                    (2, "time_factors")):
-        factors = getattr(m, factors_name)
+    for mode_axis in range(3):
         updated = []
         for r in range(m.structure.n_blocks):
             core = m.cores[r]
-            a, b, c = m.user_factors[r], m.service_factors[r], m.time_factors[r]
-            f = factors[r]
+            a, b, c = (family[r] for family in m.factors)
+            f = m.factors[mode_axis][r]
             new = f.copy()
             for idx in range(f.shape[0]):
                 rows = [(pos, (i, j, k), y)
@@ -116,13 +117,12 @@ def ref_epoch(model, tensor, cfg):
                     den += cfg.lambda2 * len(rows) * f[idx, rank]
                     new[idx, rank] = f[idx, rank] * num / (den + g)
             updated.append(new)
-        setattr(m, factors_name, updated)
+        m.factors[mode_axis] = updated
         yhat = _yhat_list(m, entries)
 
     if cfg.bias_enabled:
-        for mode_axis, bias_name in ((0, "user_bias"), (1, "service_bias"),
-                                     (2, "time_bias")):
-            bias = getattr(m, bias_name)
+        for mode_axis in range(3):
+            bias = m.biases[mode_axis]
             new = bias.copy()
             for idx in range(bias.size):
                 rows = [(pos, y) for pos, ((i, j, k), y) in enumerate(entries)
@@ -133,7 +133,7 @@ def ref_epoch(model, tensor, cfg):
                 den = sum(yhat[pos] for pos, _ in rows)
                 den += cfg.lambda3 * len(rows) * bias[idx]
                 new[idx] = bias[idx] * num / (den + g)
-            setattr(m, bias_name, new)
+            m.biases[mode_axis] = new
             yhat = _yhat_list(m, entries)
 
     return m
@@ -147,16 +147,17 @@ def ref_dense(model):
     on top.  This path shares no summation code with ``predict_entry``,
     which is what makes the pair a useful cross-check.
     """
-    i, j, k = model.dims
-    out = np.zeros((i, j, k), dtype=np.float64)
+    out = np.zeros(model.dims, dtype=np.float64)
     for r in range(model.structure.n_blocks):
-        t = np.tensordot(model.user_factors[r], model.cores[r], axes=(1, 0))  # (I, M, N)
-        t = np.tensordot(model.service_factors[r], t, axes=(1, 1))            # (J, I, N)
-        t = np.tensordot(model.time_factors[r], t, axes=(1, 2))               # (K, J, I)
+        a, b, c = (family[r] for family in model.factors)
+        t = np.tensordot(a, model.cores[r], axes=(1, 0))  # (I, M, N)
+        t = np.tensordot(b, t, axes=(1, 1))               # (J, I, N)
+        t = np.tensordot(c, t, axes=(1, 2))               # (K, J, I)
         out += t.transpose(2, 1, 0)
-    out += model.user_bias[:, None, None]
-    out += model.service_bias[None, :, None]
-    out += model.time_bias[None, None, :]
+    d, e, f = model.biases
+    out += d[:, None, None]
+    out += e[None, :, None]
+    out += f[None, None, :]
     return out
 
 
@@ -184,18 +185,18 @@ def ref_gradient(model, tensor, cfg, coord):
             raise ValueError(f"{coord}: {msg}")
 
     def _slice(axis, idx):
-        ids = (tensor.user_ids, tensor.service_ids, tensor.time_ids)
-        mask = ids[axis] == idx
-        return (ids[0][mask], ids[1][mask], ids[2][mask], tensor.values[mask])
+        mask = tensor.ids[axis] == idx
+        return (*(x[mask] for x in tensor.ids), tensor.values[mask])
 
     if kind == "core":
         _check(len(rest) == 4, "expected (r, l, m, n)")
         r, l, m, n = rest
         _check(0 <= r < len(blocks), "block out of range")
         _check(all(0 <= x < d for x, d in zip((l, m, n), blocks[r])), "rank index out of range")
-        u, s, t, y = (tensor.user_ids, tensor.service_ids, tensor.time_ids, tensor.values)
-        w = (model.user_factors[r][u, l] * model.service_factors[r][s, m]
-             * model.time_factors[r][t, n])
+        u, s, t = tensor.ids
+        y = tensor.values
+        a, b, c = (family[r] for family in model.factors)
+        w = a[u, l] * b[s, m] * c[t, n]
         delta = y - predict_entries(model, u, s, t)
         return cfg.lambda1 * float(model.cores[r][l, m, n]) * tensor.n_entries - float(delta @ w)
 
@@ -206,28 +207,25 @@ def ref_gradient(model, tensor, cfg, coord):
         axis = MODES.index(kind)
         _check(0 <= rank < blocks[r][axis], "rank index out of range")
         _check(0 <= idx < model.dims[axis], "slice index out of range")
-        factors = (model.user_factors, model.service_factors, model.time_factors)[axis]
         u, s, t, y = _slice(axis, idx)
         core = model.cores[r]
+        a, b, c = (family[r] for family in model.factors)
         if kind == "user":
-            contr = np.einsum("mn,pm,pn->p", core[rank],
-                              model.service_factors[r][s], model.time_factors[r][t])
+            contr = np.einsum("mn,pm,pn->p", core[rank], b[s], c[t])
         elif kind == "service":
-            contr = np.einsum("ln,pl,pn->p", core[:, rank, :],
-                              model.user_factors[r][u], model.time_factors[r][t])
+            contr = np.einsum("ln,pl,pn->p", core[:, rank, :], a[u], c[t])
         else:
-            contr = np.einsum("lm,pl,pm->p", core[:, :, rank],
-                              model.user_factors[r][u], model.service_factors[r][s])
+            contr = np.einsum("lm,pl,pm->p", core[:, :, rank], a[u], b[s])
         delta = y - predict_entries(model, u, s, t)
-        value = float(factors[r][idx, rank])
+        value = float(model.factors[axis][r][idx, rank])
         return cfg.lambda2 * value * y.size - float(delta @ contr)
 
-    if kind in ("user_bias", "service_bias", "time_bias"):
+    if kind in BIAS_KINDS:
         _check(len(rest) == 1, "expected (index,)")
         (idx,) = rest
-        axis = MODES.index(kind.split("_")[0])
+        axis = BIAS_KINDS.index(kind)
         _check(0 <= idx < model.dims[axis], "slice index out of range")
-        bias = (model.user_bias, model.service_bias, model.time_bias)[axis]
+        bias = model.biases[axis]
         u, s, t, y = _slice(axis, idx)
         delta = y - predict_entries(model, u, s, t)
         return cfg.lambda3 * float(bias[idx]) * y.size - float(delta.sum())
@@ -255,28 +253,21 @@ def ref_gradient_fd(model, tensor, cfg, coord, objective_fn, step=1e-2):
     return (objective_fn(plus, tensor, cfg) - objective_fn(minus, tensor, cfg)) / (2 * step)
 
 
-def _shift_param(model, coord, delta):
+def _param_site(model, coord):
+    """The array holding coordinate ``coord`` and its index in that array."""
     kind, rest = coord[0], coord[1:]
     if kind == "core":
-        r, l, m, n = rest
-        model.cores[r][l, m, n] += delta
-    elif kind == "user":
-        r, i, l = rest
-        model.user_factors[r][i, l] += delta
-    elif kind == "service":
-        r, j, m = rest
-        model.service_factors[r][j, m] += delta
-    elif kind == "time":
-        r, k, n = rest
-        model.time_factors[r][k, n] += delta
-    elif kind == "user_bias":
-        model.user_bias[rest[0]] += delta
-    elif kind == "service_bias":
-        model.service_bias[rest[0]] += delta
-    elif kind == "time_bias":
-        model.time_bias[rest[0]] += delta
-    else:
-        raise ValueError(f"unknown coordinate {coord}")
+        return model.cores[rest[0]], tuple(rest[1:])
+    if kind in MODES:
+        return model.factors[MODES.index(kind)][rest[0]], tuple(rest[1:])
+    if kind in BIAS_KINDS:
+        return model.biases[BIAS_KINDS.index(kind)], tuple(rest)
+    raise ValueError(f"unknown coordinate {coord}")
+
+
+def _shift_param(model, coord, delta):
+    array, index = _param_site(model, coord)
+    array[index] += delta
 
 
 def all_coords(model):
@@ -285,38 +276,17 @@ def all_coords(model):
     for r, (l, m, n) in enumerate(model.structure.blocks):
         coords += [("core", r, a, b, c) for a in range(l)
                    for b in range(m) for c in range(n)]
-    i, j, k = model.dims
-    for r, (l, m, n) in enumerate(model.structure.blocks):
-        coords += [("user", r, a, b) for a in range(i) for b in range(l)]
-        coords += [("service", r, a, b) for a in range(j) for b in range(m)]
-        coords += [("time", r, a, b) for a in range(k) for b in range(n)]
-    coords += [("user_bias", a) for a in range(i)]
-    coords += [("service_bias", a) for a in range(j)]
-    coords += [("time_bias", a) for a in range(k)]
+    for r, ranks in enumerate(model.structure.blocks):
+        for mode, dim, rank in zip(MODES, model.dims, ranks):
+            coords += [(mode, r, a, b) for a in range(dim) for b in range(rank)]
+    for kind, dim in zip(BIAS_KINDS, model.dims):
+        coords += [(kind, a) for a in range(dim)]
     return coords
 
 
 def get_param(model, coord):
-    kind, rest = coord[0], coord[1:]
-    if kind == "core":
-        r, l, m, n = rest
-        return float(model.cores[r][l, m, n])
-    if kind == "user":
-        r, i, l = rest
-        return float(model.user_factors[r][i, l])
-    if kind == "service":
-        r, j, m = rest
-        return float(model.service_factors[r][j, m])
-    if kind == "time":
-        r, k, n = rest
-        return float(model.time_factors[r][k, n])
-    if kind == "user_bias":
-        return float(model.user_bias[rest[0]])
-    if kind == "service_bias":
-        return float(model.service_bias[rest[0]])
-    if kind == "time_bias":
-        return float(model.time_bias[rest[0]])
-    raise ValueError(f"unknown coordinate {coord}")
+    array, index = _param_site(model, coord)
+    return float(array[index])
 
 
 def model_params_vector(model):
@@ -362,17 +332,14 @@ def planted_model(seed, dims, structure, factor_low=0.0, factor_high=1.0,
         draw = rng.uniform(lo, hi, shape)
         return draw ** 2 / hi if spiky_factors else draw
 
-    i, j, k = dims
     return BnbtModel(
         dims=tuple(dims),
         structure=structure,
-        cores=[u(factor_low, factor_high, l, m, n) for l, m, n in structure.blocks],
-        user_factors=[u(factor_low, factor_high, i, l) for l, _, _ in structure.blocks],
-        service_factors=[u(factor_low, factor_high, j, m) for _, m, _ in structure.blocks],
-        time_factors=[u(factor_low, factor_high, k, n) for _, _, n in structure.blocks],
-        user_bias=rng.uniform(0.0, bias_high, i),
-        service_bias=rng.uniform(0.0, bias_high, j),
-        time_bias=rng.uniform(0.0, bias_high, k),
+        cores=[u(factor_low, factor_high, *ranks) for ranks in structure.blocks],
+        factors=[[u(factor_low, factor_high, dim, ranks[axis])
+                  for ranks in structure.blocks]
+                 for axis, dim in enumerate(dims)],
+        biases=[rng.uniform(0.0, bias_high, dim) for dim in dims],
     )
 
 

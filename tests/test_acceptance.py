@@ -283,10 +283,9 @@ def test_c9_paper_number_reproduction():
         source_path=str(path))).tensor
 
     # 500-service subsample smoke run.
-    keep = full.service_ids < 500
+    keep = full.ids[1] < 500
     smoke_tensor = SparseTensor3.from_arrays(
-        (142, 500, 64), full.user_ids[keep], full.service_ids[keep],
-        full.time_ids[keep], full.values[keep])
+        (142, 500, 64), *(x[keep] for x in full.ids), full.values[keep])
     cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
                       max_iter=60, tol=1e-5)
     report = run_benchmark(

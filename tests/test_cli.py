@@ -115,9 +115,8 @@ class TestTrain:
                      "--max-iter", "3", "--no-bias"])
         assert code == 0
         model = load_model(workdir / "out" / "model.json")
-        assert not model.user_bias.any()
-        assert not model.service_bias.any()
-        assert not model.time_bias.any()
+        for bias in model.biases:
+            assert not bias.any()
 
     def test_idempotent_outputs(self, workdir):
         args = ["train", "--config", str(FIXTURES / "train8.json"),
@@ -150,6 +149,23 @@ class TestTrain:
         (workdir / "cfg.json").write_text(json.dumps(cfg))
         assert main(["train", "--config", "cfg.json"]) == 2
         assert "unknown train config fields: ['freeze_cores']" in caplog.text
+
+    @pytest.mark.parametrize("section, value", [
+        ("train", 5),
+        ("train", ["max_iter"]),
+        ("dataset", [1]),
+        ("split", [1, 2]),
+        ("train", {"max_iter": "5"}),
+    ])
+    def test_mistyped_config_is_a_usage_error(self, workdir, caplog, section, value):
+        """A section that is no JSON object, or a train value of the wrong
+        type, exits 2 through ConfigError rather than as a crash."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        cfg[section] = value
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", "cfg.json"]) == 2
+        assert "unexpected failure" not in caplog.text
 
 
 class TestEvaluatePredict:
@@ -250,3 +266,24 @@ class TestBenchmark:
         doc["splits"] = []
         (workdir / "bench.json").write_text(json.dumps(doc))
         assert main(["benchmark", "--config", "bench.json"]) == 2
+
+    @pytest.mark.parametrize("key", ["splits", "models"])
+    def test_entry_that_is_no_object(self, workdir, caplog, key):
+        self._config(workdir)
+        doc = json.loads((workdir / "bench.json").read_text())
+        doc[key].append(5)
+        (workdir / "bench.json").write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", "bench.json"]) == 2
+        assert f"every {key} entry must be a JSON object" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "train.json", "--threads", "2"],
+    ["evaluate", "--checkpoint", "ck.json", "--data", "t.txt", "--seed", "1"],
+    ["predict", "--checkpoint", "ck.json", "-i", "0", "-j", "0", "-k", "0",
+     "--seed", "1"],
+])
+def test_flag_the_command_does_not_read_is_rejected(workdir, capsys, argv):
+    """--threads belongs to benchmark; --seed to ingest, train and benchmark."""
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from btdqos.data_io import (
     DatasetDescriptor,
     SplitSpec,
+    atomic_write,
     load_model,
     parse_qos_log,
     save_model,
@@ -232,6 +233,27 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("stage", ["mid-write", "fsync"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, stage):
+        """A write that raises part-way leaves the old bytes and no stray file."""
+        path = tmp_path / "model.json"
+        save_model(init_random((3, 4, 2), BlockStructure(((1, 2, 1),)), 0), path)
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space left"):
+            if stage == "fsync":
+                monkeypatch.setattr(os, "fsync", fail)
+                save_model(init_random((3, 4, 2), BlockStructure(((1, 2, 1),)), 1), path)
+            else:
+                with atomic_write(path) as fh:
+                    fh.write(before.decode()[:40])
+                    fail()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 @pytest.mark.skipif(

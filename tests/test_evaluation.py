@@ -26,11 +26,10 @@ def bias_only_model(dims, d, e, f):
     from btdqos.model import init_random
 
     m = init_random(dims, BlockStructure(((1, 1, 1),)), 0)
-    for arr in m.cores + m.user_factors + m.service_factors + m.time_factors:
+    for arr in m.cores + [f for family in m.factors for f in family]:
         arr[:] = 0.0
-    m.user_bias[:] = d
-    m.service_bias[:] = e
-    m.time_bias[:] = f
+    for bias, value in zip(m.biases, (d, e, f)):
+        bias[:] = value
     return m
 
 

@@ -23,12 +23,8 @@ def single_block_model(s, a, b, c, d, e, f):
         dims=(1, 1, 1),
         structure=BlockStructure(((1, 1, 1),)),
         cores=[np.array([[[s]]], dtype=float)],
-        user_factors=[np.array([[a]], dtype=float)],
-        service_factors=[np.array([[b]], dtype=float)],
-        time_factors=[np.array([[c]], dtype=float)],
-        user_bias=np.array([d], dtype=float),
-        service_bias=np.array([e], dtype=float),
-        time_bias=np.array([f], dtype=float),
+        factors=[[np.array([[x]], dtype=float)] for x in (a, b, c)],
+        biases=[np.array([x], dtype=float) for x in (d, e, f)],
     )
 
 
@@ -106,21 +102,20 @@ class TestPredictEntry:
 class TestDenseReconstruct:
     def test_zero_factors_leave_broadcast_biases(self):
         m = init_random((2, 3, 4), BlockStructure(((1, 1, 1),)), 0)
-        for arr in m.cores + m.user_factors + m.service_factors + m.time_factors:
+        for arr in m.cores + [f for family in m.factors for f in family]:
             arr[:] = 0.0
         dense = ref_dense(m)
-        expected = (m.user_bias[:, None, None] + m.service_bias[None, :, None]
-                    + m.time_bias[None, None, :])
+        d, e, f = m.biases
+        expected = d[:, None, None] + e[None, :, None] + f[None, None, :]
         np.testing.assert_allclose(dense, expected, atol=0)
 
     def test_all_ones_unit_block(self):
         """Single (1,1,1) block of ones, zero biases -> every cell is 1."""
         m = init_random((2, 2, 2), BlockStructure(((1, 1, 1),)), 0)
-        for arr in m.cores + m.user_factors + m.service_factors + m.time_factors:
+        for arr in m.cores + [f for family in m.factors for f in family]:
             arr[:] = 1.0
-        m.user_bias[:] = 0.0
-        m.service_bias[:] = 0.0
-        m.time_bias[:] = 0.0
+        for bias in m.biases:
+            bias[:] = 0.0
         np.testing.assert_allclose(ref_dense(m), np.ones((2, 2, 2)), atol=0)
 
     def test_matches_predict_entry_random(self):
@@ -151,14 +146,13 @@ def test_cp_degeneration_exact():
     m = init_random(dims, cp_structure(2), 3)
     for core in m.cores:
         core[:] = 1.0
+    (a, b, c), (d, e, f) = m.factors, m.biases
     for i in range(dims[0]):
         for j in range(dims[1]):
             for k in range(dims[2]):
-                expected = sum(
-                    m.user_factors[r][i, 0] * m.service_factors[r][j, 0]
-                    * m.time_factors[r][k, 0]
-                    for r in range(2))
-                expected += m.user_bias[i] + m.service_bias[j] + m.time_bias[k]
+                expected = sum(a[r][i, 0] * b[r][j, 0] * c[r][k, 0]
+                               for r in range(2))
+                expected += d[i] + e[j] + f[k]
                 assert predict_entry(m, i, j, k) == expected
 
 
@@ -168,9 +162,7 @@ def test_block_permutation_symmetry():
     order = [2, 0, 1]
     permuted.structure = BlockStructure(tuple(m.structure.blocks[r] for r in order))
     permuted.cores = [m.cores[r].copy() for r in order]
-    permuted.user_factors = [m.user_factors[r].copy() for r in order]
-    permuted.service_factors = [m.service_factors[r].copy() for r in order]
-    permuted.time_factors = [m.time_factors[r].copy() for r in order]
+    permuted.factors = [[family[r].copy() for r in order] for family in m.factors]
     for i in range(4):
         for j in range(4):
             for k in range(4):
@@ -182,7 +174,7 @@ def test_validate_model_catches_violations():
     m = init_random((3, 3, 3), BlockStructure(((2, 2, 2),)), 0)
     validate_model(m)
     bad = m.copy()
-    bad.user_bias = bad.user_bias[:2]
+    bad.biases[0] = bad.biases[0][:2]
     with pytest.raises(InvalidStructureError):
         validate_model(bad)
     bad = m.copy()

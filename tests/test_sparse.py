@@ -69,19 +69,6 @@ def test_round_trip_preserves_multiset():
     assert t.entry_list() == t2.entry_list()
 
 
-def test_slice_count_hand_cases():
-    """Entries at (0,0,0) and (0,1,1): user 0 has both, user 1 has none."""
-    t = SparseTensor3.from_entries((2, 2, 2), [((0, 0, 0), 1.0), ((0, 1, 1), 2.0)])
-    assert t.slice_count("user", 0) == 2
-    assert t.slice_count("user", 1) == 0
-    assert t.slice_count("service", 1) == 1
-    assert t.slice_count("time", 1) == 1
-    with pytest.raises(OutOfBoundsError):
-        t.slice_count("user", 2)
-    with pytest.raises(OutOfBoundsError):
-        t.slice_count("place", 0)
-
-
 def test_slice_count_matches_brute_force():
     """Counts on a random 10x10x10 tensor equal a full scan."""
     rng = np.random.default_rng(17)
@@ -89,10 +76,10 @@ def test_slice_count_matches_brute_force():
     sel = rng.choice(1000, size=200, replace=False)
     ii, jj, kk = np.unravel_index(sel, dims)
     t = SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 1, 200))
-    for mode, axis in zip(MODES, range(3)):
+    for axis in range(3):
         for index in range(dims[axis]):
             brute = sum(1 for idx, _ in t.iter_entries() if idx[axis] == index)
-            assert t.slice_count(mode, index) == brute
+            assert t.counts[axis][index] == brute
 
 
 def test_slice_counts_sum_to_entry_count():
@@ -101,8 +88,9 @@ def test_slice_counts_sum_to_entry_count():
     sel = rng.choice(7 * 9 * 5, size=100, replace=False)
     ii, jj, kk = np.unravel_index(sel, dims)
     t = SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 1, 100))
-    for mode in MODES:
-        assert int(t.slice_counts(mode).sum()) == t.n_entries
+    assert len(t.counts) == len(MODES)
+    for counts in t.counts:
+        assert int(counts.sum()) == t.n_entries
 
 
 def _random_tensor(seed, dims=(6, 5, 4), n=60):
@@ -125,15 +113,13 @@ def test_subset_matches_from_arrays(kind):
     }[kind]
     got = t.subset(positions)
     want = SparseTensor3.from_arrays(
-        t.dims, t.user_ids[positions], t.service_ids[positions],
-        t.time_ids[positions], t.values[positions])
-    for name in ("user_ids", "service_ids", "time_ids", "values"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert not getattr(got, name).flags.writeable
+        t.dims, *(x[positions] for x in t.ids), t.values[positions])
+    for g, w in zip((*got.ids, got.values, *got.counts),
+                    (*want.ids, want.values, *want.counts)):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+        assert not g.flags.writeable
     np.testing.assert_array_equal(got.index_codes(), want.index_codes())
-    for mode in MODES:
-        np.testing.assert_array_equal(got.slice_counts(mode), want.slice_counts(mode))
 
 
 @pytest.mark.parametrize("positions", [[-1], [0, 60], [3, -60, 5], [[0, 1]]])
@@ -156,14 +142,17 @@ def test_arrays_are_immutable():
     t = SparseTensor3.from_entries((2, 2, 2), [((0, 0, 0), 1.0)])
     with pytest.raises(ValueError):
         t.values[0] = 5.0
-    with pytest.raises(ValueError):
-        t.user_ids[0] = 1
+    for arr in (*t.ids, *t.counts):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    with pytest.raises(TypeError):
+        t.ids[0] = t.ids[1]
 
 
 def test_empty_tensor_is_valid():
     t = SparseTensor3.from_entries((3, 3, 3), [])
     assert t.n_entries == 0
-    assert t.slice_count("user", 0) == 0
+    assert all(not counts.any() for counts in t.counts)
 
 
 class TestSplitTensor:

@@ -132,11 +132,11 @@ class TestEpoch:
         """One user, two entries with yhat=1 each and y=2,4: d 0.5 -> 1.5."""
         m = single_block_model(0, 0, 0, 0, 0.5, 0.25, 0.25)
         m.dims = (1, 1, 2)
-        m.time_factors = [np.zeros((2, 1))]
-        m.time_bias = np.array([0.25, 0.25])
+        m.factors[2] = [np.zeros((2, 1))]
+        m.biases[2] = np.array([0.25, 0.25])
         t = SparseTensor3.from_entries((1, 1, 2), [((0, 0, 0), 2.0), ((0, 0, 1), 4.0)])
         after = epoch(m, t, ZERO_REG)
-        assert after.user_bias[0] == pytest.approx(1.5, rel=1e-9)
+        assert after.biases[0][0] == pytest.approx(1.5, rel=1e-9)
 
     def test_matches_reference_epoch(self):
         """Optimized epoch equals the per-coordinate loop on 4x5x6."""
@@ -186,9 +186,9 @@ class TestEpoch:
         t = SparseTensor3.from_entries(dims, [((0, 0, 0), 1.0), ((0, 1, 1), 2.0)])
         model = init_random(dims, BlockStructure(((1, 1, 1),)), 9)
         after = epoch(model, t, ZERO_REG)
-        np.testing.assert_array_equal(after.user_factors[0][1:], model.user_factors[0][1:])
-        np.testing.assert_array_equal(after.user_bias[1:], model.user_bias[1:])
-        assert not np.array_equal(after.user_factors[0][0], model.user_factors[0][0])
+        np.testing.assert_array_equal(after.factors[0][0][1:], model.factors[0][0][1:])
+        np.testing.assert_array_equal(after.biases[0][1:], model.biases[0][1:])
+        assert not np.array_equal(after.factors[0][0][0], model.factors[0][0][0])
 
     def test_empty_tensor_is_identity(self):
         model = init_random((2, 2, 2), BlockStructure(((1, 1, 1),)), 1)
@@ -258,7 +258,7 @@ class TestFit:
         train, val, _, _ = self._split_instance(2, dims=(12, 10, 8), density=0.5)
         cfg = TrainConfig(max_iter=2200, tol=1e-14, seed=2, stop_on="train_loss")
         model, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
-        pred = predict_entries(model, train.user_ids, train.service_ids, train.time_ids)
+        pred = predict_entries(model, *train.ids)
         train_rmse = float(np.sqrt(np.mean((train.values - pred) ** 2)))
         assert train_rmse <= 0.01 * float(train.values.std())
 
@@ -266,9 +266,8 @@ class TestFit:
         train, val, _, _ = self._split_instance(4)
         cfg = TrainConfig(max_iter=5, tol=1e-15, seed=4, bias_enabled=False)
         model, _ = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
-        assert not model.user_bias.any()
-        assert not model.service_bias.any()
-        assert not model.time_bias.any()
+        for bias in model.biases:
+            assert not bias.any()
 
     def test_validation_stopping_requires_validation(self):
         train, _, _, _ = self._split_instance(5)
