@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import logging
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -25,9 +26,9 @@ from .data_io import (
     write_qos_log,
     write_split_manifest,
 )
-from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError
+from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError, check_kind
 from .evaluation import rmse_and_mae, run_benchmark
-from .model import BlockStructure, cp_structure, predict_entry, tucker_structure
+from .model import BlockStructure, cp_structure, predict_entry
 from .rng import derive_seed
 from .trainer import TrainConfig, fit, grid_search
 
@@ -64,37 +65,56 @@ def _resolve_input(path_str, config_dir=None):
     raise ConfigError(f"input file not found: {path_str}")
 
 
-def _object(value, where):
-    """``value`` if it is a JSON object; otherwise a ConfigError naming ``where``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r:.40}")
+def _section(doc, key):
+    """Config section ``key`` (an empty object when absent)."""
+    return check_kind(doc.get(key, {}), dict, f"config section {key!r}")
+
+
+def _list_of(value, kind, where):
+    """``value`` if it is a JSON list of ``kind``; otherwise a ConfigError."""
+    for x in check_kind(value, list, where):
+        check_kind(x, kind, f"every entry of {where}")
     return value
 
 
-def _section(doc, key):
-    """Config section ``key`` (an empty object when absent)."""
-    return _object(doc.get(key, {}), f"config section {key!r}")
-
-
-def _descriptor_from_dict(d) -> DatasetDescriptor:
+def _fields(d, keys, where):
+    """The values of ``keys`` in the object ``d``; a ConfigError names a missing one."""
     try:
-        return DatasetDescriptor(
-            name=d.get("name", "dataset"),
-            qos_type=d.get("qos_type", "response_time"),
-            dims=(d["users"], d["services"], d["slices"]),
-            source_path=d.get("path"),
-        )
+        return tuple(d[key] for key in keys)
     except KeyError as exc:
-        raise ConfigError(f"dataset config is missing {exc}")
+        raise ConfigError(f"{where} is missing {exc}")
+
+
+def _dataset_from_config(doc):
+    """The dataset descriptor of a config and its ``one_based`` flag."""
+    d = _section(doc, "dataset")
+    path, *dims = _fields(d, ("path", "users", "services", "slices"),
+                          "dataset config")
+    descriptor = DatasetDescriptor(
+        name=d.get("name", "dataset"),
+        qos_type=d.get("qos_type", "response_time"),
+        dims=dims,
+        source_path=check_kind(path, str, "dataset.path"),
+    )
+    return descriptor, check_kind(d.get("one_based", False), bool, "dataset.one_based")
+
+
+def _output(out_doc, key, default):
+    """Path ``key`` of the ``output`` section, ``default`` when absent or null."""
+    value = out_doc.get(key)
+    return default if value is None else check_kind(value, str, f"output.{key}")
 
 
 def _structure_from_dict(d) -> BlockStructure:
     if "blocks" in d:
-        return BlockStructure(tuple(tuple(b) for b in d["blocks"]))
+        return BlockStructure(tuple(
+            tuple(_list_of(b, numbers.Integral, "every structure.blocks entry"))
+            for b in check_kind(d["blocks"], list, "structure.blocks")))
     if "cp" in d:
-        return cp_structure(int(d["cp"]))
+        return cp_structure(check_kind(d["cp"], numbers.Integral, "structure.cp"))
     if "tucker" in d:
-        return tucker_structure(*d["tucker"])
+        return BlockStructure((tuple(_list_of(d["tucker"], numbers.Integral,
+                                              "structure.tucker")),))
     raise ConfigError("structure needs one of 'blocks', 'cp' or 'tucker'")
 
 
@@ -111,11 +131,9 @@ def _train_config_from_dict(d, seed_override=None) -> TrainConfig:
 def _grids_from_config(doc):
     if doc.get("grid") is None:
         return None
-    d = _section(doc, "grid")
-    try:
-        return (d["lambda1"], d["lambda2"], d["lambda3"])
-    except KeyError as exc:
-        raise ConfigError(f"grid config is missing {exc}")
+    keys = ("lambda1", "lambda2", "lambda3")
+    grids = _fields(_section(doc, "grid"), keys, "grid config")
+    return tuple(_list_of(g, numbers.Real, f"grid.{key}") for key, g in zip(keys, grids))
 
 
 def _load_config(path):
@@ -186,13 +204,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     doc, config_dir = _load_config(args.config)
-    dataset_doc = _section(doc, "dataset")
-    descriptor = _descriptor_from_dict(dataset_doc)
-    if descriptor.source_path is None:
-        raise ConfigError("train config needs dataset.path")
+    descriptor, one_based = _dataset_from_config(doc)
     split_doc = _section(doc, "split")
     if not split_doc:
         raise ConfigError("train config needs a split section")
+    spec = SplitSpec(*_fields(split_doc, ("train", "validation", "test"), "split config"),
+                     seed=split_doc.get("seed", 0))
     structure = _structure_from_dict(_section(doc, "structure"))
 
     train_doc = dict(_section(doc, "train"))
@@ -209,14 +226,13 @@ def cmd_train(args) -> int:
     cfg = _train_config_from_dict(train_doc, seed_override=args.seed)
 
     out_doc = _section(doc, "output")
-    checkpoint_path = Path(args.checkpoint or out_doc.get("checkpoint", "model.json"))
-    trajectory_path = Path(args.trajectory or out_doc.get("trajectory_csv", "trajectory.csv"))
+    checkpoint_path = Path(args.checkpoint or _output(out_doc, "checkpoint", "model.json"))
+    trajectory_path = Path(args.trajectory
+                           or _output(out_doc, "trajectory_csv", "trajectory.csv"))
+    splits_dir = _output(out_doc, "splits_dir", "")
 
     data_path = _resolve_input(descriptor.source_path, config_dir)
-    result = parse_qos_log(data_path, descriptor,
-                           one_based=dataset_doc.get("one_based", False))
-    spec = SplitSpec(split_doc["train"], split_doc["validation"],
-                     split_doc["test"], seed=split_doc.get("seed", 0))
+    result = parse_qos_log(data_path, descriptor, one_based=one_based)
     parts = split(result.tensor, spec)
     logger.info("training on %d entries (validation %d, test %d held out)",
                 parts.train.n_entries, parts.validation.n_entries,
@@ -240,7 +256,6 @@ def cmd_train(args) -> int:
         for n, (loss, vr) in enumerate(zip(report.loss_trajectory,
                                            report.validation_rmse_trajectory), 1):
             writer.writerow((n, repr(loss), repr(vr)))
-    splits_dir = out_doc.get("splits_dir")
     if splits_dir:
         splits_path = Path(splits_dir)
         splits_path.mkdir(parents=True, exist_ok=True)
@@ -275,24 +290,18 @@ def cmd_predict(args) -> int:
 
 def cmd_benchmark(args) -> int:
     doc, config_dir = _load_config(args.config)
-    dataset_doc = _section(doc, "dataset")
-    descriptor = _descriptor_from_dict(dataset_doc)
-    if descriptor.source_path is None:
-        raise ConfigError("benchmark config needs dataset.path")
+    descriptor, one_based = _dataset_from_config(doc)
     data_path = _resolve_input(descriptor.source_path, config_dir)
-    result = parse_qos_log(data_path, descriptor,
-                           one_based=dataset_doc.get("one_based", False))
+    result = parse_qos_log(data_path, descriptor, one_based=one_based)
     logger.info("benchmark source %s: %d observed entries",
                 descriptor.name, result.tensor.n_entries)
 
     split_specs = []
-    for entry in doc.get("splits", ()):
-        entry = _object(entry, "every splits entry")
-        try:
-            split_specs.append((entry["label"],
-                                (entry["train"], entry["validation"], entry["test"])))
-        except KeyError as exc:
-            raise ConfigError(f"split spec is missing {exc}")
+    for entry in check_kind(doc.get("splits", []), list, "splits"):
+        label, *ratios = _fields(check_kind(entry, dict, "every splits entry"),
+                                 ("label", "train", "validation", "test"),
+                                 "split spec")
+        split_specs.append((label, tuple(ratios)))
     if not split_specs:
         raise ConfigError("benchmark config needs a nonempty splits list")
 
@@ -301,26 +310,30 @@ def cmd_benchmark(args) -> int:
         models_doc = [dict(label=label, **structure)
                       for label, structure in DEFAULT_BENCHMARK_MODELS]
     model_configs = []
-    for entry in models_doc:
-        if "label" not in _object(entry, "every models entry"):
+    for entry in check_kind(models_doc, list, "models"):
+        if "label" not in check_kind(entry, dict, "every models entry"):
             raise ConfigError("every model config needs a label")
         structure = _structure_from_dict(entry)
         model_configs.append((entry["label"], structure))
 
-    repeats = args.repeats if args.repeats is not None else int(doc.get("repeats", 1))
-    top_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    repeats = (args.repeats if args.repeats is not None
+               else check_kind(doc.get("repeats", 1), numbers.Integral, "repeats"))
+    top_seed = (args.seed if args.seed is not None
+                else check_kind(doc.get("seed", 0), numbers.Integral, "seed"))
     run_seeds = [derive_seed(top_seed, "run", r) for r in range(repeats)]
     cfg = _train_config_from_dict(_section(doc, "train"))
     grids = _grids_from_config(doc)
+
+    out_doc = _section(doc, "output")
+    detail_path = Path(args.out_detail
+                       or _output(out_doc, "detail_csv", "benchmark_detail.csv"))
+    aggregate_path = Path(args.out_aggregate
+                          or _output(out_doc, "aggregate_csv", "benchmark_aggregate.csv"))
 
     report = run_benchmark(result.tensor, split_specs, model_configs, cfg,
                            repeats=run_seeds, grids=grids,
                            threads=max(1, args.threads))
 
-    out_doc = _section(doc, "output")
-    detail_path = Path(args.out_detail or out_doc.get("detail_csv", "benchmark_detail.csv"))
-    aggregate_path = Path(args.out_aggregate
-                          or out_doc.get("aggregate_csv", "benchmark_aggregate.csv"))
     for parent in (detail_path.parent, aggregate_path.parent):
         parent.mkdir(parents=True, exist_ok=True)
     report.write_detail_csv(detail_path)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class BtdqosError(Exception):
     """Base class for all btdqos errors."""
@@ -58,6 +60,23 @@ class CorruptCheckpointError(BtdqosError):
 
 class ConfigError(BtdqosError):
     """A configuration value violates its invariants."""
+
+
+#: How ``check_kind`` names each kind it is asked for.
+_KIND_NOUNS = {numbers.Real: "a number", numbers.Integral: "an integer",
+               bool: "true or false", str: "a string", list: "a JSON list",
+               dict: "a JSON object"}
+
+
+def check_kind(value, kind, what):
+    """``value`` if it is a ``kind``; otherwise a ConfigError naming ``what``.
+
+    ``kind`` is a key of ``_KIND_NOUNS``.  true and false are no numbers,
+    although bool subclasses int.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{what} must be {_KIND_NOUNS[kind]}, got {value!r:.40}")
+    return value
 
 
 #: Errors that signal bad input rather than a runtime failure.  The CLI maps

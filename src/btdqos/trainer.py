@@ -46,6 +46,7 @@ from .errors import (
     DuplicateIndexError,
     EmptyInputError,
     NonFiniteError,
+    check_kind,
 )
 from .model import (
     BnbtModel,
@@ -84,11 +85,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool is an int subclass, but true/false is no number.
-            if (not isinstance(value, _FIELD_KINDS[f.type])
-                    or isinstance(value, bool) and f.type is not bool):
-                raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
+            check_kind(getattr(self, f.name), _FIELD_KINDS[f.type], f.name)
         if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
             raise ConfigError("regularization coefficients must be >= 0")
         if self.max_iter < 1:

@@ -7,7 +7,8 @@ with the package's vectorized ones:
 - ``ref_dense``: the full approximation tensor from mode products;
 - ``ref_gradient``: the analytic descent direction of one coordinate,
   checked in turn against ``ref_gradient_fd``, a finite difference of the
-  objective.
+  objective;
+- ``ref_write_qos_log``: one formatted line and one write per entry.
 
 Slow by construction; use only at small sizes.
 """
@@ -382,3 +383,12 @@ def exact_fit_instance(seed, dims=(4, 4, 4), structure=None, density=0.5):
     vals = predict_entries(model, ii, jj, kk)
     tensor = SparseTensor3.from_arrays(dims, ii, jj, kk, vals)
     return tensor, model
+
+
+def ref_write_qos_log(tensor, path, header=None):
+    """Row-by-row QoS log writer: the bytes ``write_qos_log`` must produce."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for i, j, k, v in zip(*tensor.ids, tensor.values):
+            fh.write(f"{i} {j} {k} {float(v)!r}\n")

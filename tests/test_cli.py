@@ -167,6 +167,43 @@ class TestTrain:
         assert main(["train", "--config", "cfg.json"]) == 2
         assert "unexpected failure" not in caplog.text
 
+    @pytest.mark.parametrize("where, value, message", [
+        (("split", "train"), "0.7", "every split ratio must be a number"),
+        (("split", "train"), None, "split config is missing 'train'"),
+        (("split", "seed"), 1.5, "the split seed must be an integer"),
+        (("structure", "blocks"), 5, "structure.blocks must be a JSON list"),
+        (("structure", "blocks"), [[2, "2", 2]],
+         "every entry of every structure.blocks entry must be an integer"),
+        (("structure",), {"tucker": [2, 2]}, "invalid block ranks (2, 2)"),
+        (("structure",), {"cp": "3"}, "structure.cp must be an integer"),
+        (("grid",), {"lambda1": 5, "lambda2": [0.01], "lambda3": [0.01]},
+         "grid.lambda1 must be a JSON list"),
+        (("grid",), {"lambda1": ["x"], "lambda2": [0.01], "lambda3": [0.01]},
+         "every entry of grid.lambda1 must be a number"),
+        (("dataset", "users"), "eight", "every dim must be an integer"),
+        (("dataset", "one_based"), "false", "dataset.one_based must be true or false"),
+        (("dataset", "path"), 5, "dataset.path must be a string"),
+        (("output", "checkpoint"), 5, "output.checkpoint must be a string"),
+    ])
+    def test_mistyped_config_value_is_a_usage_error(self, workdir, caplog, where,
+                                                     value, message):
+        """A value of the wrong type, or a missing key, inside a section
+        exits 2 through ConfigError (``None`` deletes the key)."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        *parents, key = where
+        section = cfg
+        for name in parents:
+            section = section[name]
+        if value is None:
+            del section[key]
+        else:
+            section[key] = value
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", "cfg.json", "--max-iter", "1"]) == 2
+        assert message in caplog.text
+        assert "unexpected failure" not in caplog.text
+
 
 class TestEvaluatePredict:
     def test_evaluate_perfect_fit(self, workdir):
@@ -275,6 +312,23 @@ class TestBenchmark:
         (workdir / "bench.json").write_text(json.dumps(doc))
         assert main(["benchmark", "--config", "bench.json"]) == 2
         assert f"every {key} entry must be a JSON object" in caplog.text
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("splits", 5, "splits must be a JSON list"),
+        ("splits", [{"label": "s", "train": "0.5", "validation": 0.2, "test": 0.3}],
+         "every split ratio must be a number"),
+        ("models", {"label": "m"}, "models must be a JSON list"),
+        ("repeats", "x", "repeats must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+    ])
+    def test_mistyped_value_is_a_usage_error(self, workdir, caplog, key, value, message):
+        self._config(workdir)
+        doc = json.loads((workdir / "bench.json").read_text())
+        doc[key] = value
+        (workdir / "bench.json").write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", "bench.json"]) == 2
+        assert message in caplog.text
+        assert "unexpected failure" not in caplog.text
 
 
 @pytest.mark.parametrize("argv", [

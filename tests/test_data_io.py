@@ -2,10 +2,15 @@
 
 import json
 import os
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _reference import ref_write_qos_log
+from btdqos import data_io
 from btdqos.data_io import (
     DatasetDescriptor,
     SplitSpec,
@@ -21,6 +26,7 @@ from btdqos.errors import (
     ConfigError,
     CorruptCheckpointError,
     EmptyInputError,
+    NegativeValueError,
     OutOfBoundsError,
     ParseError,
 )
@@ -28,12 +34,35 @@ from btdqos.model import BlockStructure, init_random
 from btdqos.sparse import SparseTensor3
 
 D = DatasetDescriptor(name="toy", qos_type="response_time", dims=(4, 4, 4))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, text, name="log.txt"):
+    """Write ``text`` as UTF-8 bytes, line endings untranslated."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     return path
+
+
+def _outcome(parse):
+    """What calling ``parse`` gives: the tensor's arrays and the counts, or
+    the type and message of the error it raises."""
+    try:
+        result = parse()
+    except Exception as exc:
+        return type(exc), str(exc)
+    t = result.tensor
+    return ([x.tolist() for x in t.ids], t.values.tobytes(),
+            result.records, result.kept, result.dropped)
+
+
+def _both(path, desc=D, one_based=False):
+    """Outcomes of ``parse_qos_log`` and of the per-line parser on one file."""
+    def per_line():
+        with open(path, encoding="utf-8") as fh:
+            return data_io._parse_lines(fh, desc.dims, 1 if one_based else 0)
+    return (_outcome(lambda: parse_qos_log(path, desc, one_based=one_based)),
+            _outcome(per_line))
 
 
 class TestDescriptorAndSpec:
@@ -114,6 +143,211 @@ class TestParse:
         path2 = tmp_path / "round2.txt"
         write_qos_log(back, path2, header="round trip")
         assert path2.read_text() == path.read_text()
+
+
+class TestParseAsPerLine:
+    """Each known difference between ``np.loadtxt`` and the per-line parser
+    ends as the per-line parser has it."""
+
+    def test_comment_after_data_is_an_error(self, tmp_path):
+        path = _write(tmp_path, "0 0 0 1.0\n1 1 1 2.0 # note\n")
+        with pytest.raises(ParseError, match=r"^line 2: expected 4 fields, got 6 "):
+            parse_qos_log(path, D)
+        fast, per_line = _both(path)
+        assert fast == per_line
+
+    def test_digit_separators(self, tmp_path):
+        path = _write(tmp_path, "1_000 2 3 1_0.5\n")
+        desc = DatasetDescriptor(name="u", qos_type="response_time", dims=(1001, 4, 4))
+        result = parse_qos_log(path, desc)
+        assert result.tensor.entry_list() == [((1000, 2, 3), 10.5)]
+        assert result.records == result.kept == 1
+        fast, per_line = _both(path, desc)
+        assert fast == per_line
+
+    def test_float_id_mid_chunk(self, tmp_path):
+        lines = [f"{n % 4} {n // 4 % 4} 0 1.0\n" for n in range(200)]
+        lines[100] = "1.0 0 0 1.0\n"
+        path = _write(tmp_path, "".join(lines))
+        with pytest.raises(ParseError, match=re.escape(
+                "line 101: invalid literal for int() with base 10: '1.0'")):
+            parse_qos_log(path, D)
+
+    def test_bad_line_after_chunk_boundary_names_file_line(self, tmp_path):
+        """Comment and blank lines count: the error names the file line."""
+        lines = []
+        while sum(map(len, lines)) <= 2 * data_io._PARSE_CHUNK:
+            lines += ["# block\n", "\n"] + [f"{n % 4} {n // 4 % 4} 1 0.5\n"
+                                             for n in range(998)]
+        lines.append("0 0 x 1.0\n")
+        path = _write(tmp_path, "".join(lines))
+        with pytest.raises(ParseError, match=re.escape(
+                f"line {len(lines)}: invalid literal for int() with base 10: 'x'")):
+            parse_qos_log(path, D)
+
+    def test_out_of_range_id_message(self, tmp_path):
+        path = _write(tmp_path, "0 0 0 1.0\n9 9 9 -1\n0 4 0 1.0\n")
+        with pytest.raises(OutOfBoundsError) as err:
+            parse_qos_log(path, D)
+        assert str(err.value) == "line 3: service index 4 out of range [0, 4)"
+        path = _write(tmp_path, "-1 0 0 2.0\n")
+        with pytest.raises(OutOfBoundsError) as err:
+            parse_qos_log(path, D)
+        assert str(err.value) == "line 1: user index -1 out of range [0, 4)"
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # another\n", "\n \t\n"])
+    def test_no_records_no_warning(self, tmp_path, recwarn, text):
+        result = parse_qos_log(_write(tmp_path, text), D)
+        assert (result.records, result.kept, result.dropped) == (0, 0, 0)
+        assert result.tensor.n_entries == 0
+        assert not recwarn.list
+
+    def test_separators_and_line_endings(self, tmp_path):
+        plain = _write(tmp_path, "0 0 0 1.5\n1 2 3 0.25\n2 3 1 2.0\n", "plain.txt")
+        mixed = _write(tmp_path, "0 0 0 1.5\r\n1\t2\t3\t0.25\r\n2\xa03 1\xa0 2.0", "mixed.txt")
+        assert _both(mixed) == (_outcome(lambda: parse_qos_log(plain, D)),) * 2
+
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"),
+                                              ("-nan", "nan"), ("Infinity", "inf")])
+    def test_non_finite_value(self, tmp_path, value, shown):
+        path = _write(tmp_path, f"0 0 0 1.0\n1 1 1 {value}\n")
+        with pytest.raises(NegativeValueError,
+                           match=f"^QoS values must be finite and >= 0, got {shown}$"):
+            parse_qos_log(path, D)
+        fast, per_line = _both(path)
+        assert fast == per_line
+
+    def test_negative_infinity_is_a_sentinel(self, tmp_path):
+        result = parse_qos_log(_write(tmp_path, "0 0 0 1.0\n1 1 1 -inf\n"), D)
+        assert (result.records, result.kept, result.dropped) == (2, 1, 1)
+
+    def test_one_based(self, tmp_path):
+        path = _write(tmp_path, "1 1 1 3.5\n4 4 4 2.0\n0 0 0 -1\n")
+        fast, per_line = _both(path, one_based=True)
+        assert fast == per_line
+        assert fast[0] == [[0, 3], [0, 3], [0, 3]]
+        path = _write(tmp_path, "1 1 1 3.5\n0 1 1 2.0\n")
+        with pytest.raises(OutOfBoundsError) as err:
+            parse_qos_log(path, D, one_based=True)
+        assert str(err.value) == "line 2: user index -1 out of range [0, 4)"
+
+
+#: Text the differential test inserts into valid logs.
+_INSERTS = ("#", "# x", "_", "\r", "\n", " ", " 7", "\t", "\xa0", "\x0c", "\x00",
+            "\ufeff", "\u0663", "\uff13", "-", "+", ".", "1.0", "e3", "9", "nan",
+            "inf", "-1", "x")
+
+
+def _random_log(rng):
+    lines = ["# header\n"]
+    for _ in range(rng.randrange(1, 25)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(["\n", "  \n", "# note\n", " # indented\n"]))
+        else:
+            value = "-1" if roll < 0.25 else f"{rng.uniform(0, 3):.{rng.randrange(1, 6)}f}"
+            lines.append(f"{rng.randrange(5)} {rng.randrange(6)} {rng.randrange(7)} "
+                         f"{value}\n")
+    return "".join(lines)
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.25:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice(_INSERTS) + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("chunk", [48, data_io._PARSE_CHUNK], ids=["tiny-chunks", "chunks"])
+def test_parse_matches_per_line_parser(tmp_path, monkeypatch, chunk):
+    """Seeded random edits of small logs: parse_qos_log gives what the
+    per-line parser gives, tensor and counts or error type and message."""
+    monkeypatch.setattr(data_io, "_PARSE_CHUNK", chunk)
+    fallbacks = []
+    per_line = data_io._parse_lines
+    monkeypatch.setattr(data_io, "_parse_lines",
+                        lambda *args: fallbacks.append(1) or per_line(*args))
+    desc = DatasetDescriptor(name="d", qos_type="response_time", dims=(5, 6, 7))
+    rng = random.Random(chunk)
+    errors = 0
+    cases = 400
+    for case in range(cases):
+        path = _write(tmp_path, _mutated(rng, _random_log(rng)), f"{case}.txt")
+        one_based = rng.random() < 0.2
+        fast, reference = _both(path, desc, one_based)
+        assert fast == reference, path.read_bytes()
+        errors += isinstance(fast[0], type)
+    # _both calls _parse_lines once itself for each case.
+    fast_path = 2 * cases - len(fallbacks)
+    assert cases // 4 < fast_path and cases // 4 < errors
+
+
+def _no_fallback(*args):
+    raise AssertionError("fell back to the per-line parser")
+
+
+def test_generated_log_takes_the_fast_path(tmp_path, monkeypatch):
+    """A log in the layout of the benchmark's generator never needs the
+    per-line parser."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import gen
+
+    planted = gen.generate(tmp_path / "log.txt", 3, (20, 30, 10), 2_000)
+    monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
+    monkeypatch.setattr(data_io, "_PARSE_CHUNK", 4096)
+    desc = DatasetDescriptor(name="g", qos_type="response_time", dims=planted.dims)
+    result = parse_qos_log(tmp_path / "log.txt", desc)
+    assert (result.records, result.kept, result.dropped) == (
+        planted.records, planted.kept, planted.dropped)
+    t = result.tensor
+    for got, want in zip((*t.ids, t.values), (planted.user_ids, planted.service_ids,
+                                              planted.time_ids, planted.values)):
+        assert np.array_equal(got, want)
+
+
+def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
+    monkeypatch.setattr(data_io, "_PARSE_CHUNK", 16)
+    path = _write(tmp_path, "0 0 0 1.0\n" + "# a comment block\n" * 4 + "\n1 1 1 2.0\n")
+    result = parse_qos_log(path, D)
+    assert (result.records, result.tensor.entry_list()) == (
+        2, [((0, 0, 0), 1.0), ((1, 1, 1), 2.0)])
+
+
+class TestWriteBytes:
+    """``write_qos_log`` writes the bytes of the row-by-row reference writer."""
+
+    def _check(self, tmp_path, tensor, header="partition"):
+        write_qos_log(tensor, tmp_path / "fast.txt", header=header)
+        ref_write_qos_log(tensor, tmp_path / "ref.txt", header=header)
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("header", [None, "empty"])
+    def test_empty_tensor(self, tmp_path, header):
+        self._check(tmp_path, SparseTensor3.from_entries((2, 3, 4), []), header)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundary(self, tmp_path, offset):
+        dims = (64, 64, 32)
+        n = data_io._WRITE_CHUNK + offset
+        rng = np.random.default_rng(n)
+        ii, jj, kk = np.unravel_index(rng.choice(np.prod(dims), n, replace=False), dims)
+        self._check(tmp_path, SparseTensor3.from_arrays(dims, ii, jj, kk,
+                                                        rng.uniform(0, 5, n)))
+
+    def test_extreme_values_and_largest_ids(self, tmp_path):
+        dims = (142, 4500, 64)
+        entries = [((141, 0, 0), 0.0), ((0, 4499, 0), 5e-324), ((0, 0, 63), 1e-300),
+                   ((141, 4499, 63), 0.1 + 0.2), ((1, 2, 3), 1e16)]
+        tensor = SparseTensor3.from_entries(dims, entries)
+        self._check(tmp_path, tensor, None)
+        desc = DatasetDescriptor(name="x", qos_type="response_time", dims=dims)
+        back = parse_qos_log(tmp_path / "fast.txt", desc).tensor
+        assert back.entry_list() == tensor.entry_list()
+        assert back.values.tobytes() == tensor.values.tobytes()
 
 
 class TestSplit:
