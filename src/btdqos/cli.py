@@ -142,6 +142,8 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     if not isinstance(doc, dict):
@@ -239,13 +241,14 @@ def cmd_train(args) -> int:
                 parts.test.n_entries)
 
     grids = _grids_from_config(doc)
-    if grids is not None:
-        cfg = grid_search(parts.train, parts.validation, descriptor.dims,
-                          structure, grids, cfg)
+    if grids is None:
+        model, report = fit(parts.train, parts.validation, descriptor.dims,
+                            structure, cfg)
+    else:
+        cfg, model, report = grid_search(parts.train, parts.validation,
+                                         descriptor.dims, structure, grids, cfg)
         logger.info("grid search selected lambda=(%g, %g, %g)",
                     cfg.lambda1, cfg.lambda2, cfg.lambda3)
-    model, report = fit(parts.train, parts.validation, descriptor.dims,
-                        structure, cfg)
 
     for parent in (checkpoint_path.parent, trajectory_path.parent):
         parent.mkdir(parents=True, exist_ok=True)
@@ -263,8 +266,8 @@ def cmd_train(args) -> int:
                                 ("validation", parts.validation),
                                 ("test", parts.test)):
             write_qos_log(part, splits_path / f"{part_name}.txt")
-    logger.info("converged=%s after %d epochs; checkpoint %s, trajectory %s",
-                report.converged, report.epochs_run, checkpoint_path,
+    logger.info("stopped on %s after %d epochs; checkpoint %s, trajectory %s",
+                report.stop_reason, report.epochs_run, checkpoint_path,
                 trajectory_path)
     return 0
 

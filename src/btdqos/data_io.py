@@ -17,14 +17,18 @@ A failed screen, a ``loadtxt`` error or warning (other than the one for a
 chunk without data), or an id out of range makes it parse the whole file
 again with ``_parse_lines``, one line at a time.  So that path runs only
 for non-canonical or invalid input, and it raises every error with the
-line number of the file.  ``write_qos_log`` formats a chunk of entries at
-a time from per-mode tables of id strings.
+line number of the file.  The file is decoded with ``surrogateescape``, so
+a byte that is not UTF-8 reaches the parsers as a lone surrogate: the
+screen sends its chunk to ``_parse_lines``, which names the line.
+``write_qos_log`` formats a chunk of entries at a time from per-mode
+tables of id strings.
 """
 
 import json
 import math
 import numbers
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -136,6 +140,8 @@ _PARSE_CHUNK = 1 << 18
 #: Entries formatted per ``write`` by ``write_qos_log``.
 _WRITE_CHUNK = 1 << 16
 _RECORD_DTYPE = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
+#: What ``surrogateescape`` decodes a byte that is not UTF-8 to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class _NotCanonical(Exception):
@@ -150,7 +156,7 @@ def parse_qos_log(path, descriptor: DatasetDescriptor,
     """
     dims = descriptor.dims
     shift = 1 if one_based else 0
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             ids, values, records = _parse_chunks(fh, dims, shift)
         except (_NotCanonical, ValueError, Warning):
@@ -197,9 +203,12 @@ def _screen(text):
     ``loadtxt`` ends a record at any ``#``, but a ``#`` starts a comment
     only as the first non-blank character of its line; and ``int`` and
     ``float`` accept digit separators (``1_000``) that ``loadtxt`` does not.
+    Text that was not UTF-8 is an error only ``_parse_lines`` can place.
     """
     if "_" in text:
         raise _NotCanonical("digit separator")
+    if not text.isascii() and _UNDECODABLE.search(text):
+        raise _NotCanonical("not UTF-8")
     at = text.find("#")
     while at >= 0:
         if text[text.rfind("\n", 0, at) + 1:at].strip():
@@ -212,13 +221,17 @@ def _parse_lines(lines, dims, shift) -> IngestResult:
 
     ``parse_qos_log`` runs this only for input its fast path might read
     otherwise, so every ``ParseError`` and ``OutOfBoundsError`` of a log
-    comes from here, naming the line of the file.
+    comes from here, naming the line of the file.  ``lines`` are decoded
+    with ``surrogateescape``; a line holding bytes that are not UTF-8,
+    comment lines included, is a ``ParseError``.
     """
     columns = ([], [], [])
     values = []
     records = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
+        if not line.isascii() and _UNDECODABLE.search(line):
+            raise ParseError("not valid UTF-8", line_no, line)
         if not line or line.startswith("#"):
             continue
         fields = line.split()

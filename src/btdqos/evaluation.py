@@ -142,8 +142,10 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
     shuffle and the model init) is derived from the run seed and the cell
     labels, so the same seed always reproduces the same cell.  When
     ``grids`` (a lambda-grid triple) is given, each cell grid-searches its
-    regularization before the final fit.  Cells are independent and may be
-    trained in up to ``threads`` threads; the report order is fixed.
+    regularization, and the winning grid fit is the cell's model: its
+    lambdas, epochs, test metrics and wall time fill the cell.  Cells are
+    independent and may be trained in up to ``threads`` threads; the
+    report order is fixed.
     """
     if not split_specs:
         raise ConfigError("need at least one split spec")
@@ -168,11 +170,13 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
         label, model_label, structure, run_seed = task
         parts = splits[(label, run_seed)]
         cell_cfg = replace(cfg, seed=derive_seed(run_seed, label, model_label, "train"))
-        if grids is not None:
-            cell_cfg = grid_search(parts.train, parts.validation, source.dims,
-                                   structure, grids, cell_cfg)
-        model, report = fit(parts.train, parts.validation, source.dims,
-                            structure, cell_cfg)
+        if grids is None:
+            model, report = fit(parts.train, parts.validation, source.dims,
+                                structure, cell_cfg)
+        else:
+            cell_cfg, model, report = grid_search(
+                parts.train, parts.validation, source.dims, structure, grids,
+                cell_cfg)
         test_rmse, test_mae = rmse_and_mae(model, parts.test)
         cell = BenchmarkCell(
             dataset=label,

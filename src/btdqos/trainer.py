@@ -30,6 +30,12 @@ the dot of the updated rows with g is that block's new prediction.  A bias
 pass moves only the bias sum.  Every denominator gets a small additive
 guard so empty or all-zero slices cannot divide by zero; parameters of
 slices with no observations are left untouched.
+
+``fit`` hands one prediction buffer to every epoch and scores the training
+objective from the predictions the epoch left there, so a training
+iteration predicts the training set only inside the epoch.
+``grid_search`` trains one model per regularization triple and returns the
+winner's model and report, so the winning fit is never trained twice.
 """
 
 import logging
@@ -98,6 +104,11 @@ class TrainConfig:
             raise ConfigError(f"unknown stop_on {self.stop_on!r}")
 
 
+#: Why ``fit`` stopped: the stop metric settled, or the epoch cap was hit.
+STOP_TOL = "tol"
+STOP_MAX_ITER = "max_iter"
+
+
 @dataclass
 class TrainReport:
     """Bookkeeping for one ``fit`` run."""
@@ -105,17 +116,27 @@ class TrainReport:
     epochs_run: int
     loss_trajectory: list = field(default_factory=list)
     validation_rmse_trajectory: list = field(default_factory=list)
-    converged: bool = False
+    stop_reason: str = STOP_MAX_ITER
     wall_time: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == STOP_TOL
 
 
 # -- objective ------------------------------------------------------------
 
-def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> float:
-    """Regularized training loss over the observed entries."""
+def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
+              yhat=None) -> float:
+    """Regularized training loss over the observed entries.
+
+    ``yhat``, when given, holds the model's predictions of the entries of
+    ``train`` (as ``epoch`` leaves them) and replaces a prediction pass.
+    """
     check_dims(model, train.dims)
-    pred = predict_entries(model, *train.ids)
-    resid = train.values - pred
+    if yhat is None:
+        yhat = predict_entries(model, *train.ids)
+    resid = train.values - yhat
     loss = float(resid @ resid)
     if cfg.lambda1 > 0.0:
         core_sq = sum(float((s * s).sum()) for s in model.cores)
@@ -142,7 +163,8 @@ def _segment_sums(idx, weights, dim):
     return out
 
 
-def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel:
+def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
+          yhat=None) -> BnbtModel:
     """One full multiplicative-update pass; returns a new model.
 
     Pass order is cores, user factors, service factors, time factors, then
@@ -156,6 +178,11 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
     Predictions are the bias sum plus the block predictions, never a full
     recomputation.  Parameters whose slice has no observations keep their
     current values.
+
+    ``yhat``, when given, is an ``(n_entries,)`` float64 array the epoch
+    uses as its prediction buffer; it ends holding the returned model's
+    predictions of the entries of ``train``.  They match ``predict_entries``
+    up to rounding in the last bits.
     """
     check_dims(model, train.dims)
     m = model.copy()
@@ -197,7 +224,8 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig) -> BnbtModel
         ab = row_outer(rows[0][r], rows[1][r], out=scratch(outer_buf, l * mm))
         predict_block(m.cores[r], ab, rows[2][r], out=block_pred[r],
                       work=scratch(contr_buf, n))
-    yhat = np.empty(n_obs, dtype=np.float64)
+    if yhat is None:
+        yhat = np.empty(n_obs, dtype=np.float64)
 
     def refresh():
         np.sum(block_pred, axis=0, out=yhat)
@@ -272,8 +300,10 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
     The model starts from ``init_random(dims, structure, cfg.seed)`` and
     runs epochs until the absolute change of the stop metric between two
     consecutive epochs drops below ``cfg.tol`` or ``cfg.max_iter`` is
-    reached.  The default metric is RMSE on the validation partition;
-    ``stop_on="train_loss"`` switches to the training objective.
+    reached; ``TrainReport.stop_reason`` says which.  The default metric
+    is RMSE on the validation partition; ``stop_on="train_loss"`` switches
+    to the training objective.  Each epoch leaves its training predictions
+    in one buffer, from which the epoch's objective is scored.
 
     Returns ``(model, TrainReport)``.
     """
@@ -303,17 +333,18 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
     val_rmses = []
     prev = (_validation_rmse(model, validation) if use_validation
             else objective(model, train, cfg))
-    converged = False
+    stop_reason = STOP_MAX_ITER
+    yhat = np.empty(train.n_entries, dtype=np.float64)
     for n in range(cfg.max_iter):
-        model = epoch(model, train, cfg)
-        losses.append(objective(model, train, cfg))
+        model = epoch(model, train, cfg, yhat)
+        losses.append(objective(model, train, cfg, yhat))
         val_rmses.append(_validation_rmse(model, validation)
                          if validation.n_entries else float("nan"))
         current = val_rmses[-1] if use_validation else losses[-1]
         if n % 100 == 0:
             logger.debug("epoch %d: loss=%.6g metric=%.6g", n + 1, losses[-1], current)
         if abs(current - prev) < cfg.tol:
-            converged = True
+            stop_reason = STOP_TOL
             break
         prev = current
 
@@ -321,36 +352,41 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
         epochs_run=len(losses),
         loss_trajectory=losses,
         validation_rmse_trajectory=val_rmses,
-        converged=converged,
+        stop_reason=stop_reason,
         wall_time=time.perf_counter() - started,
     )
-    logger.info("fit: %d epochs, converged=%s, final loss %.6g",
-                report.epochs_run, converged, losses[-1])
+    logger.info("fit: %d epochs, stopped on %s, final loss %.6g",
+                report.epochs_run, stop_reason, losses[-1])
     return model, report
 
 
 def grid_search(train: SparseTensor3, validation: SparseTensor3, dims, structure,
-                grids, cfg: TrainConfig) -> TrainConfig:
-    """Pick the regularization triple minimizing validation RMSE.
+                grids, cfg: TrainConfig):
+    """Train one model per regularization triple and keep the best.
 
     ``grids`` is a (lambda1_grid, lambda2_grid, lambda3_grid) triple of
-    candidate sequences.  One model is trained per combination; ties are
-    broken toward the lexicographically smallest triple, so the result
-    does not depend on grid enumeration order.
+    candidate sequences.  One model is trained per combination with
+    ``fit``, scored by its last stop metric (validation RMSE, or the
+    training objective under ``stop_on="train_loss"``); ties are broken
+    toward the lexicographically smallest triple, so the result does not
+    depend on grid enumeration order.
+
+    Returns ``(config, model, TrainReport)`` of the winning fit, which is
+    what ``fit(train, validation, dims, structure, config)`` would return.
     """
     axes = [sorted(set(float(v) for v in g)) for g in grids]
     if any(not axis for axis in axes):
         raise ConfigError("every lambda grid must be nonempty")
     best_key = None
-    best_cfg = None
+    best = None
     for l1, l2, l3 in product(*axes):
         candidate = replace(cfg, lambda1=l1, lambda2=l2, lambda3=l3)
-        _, report = fit(train, validation, dims, structure, candidate)
+        model, report = fit(train, validation, dims, structure, candidate)
         score = (report.validation_rmse_trajectory[-1]
                  if candidate.stop_on == STOP_ON_VALIDATION
                  else report.loss_trajectory[-1])
         key = (score, l1, l2, l3)
         logger.info("grid point lambda=(%g, %g, %g): score %.6g", l1, l2, l3, score)
         if best_key is None or key < best_key:
-            best_key, best_cfg = key, candidate
-    return best_cfg
+            best_key, best = key, (candidate, model, report)
+    return best

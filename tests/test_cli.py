@@ -84,17 +84,28 @@ class TestIngest:
     def test_usage_error(self, workdir):
         assert main(["ingest", "--data", "x.txt"]) == 2
 
+    def test_log_not_utf8_is_a_usage_error(self, workdir, caplog):
+        (workdir / "bad.txt").write_bytes(b"0 0 0 1.0\n0 1 1 \xff\n")
+        code = main(["ingest", "--data", "bad.txt", "--users", "2",
+                     "--services", "2", "--slices", "2",
+                     "--split", "0.5,0.2,0.3", "--out", "splits"])
+        assert code == 2
+        assert "line 2: not valid UTF-8" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
 
 class TestTrain:
-    def test_bundled_fixture_converges(self, workdir):
+    def test_bundled_fixture_converges(self, workdir, caplog):
         """The committed 8x8x8 fixture converges within 1000 epochs."""
-        code = main(["train", "--config", str(FIXTURES / "train8.json")])
+        with caplog.at_level("INFO"):
+            code = main(["train", "--config", str(FIXTURES / "train8.json")])
         assert code == 0
         with (workdir / "out" / "trajectory.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "objective", "validation_rmse"]
         n_epochs = len(rows) - 1
         assert n_epochs < 1000  # converged before the iteration cap
+        assert f"stopped on tol after {n_epochs} epochs" in caplog.text
         # Known-good first-epoch objective for this fixture and seed.
         assert float(rows[1][1]) == pytest.approx(17.288958020273142, rel=1e-6)
         model = load_model(workdir / "out" / "model.json")
@@ -102,13 +113,15 @@ class TestTrain:
         for name in ("train.txt", "validation.txt", "test.txt"):
             assert (workdir / "out" / "splits" / name).exists()
 
-    def test_max_iter_override_single_epoch(self, workdir):
-        code = main(["train", "--config", str(FIXTURES / "train8.json"),
-                     "--max-iter", "1"])
+    def test_max_iter_override_single_epoch(self, workdir, caplog):
+        with caplog.at_level("INFO"):
+            code = main(["train", "--config", str(FIXTURES / "train8.json"),
+                         "--max-iter", "1"])
         assert code == 0
         with (workdir / "out" / "trajectory.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header plus exactly one epoch row
+        assert "stopped on max_iter after 1 epochs" in caplog.text
 
     def test_no_bias_zeroes_bias_vectors(self, workdir):
         code = main(["train", "--config", str(FIXTURES / "train8.json"),
@@ -128,8 +141,40 @@ class TestTrain:
         assert (workdir / "out" / "model.json").read_bytes() == first_ckpt
         assert (workdir / "out" / "trajectory.csv").read_bytes() == first_traj
 
+    def test_grid_winner_is_the_final_model(self, workdir, caplog):
+        """train with a grid writes what train with the winning lambdas
+        passed directly writes, byte for byte."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        cfg["grid"] = {"lambda1": [0.0, 0.05], "lambda2": [0.005],
+                       "lambda3": [0.005, 0.5]}
+        (workdir / "grid.json").write_text(json.dumps(cfg))
+        with caplog.at_level("INFO"):
+            assert main(["train", "--config", "grid.json", "--max-iter", "40"]) == 0
+        chosen = [r.args for r in caplog.records
+                  if r.getMessage().startswith("grid search selected")]
+        assert len(chosen) == 1
+        by_grid = [(workdir / "out" / name).read_bytes()
+                   for name in ("model.json", "trajectory.csv")]
+
+        del cfg["grid"]
+        (workdir / "plain.json").write_text(json.dumps(cfg))
+        flags = [x for lam, value in zip(("--lambda1", "--lambda2", "--lambda3"),
+                                         chosen[0]) for x in (lam, repr(value))]
+        assert main(["train", "--config", "plain.json", "--max-iter", "40",
+                     *flags]) == 0
+        direct = [(workdir / "out" / name).read_bytes()
+                  for name in ("model.json", "trajectory.csv")]
+        assert by_grid == direct
+
     def test_missing_config(self, workdir):
         assert main(["train", "--config", "absent.json"]) == 2
+
+    def test_config_not_utf8_is_a_usage_error(self, workdir, caplog):
+        (workdir / "cfg.json").write_bytes(b'{"dataset": "\xff"}')
+        assert main(["train", "--config", "cfg.json"]) == 2
+        assert "cfg.json: not UTF-8 text" in caplog.text
+        assert "unexpected failure" not in caplog.text
 
     def test_invalid_config_field(self, workdir):
         cfg = {"dataset": {"name": "x", "qos_type": "response_time",

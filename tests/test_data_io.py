@@ -59,7 +59,7 @@ def _outcome(parse):
 def _both(path, desc=D, one_based=False):
     """Outcomes of ``parse_qos_log`` and of the per-line parser on one file."""
     def per_line():
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             return data_io._parse_lines(fh, desc.dims, 1 if one_based else 0)
     return (_outcome(lambda: parse_qos_log(path, desc, one_based=one_based)),
             _outcome(per_line))
@@ -184,6 +184,19 @@ class TestParseAsPerLine:
         with pytest.raises(ParseError, match=re.escape(
                 f"line {len(lines)}: invalid literal for int() with base 10: 'x'")):
             parse_qos_log(path, D)
+
+    @pytest.mark.parametrize("chunk", [8, data_io._PARSE_CHUNK],
+                             ids=["second-chunk", "first-chunk"])
+    @pytest.mark.parametrize("second", [b"0 1 1 \xff\n", b"# caf\xe9\n"],
+                             ids=["record", "comment"])
+    def test_bytes_not_utf8_name_the_line(self, tmp_path, monkeypatch, chunk, second):
+        monkeypatch.setattr(data_io, "_PARSE_CHUNK", chunk)
+        path = tmp_path / "log.txt"
+        path.write_bytes(b"0 0 0 1.0\n" + second + b"1 1 1 2.0\n")
+        with pytest.raises(ParseError, match=r"^line 2: not valid UTF-8 "):
+            parse_qos_log(path, D)
+        fast, per_line = _both(path)
+        assert fast == per_line
 
     def test_out_of_range_id_message(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.0\n9 9 9 -1\n0 4 0 1.0\n")

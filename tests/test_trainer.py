@@ -1,5 +1,7 @@
 """Tests for the regularized objective and multiplicative-update training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,25 @@ class TestEpoch:
         with pytest.raises(NonFiniteError):
             epoch(model, tensor, ZERO_REG)
 
+    @pytest.mark.parametrize("bias_enabled, blocks", [
+        pytest.param(False, ((2, 2, 2),), id="no-bias"),
+        pytest.param(True, ((1, 2, 3), (2, 2, 2), (3, 1, 2)), id="three-blocks"),
+    ])
+    def test_yhat_buffer_holds_final_predictions(self, bias_enabled, blocks):
+        """The buffer an epoch is given ends holding the new model's
+        predictions, also when it is reused epoch after epoch."""
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
+                          bias_enabled=bias_enabled, stop_on="train_loss")
+        dims, _, tensor, _ = random_instance(41, max_dim=6)
+        model = init_random(dims, BlockStructure(blocks), 41)
+        if not bias_enabled:
+            model.biases = [np.zeros(dim) for dim in dims]
+        buf = np.full(tensor.n_entries, np.nan)
+        for _ in range(3):
+            model = epoch(model, tensor, cfg, yhat=buf)
+            np.testing.assert_allclose(buf, predict_entries(model, *tensor.ids),
+                                       rtol=1e-12)
+
     def test_objective_non_increasing(self):
         """Empirical descent over the seeded fixture suite (short check)."""
         cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
@@ -252,6 +273,34 @@ class TestFit:
         _, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 7
         assert not report.converged
+
+    @pytest.mark.parametrize("kwargs, reason, epochs", [
+        (dict(tol=float("inf")), "tol", 1),
+        (dict(max_iter=4, tol=1e-15), "max_iter", 4),
+    ])
+    def test_stop_reason(self, caplog, kwargs, reason, epochs):
+        train, val, _, _ = self._split_instance(3)
+        with caplog.at_level("INFO", logger="btdqos.trainer"):
+            _, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+                            TrainConfig(seed=3, **kwargs))
+        assert report.stop_reason == reason
+        assert report.converged == (reason == "tol")
+        assert report.epochs_run == epochs
+        assert f"fit: {epochs} epochs, stopped on {reason}," in caplog.text
+
+    def test_loss_trajectory_matches_objective_of_replayed_models(self):
+        """The objective fit scores from the epoch's predictions equals a
+        fresh prediction pass over each epoch's model."""
+        train, val, _, _ = self._split_instance(3)
+        structure = BlockStructure(((2, 2, 2), (1, 2, 1)))
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
+                          max_iter=8, tol=1e-15, seed=3)
+        _, report = fit(train, val, train.dims, structure, cfg)
+        assert report.epochs_run == 8
+        model = init_random(train.dims, structure, cfg.seed)
+        for loss in report.loss_trajectory:
+            model = epoch(model, train, cfg)
+            assert loss == pytest.approx(objective(model, train, cfg), rel=1e-12)
 
     def test_noiseless_recovery(self):
         """Planted noiseless data: training RMSE under 1% of data std."""
@@ -305,8 +354,8 @@ class TestGridSearch:
     def test_single_point(self):
         train, val = self._instance(0)
         cfg = TrainConfig(max_iter=5, tol=1e-15, seed=0)
-        best = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
-                           ((0.25,), (0.5,), (0.75,)), cfg)
+        best, _, _ = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+                                 ((0.25,), (0.5,), (0.75,)), cfg)
         assert (best.lambda1, best.lambda2, best.lambda3) == (0.25, 0.5, 0.75)
 
     def test_noiseless_data_prefers_no_regularization(self):
@@ -318,8 +367,8 @@ class TestGridSearch:
         """
         train, val = self._instance(2)
         cfg = TrainConfig(max_iter=800, tol=1e-15, seed=2)
-        best = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
-                           ((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), cfg)
+        best, _, _ = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+                                 ((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), cfg)
         assert (best.lambda1, best.lambda2, best.lambda3) == (0.0, 0.0, 0.0)
 
     def test_enumeration_order_invariant(self):
@@ -327,12 +376,35 @@ class TestGridSearch:
         cfg = TrainConfig(max_iter=5, tol=1e-15, seed=2)
         grids_a = ((0.0, 0.1), (0.05, 0.0), (0.0,))
         grids_b = ((0.1, 0.0), (0.0, 0.05), (0.0,))
-        best_a = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
-                             grids_a, cfg)
-        best_b = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
-                             grids_b, cfg)
+        best_a, _, _ = grid_search(train, val, train.dims,
+                                   BlockStructure(((2, 2, 2),)), grids_a, cfg)
+        best_b, _, _ = grid_search(train, val, train.dims,
+                                   BlockStructure(((2, 2, 2),)), grids_b, cfg)
         assert (best_a.lambda1, best_a.lambda2, best_a.lambda3) == \
                (best_b.lambda1, best_b.lambda2, best_b.lambda3)
+
+    def test_returns_the_fit_of_its_winner(self):
+        """The winner's model and report are those a fresh fit of the
+        returned config gives, bit for bit."""
+        train, val = self._instance(4)
+        structure = BlockStructure(((2, 2, 2),))
+        cfg = TrainConfig(max_iter=6, tol=1e-15, seed=4, bias_enabled=False)
+        # Without biases lambda3 changes nothing: each lambda3 pair ties.
+        # The winner is neither the first nor the last point enumerated.
+        best, model, report = grid_search(train, val, train.dims, structure,
+                                          ((0.0, 0.1), (0.0, 1.0), (0.5, 0.0)), cfg)
+        assert (best.lambda1, best.lambda2, best.lambda3) == (0.1, 0.0, 0.0)
+        _, tied = fit(train, val, train.dims, structure, replace(best, lambda3=0.5))
+        assert tied.validation_rmse_trajectory == report.validation_rmse_trajectory
+
+        fresh_model, fresh = fit(train, val, train.dims, structure, best)
+        got, want = model.parameter_arrays(), fresh_model.parameter_arrays()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert report.loss_trajectory == fresh.loss_trajectory
+        assert report.validation_rmse_trajectory == fresh.validation_rmse_trajectory
+        assert (report.epochs_run, report.converged) == (fresh.epochs_run, fresh.converged)
 
     def test_empty_grid_rejected(self):
         train, val = self._instance(3)
