@@ -30,7 +30,7 @@ from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError, check_kind
 from .evaluation import rmse_and_mae, run_benchmark
 from .model import BlockStructure, cp_structure, predict_entry
 from .rng import derive_seed
-from .trainer import TrainConfig, fit, grid_search
+from .trainer import TrainConfig, grid_search
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +169,7 @@ def cmd_ingest(args) -> int:
         source_path=args.data,
     )
     data_path = _resolve_input(args.data)
-    result = parse_qos_log(data_path, descriptor, one_based=args.one_based)
+    result = parse_qos_log(data_path, descriptor.dims, one_based=args.one_based)
     logger.info("ingested %s: %d records, %d kept, %d dropped",
                 data_path, result.records, result.kept, result.dropped)
     parts = split(result.tensor, spec)
@@ -234,21 +234,14 @@ def cmd_train(args) -> int:
     splits_dir = _output(out_doc, "splits_dir", "")
 
     data_path = _resolve_input(descriptor.source_path, config_dir)
-    result = parse_qos_log(data_path, descriptor, one_based=one_based)
+    result = parse_qos_log(data_path, descriptor.dims, one_based=one_based)
     parts = split(result.tensor, spec)
     logger.info("training on %d entries (validation %d, test %d held out)",
                 parts.train.n_entries, parts.validation.n_entries,
                 parts.test.n_entries)
 
-    grids = _grids_from_config(doc)
-    if grids is None:
-        model, report = fit(parts.train, parts.validation, descriptor.dims,
-                            structure, cfg)
-    else:
-        cfg, model, report = grid_search(parts.train, parts.validation,
-                                         descriptor.dims, structure, grids, cfg)
-        logger.info("grid search selected lambda=(%g, %g, %g)",
-                    cfg.lambda1, cfg.lambda2, cfg.lambda3)
+    _, model, report = grid_search(parts.train, parts.validation, structure,
+                                   _grids_from_config(doc), cfg)
 
     for parent in (checkpoint_path.parent, trajectory_path.parent):
         parent.mkdir(parents=True, exist_ok=True)
@@ -274,10 +267,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(_resolve_input(args.checkpoint))
-    descriptor = DatasetDescriptor(
-        name="evaluate", qos_type="response_time",
-        dims=model.dims, source_path=args.data)
-    result = parse_qos_log(_resolve_input(args.data), descriptor,
+    result = parse_qos_log(_resolve_input(args.data), model.dims,
                            one_based=args.one_based)
     test_rmse, test_mae = rmse_and_mae(model, result.tensor)
     print(f"rmse={test_rmse:.6f} mae={test_mae:.6f}")
@@ -295,7 +285,7 @@ def cmd_benchmark(args) -> int:
     doc, config_dir = _load_config(args.config)
     descriptor, one_based = _dataset_from_config(doc)
     data_path = _resolve_input(descriptor.source_path, config_dir)
-    result = parse_qos_log(data_path, descriptor, one_based=one_based)
+    result = parse_qos_log(data_path, descriptor.dims, one_based=one_based)
     logger.info("benchmark source %s: %d observed entries",
                 descriptor.name, result.tensor.n_entries)
 

@@ -9,7 +9,8 @@ See docs/formats.md for the checkpoint and manifest layouts.  Every
 artifact is written through ``atomic_write``, so a write that fails
 part-way leaves the previous file in place.
 
-``parse_qos_log`` reads a log in chunks of about 256 KiB of whole lines,
+``parse_qos_log(path, dims)`` reads a log into a tensor of the given dims
+(every id must lie within them) in chunks of about 256 KiB of whole lines,
 each converted to columns by numpy's C tokenizer (``np.loadtxt``).  A
 chunk is first screened for the two spellings ``loadtxt`` reads otherwise
 than ``int``/``float`` do (a ``#`` after data, a ``_`` digit separator).
@@ -45,7 +46,7 @@ from .errors import (
     check_kind,
 )
 from .model import BlockStructure, BnbtModel, validate_model
-from .sparse import MODES, SparseTensor3, SplitTensor
+from .sparse import MODES, SparseTensor3, SplitTensor, _validated_dims
 
 CHECKPOINT_VERSION = 1
 
@@ -148,13 +149,13 @@ class _NotCanonical(Exception):
     """The input needs the per-line parser to be read exactly."""
 
 
-def parse_qos_log(path, descriptor: DatasetDescriptor,
-                  one_based: bool = False) -> IngestResult:
-    """Read a QoS log file into a sparse tensor.
+def parse_qos_log(path, dims, one_based: bool = False) -> IngestResult:
+    """Read a QoS log file into a sparse tensor of shape ``dims``.
 
-    ``one_based`` shifts all ids down by one for logs that count from 1.
+    ``dims`` are checked before the file is opened.  ``one_based`` shifts
+    all ids down by one for logs that count from 1.
     """
-    dims = descriptor.dims
+    dims = _validated_dims(dims)
     shift = 1 if one_based else 0
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
@@ -368,8 +369,8 @@ def load_model(path) -> BnbtModel:
         raise CorruptCheckpointError(f"{path}: missing fields {missing}")
     try:
         model = BnbtModel(
-            dims=tuple(int(d) for d in doc["dims"]),
-            structure=BlockStructure(tuple(tuple(b) for b in doc["blocks"])),
+            dims=tuple(check_kind(d, numbers.Integral, "every dim") for d in doc["dims"]),
+            structure=BlockStructure(doc["blocks"]),
             cores=[np.array(s, dtype=np.float64) for s in doc["cores"]],
             factors=[[np.array(f, dtype=np.float64) for f in doc[key]]
                      for key in _FACTOR_KEYS],

@@ -22,7 +22,7 @@ from .errors import ConfigError, EmptyTestSetError
 from .model import BlockStructure, BnbtModel, check_dims, predict_entries
 from .rng import derive_seed
 from .sparse import SparseTensor3
-from .trainer import TrainConfig, fit, grid_search
+from .trainer import TrainConfig, grid_search
 
 logger = logging.getLogger(__name__)
 
@@ -140,12 +140,12 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
     ``(label, BlockStructure)``.  ``repeats`` is either a run count or an
     explicit list of per-run seeds; all per-cell randomness (the split
     shuffle and the model init) is derived from the run seed and the cell
-    labels, so the same seed always reproduces the same cell.  When
-    ``grids`` (a lambda-grid triple) is given, each cell grid-searches its
-    regularization, and the winning grid fit is the cell's model: its
-    lambdas, epochs, test metrics and wall time fill the cell.  Cells are
-    independent and may be trained in up to ``threads`` threads; the
-    report order is fixed.
+    labels, so the same seed always reproduces the same cell.  Each cell
+    trains through ``grid_search`` with ``grids`` (a lambda-grid triple,
+    or None for ``cfg``'s own lambdas alone), and the winning fit is the
+    cell's model: its lambdas, epochs, test metrics and wall time fill the
+    cell.  Cells are independent and may be trained in up to ``threads``
+    threads; the report order is fixed.
     """
     if not split_specs:
         raise ConfigError("need at least one split spec")
@@ -170,13 +170,8 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
         label, model_label, structure, run_seed = task
         parts = splits[(label, run_seed)]
         cell_cfg = replace(cfg, seed=derive_seed(run_seed, label, model_label, "train"))
-        if grids is None:
-            model, report = fit(parts.train, parts.validation, source.dims,
-                                structure, cell_cfg)
-        else:
-            cell_cfg, model, report = grid_search(
-                parts.train, parts.validation, source.dims, structure, grids,
-                cell_cfg)
+        cell_cfg, model, report = grid_search(parts.train, parts.validation,
+                                              structure, grids, cell_cfg)
         test_rmse, test_mae = rmse_and_mae(model, parts.test)
         cell = BenchmarkCell(
             dataset=label,

@@ -15,6 +15,7 @@ A model indexes its per-mode parameters by axis, in ``sparse.MODES`` order:
 C_r) and ``biases[axis]`` its bias vector (d, e or f).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,14 @@ class BlockStructure:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(x) for x in b) for b in self.blocks)
+        blocks = tuple(tuple(b) for b in self.blocks)
         if not blocks:
             raise InvalidStructureError("a block structure needs at least one block")
         for b in blocks:
-            if len(b) != 3 or any(x < 1 for x in b):
+            if len(b) != 3 or not all(isinstance(x, numbers.Integral) and x >= 1
+                                      for x in b):
                 raise InvalidStructureError(f"invalid block ranks {b}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(tuple(map(int, b)) for b in blocks))
 
     @property
     def n_blocks(self) -> int:

@@ -35,10 +35,12 @@ slices with no observations are left untouched.
 objective from the predictions the epoch left there, so a training
 iteration predicts the training set only inside the epoch.
 ``grid_search`` trains one model per regularization triple and returns the
-winner's model and report, so the winning fit is never trained twice.
+winner's model and report, so the winning fit is never trained twice;
+without a grid, the config's own triple is the one candidate.
 """
 
 import logging
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -92,14 +94,15 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             check_kind(getattr(self, f.name), _FIELD_KINDS[f.type], f.name)
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ConfigError("regularization coefficients must be >= 0")
+        lambdas = (self.lambda1, self.lambda2, self.lambda3)
+        if not all(math.isfinite(x) and x >= 0 for x in lambdas):
+            raise ConfigError("regularization coefficients must be finite and >= 0")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ConfigError("tol must be > 0")
-        if not self.epsilon_guard > 0:
-            raise ConfigError("epsilon_guard must be > 0")
+        if not (math.isfinite(self.epsilon_guard) and self.epsilon_guard > 0):
+            raise ConfigError("epsilon_guard must be finite and > 0")
         if self.stop_on not in (STOP_ON_VALIDATION, STOP_ON_TRAIN_LOSS):
             raise ConfigError(f"unknown stop_on {self.stop_on!r}")
 
@@ -113,11 +116,14 @@ STOP_MAX_ITER = "max_iter"
 class TrainReport:
     """Bookkeeping for one ``fit`` run."""
 
-    epochs_run: int
     loss_trajectory: list = field(default_factory=list)
     validation_rmse_trajectory: list = field(default_factory=list)
     stop_reason: str = STOP_MAX_ITER
     wall_time: float = 0.0
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.loss_trajectory)
 
     @property
     def converged(self) -> bool:
@@ -216,6 +222,11 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         # default mode="raise" would stage the result in a fresh array.
         return np.take(values, idx, axis=values.ndim - 1, out=out, mode="clip")
 
+    def updated(x, num, den, weight, observed):
+        # The SLF-NMUT ratio; values whose slice is unobserved are kept.
+        den += weight * x
+        return np.where(observed, x * num / (den + guard), x)
+
     bias_sum = np.zeros(n_obs, dtype=np.float64)
     for bias, idx in zip(m.biases, ids):
         bias_sum += take_into(bias, idx, scratch(weighted_buf, 1)[0])
@@ -243,8 +254,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         num = (ab @ weighted.T).reshape(core.shape)
         np.multiply(c, yhat, out=weighted)
         den = (ab @ weighted.T).reshape(core.shape)
-        den += cfg.lambda1 * n_obs * core
-        m.cores[r] = core * num / (den + guard)
+        m.cores[r] = updated(core, num, den, cfg.lambda1 * n_obs, True)
         predict_block(m.cores[r], ab, c, out=block_pred[r],
                       work=scratch(contr_buf, n))
     refresh()
@@ -262,8 +272,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             f = factors[r]
             num = _segment_sums(idx, np.multiply(contr, y, out=weighted), f.shape[0])
             den = _segment_sums(idx, np.multiply(contr, yhat, out=weighted), f.shape[0])
-            den += cfg.lambda2 * cnt[:, None] * f
-            factors[r] = np.where(observed, f * num / (den + guard), f)
+            factors[r] = updated(f, num, den, cfg.lambda2 * cnt[:, None], observed)
             take_into(factors[r].T, idx, rows[axis][r])
             np.einsum("kp,kp->p", rows[axis][r], contr, out=block_pred[r])
         refresh()
@@ -273,10 +282,8 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             bias = m.biases[axis]
             num = np.bincount(idx, weights=y, minlength=bias.size)
             den = np.bincount(idx, weights=yhat, minlength=bias.size)
-            den += cfg.lambda3 * cnt * bias
-            updated = np.where(cnt > 0, bias * num / (den + guard), bias)
-            m.biases[axis] = updated
-            bias_sum += take_into(updated - bias, idx, scratch(weighted_buf, 1)[0])
+            m.biases[axis] = updated(bias, num, den, cfg.lambda3 * cnt, cnt > 0)
+            bias_sum += take_into(m.biases[axis] - bias, idx, scratch(weighted_buf, 1)[0])
             refresh()
 
     for arr in m.parameter_arrays():
@@ -293,11 +300,11 @@ def _validation_rmse(model, validation):
     return float(np.sqrt(resid @ resid / resid.size))
 
 
-def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
+def fit(train: SparseTensor3, validation: SparseTensor3, structure,
         cfg: TrainConfig):
     """Train a fresh model until the stop metric settles.
 
-    The model starts from ``init_random(dims, structure, cfg.seed)`` and
+    The model starts from ``init_random(train.dims, structure, cfg.seed)`` and
     runs epochs until the absolute change of the stop metric between two
     consecutive epochs drops below ``cfg.tol`` or ``cfg.max_iter`` is
     reached; ``TrainReport.stop_reason`` says which.  The default metric
@@ -307,10 +314,9 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
 
     Returns ``(model, TrainReport)``.
     """
-    for tensor in (train, validation):
-        if tuple(tensor.dims) != tuple(dims):
-            raise DimMismatchError(
-                f"tensor dims {tuple(tensor.dims)} differ from requested dims {tuple(dims)}")
+    if validation.dims != train.dims:
+        raise DimMismatchError(
+            f"validation dims {validation.dims} differ from train dims {train.dims}")
     # Index codes are sorted and unique within each tensor.
     overlap = np.intersect1d(train.index_codes(), validation.index_codes(),
                              assume_unique=True)
@@ -325,9 +331,9 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
             "validation set is empty; use stop_on='train_loss' instead")
 
     started = time.perf_counter()
-    model = init_random(dims, structure, cfg.seed)
+    model = init_random(train.dims, structure, cfg.seed)
     if not cfg.bias_enabled:
-        model.biases = [np.zeros(dim) for dim in dims]
+        model.biases = [np.zeros(dim) for dim in train.dims]
 
     losses = []
     val_rmses = []
@@ -349,7 +355,6 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
         prev = current
 
     report = TrainReport(
-        epochs_run=len(losses),
         loss_trajectory=losses,
         validation_rmse_trajectory=val_rmses,
         stop_reason=stop_reason,
@@ -360,28 +365,29 @@ def fit(train: SparseTensor3, validation: SparseTensor3, dims, structure,
     return model, report
 
 
-def grid_search(train: SparseTensor3, validation: SparseTensor3, dims, structure,
+def grid_search(train: SparseTensor3, validation: SparseTensor3, structure,
                 grids, cfg: TrainConfig):
     """Train one model per regularization triple and keep the best.
 
     ``grids`` is a (lambda1_grid, lambda2_grid, lambda3_grid) triple of
-    candidate sequences.  One model is trained per combination with
-    ``fit``, scored by its last stop metric (validation RMSE, or the
-    training objective under ``stop_on="train_loss"``); ties are broken
-    toward the lexicographically smallest triple, so the result does not
-    depend on grid enumeration order.
+    candidate sequences; None makes ``cfg``'s own triple the one candidate.
+    One model is trained per combination with ``fit``, scored by its last
+    stop metric (validation RMSE, or the training objective under
+    ``stop_on="train_loss"``); ties are broken toward the lexicographically
+    smallest triple, so the result does not depend on grid enumeration order.
 
     Returns ``(config, model, TrainReport)`` of the winning fit, which is
-    what ``fit(train, validation, dims, structure, config)`` would return.
+    what ``fit(train, validation, structure, config)`` would return.
     """
-    axes = [sorted(set(float(v) for v in g)) for g in grids]
+    axes = ([[cfg.lambda1], [cfg.lambda2], [cfg.lambda3]] if grids is None
+            else [sorted(set(float(v) for v in g)) for g in grids])
     if any(not axis for axis in axes):
         raise ConfigError("every lambda grid must be nonempty")
     best_key = None
     best = None
     for l1, l2, l3 in product(*axes):
         candidate = replace(cfg, lambda1=l1, lambda2=l2, lambda3=l3)
-        model, report = fit(train, validation, dims, structure, candidate)
+        model, report = fit(train, validation, structure, candidate)
         score = (report.validation_rmse_trajectory[-1]
                  if candidate.stop_on == STOP_ON_VALIDATION
                  else report.loss_trajectory[-1])
@@ -389,4 +395,6 @@ def grid_search(train: SparseTensor3, validation: SparseTensor3, dims, structure
         logger.info("grid point lambda=(%g, %g, %g): score %.6g", l1, l2, l3, score)
         if best_key is None or key < best_key:
             best_key, best = key, (candidate, model, report)
+    logger.info("grid search selected lambda=(%g, %g, %g)",
+                best[0].lambda1, best[0].lambda2, best[0].lambda3)
     return best

@@ -23,7 +23,7 @@ from _reference import (
     ref_gradient_fd,
     all_coords,
 )
-from btdqos.data_io import DatasetDescriptor, parse_qos_log
+from btdqos.data_io import parse_qos_log
 from btdqos.evaluation import mae, rmse, run_benchmark
 from btdqos.model import (
     BlockStructure,
@@ -220,7 +220,7 @@ def test_c7_structural_ordering():
         for label, structure in configs.items():
             cfg = TrainConfig(max_iter=300, tol=1e-14, seed=seed,
                               stop_on="train_loss")
-            model, _ = fit(train, val, dims, structure, cfg)
+            model, _ = fit(train, val, structure, cfg)
             scores[label].append(rmse(model, test))
     btd_mean = float(np.mean(scores["btd"]))
     cp_mean = float(np.mean(scores["cp"]))
@@ -278,9 +278,7 @@ def test_c9_paper_number_reproduction():
     """
     started = time.perf_counter()
     path = _dataset_path()
-    full = parse_qos_log(path, DatasetDescriptor(
-        name="D1", qos_type="response_time", dims=(142, 4500, 64),
-        source_path=str(path))).tensor
+    full = parse_qos_log(path, (142, 4500, 64)).tensor
 
     # 500-service subsample smoke run.
     keep = full.ids[1] < 500

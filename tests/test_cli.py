@@ -229,11 +229,17 @@ class TestTrain:
         (("dataset", "one_based"), "false", "dataset.one_based must be true or false"),
         (("dataset", "path"), 5, "dataset.path must be a string"),
         (("output", "checkpoint"), 5, "output.checkpoint must be a string"),
+        (("train", "lambda1"), float("inf"), "coefficients must be finite and >= 0"),
+        (("train", "lambda1"), float("nan"), "coefficients must be finite and >= 0"),
+        (("train", "epsilon_guard"), float("inf"), "epsilon_guard must be finite"),
+        (("grid",), {"lambda1": [float("nan")], "lambda2": [0.01], "lambda3": [0.01]},
+         "coefficients must be finite and >= 0"),
     ])
     def test_mistyped_config_value_is_a_usage_error(self, workdir, caplog, where,
                                                      value, message):
-        """A value of the wrong type, or a missing key, inside a section
-        exits 2 through ConfigError (``None`` deletes the key)."""
+        """A value of the wrong type or out of range (JSON's NaN and
+        Infinity included), or a missing key, inside a section exits 2
+        through ConfigError (``None`` deletes the key)."""
         cfg = json.loads((FIXTURES / "train8.json").read_text())
         cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
         *parents, key = where

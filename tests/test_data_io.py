@@ -33,7 +33,7 @@ from btdqos.errors import (
 from btdqos.model import BlockStructure, init_random
 from btdqos.sparse import SparseTensor3
 
-D = DatasetDescriptor(name="toy", qos_type="response_time", dims=(4, 4, 4))
+DIMS = (4, 4, 4)
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -56,12 +56,12 @@ def _outcome(parse):
             result.records, result.kept, result.dropped)
 
 
-def _both(path, desc=D, one_based=False):
+def _both(path, dims=DIMS, one_based=False):
     """Outcomes of ``parse_qos_log`` and of the per-line parser on one file."""
     def per_line():
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            return data_io._parse_lines(fh, desc.dims, 1 if one_based else 0)
-    return (_outcome(lambda: parse_qos_log(path, desc, one_based=one_based)),
+            return data_io._parse_lines(fh, dims, 1 if one_based else 0)
+    return (_outcome(lambda: parse_qos_log(path, dims, one_based=one_based)),
             _outcome(per_line))
 
 
@@ -85,46 +85,50 @@ class TestDescriptorAndSpec:
 class TestParse:
     def test_two_records(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.5\n1 2 3 0.25\n")
-        result = parse_qos_log(path, D)
+        result = parse_qos_log(path, DIMS)
         assert result.tensor.n_entries == 2
         assert result.records == 2
         assert result.kept == 2
         assert result.dropped == 0
         assert result.tensor.value_at(1, 2, 3) == 0.25
 
+    def test_bad_dims_fail_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(OutOfBoundsError, match="dims must be"):
+            parse_qos_log(tmp_path / "absent.txt", (0, 4, 4))
+
     def test_sentinel_dropped_and_counted(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.5\n1 1 1 -1\n")
-        result = parse_qos_log(path, D)
+        result = parse_qos_log(path, DIMS)
         assert result.tensor.n_entries == 1
         assert result.dropped == 1
         assert result.kept + result.dropped == result.records
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = _write(tmp_path, "# header\n\n0 0 0 1.0\n   \n# more\n1 1 1 2.0\n")
-        result = parse_qos_log(path, D)
+        result = parse_qos_log(path, DIMS)
         assert result.tensor.n_entries == 2
         assert result.records == 2
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.0\n0 0 nope\n")
         with pytest.raises(ParseError) as err:
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         assert "line 2" in str(err.value)
 
     def test_non_numeric_value(self, tmp_path):
         path = _write(tmp_path, "0 0 0 abc\n")
         with pytest.raises(ParseError):
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
 
     def test_out_of_bounds_index(self, tmp_path):
         path = _write(tmp_path, "0 0 9 1.0\n")
         with pytest.raises(OutOfBoundsError) as err:
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         assert "line 1" in str(err.value)
 
     def test_one_based_ids(self, tmp_path):
         path = _write(tmp_path, "1 1 1 3.5\n4 4 4 2.0\n")
-        result = parse_qos_log(path, D, one_based=True)
+        result = parse_qos_log(path, DIMS, one_based=True)
         assert result.tensor.value_at(0, 0, 0) == 3.5
         assert result.tensor.value_at(3, 3, 3) == 2.0
 
@@ -136,8 +140,7 @@ class TestParse:
         t = SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 3, 40))
         path = tmp_path / "round.txt"
         write_qos_log(t, path, header="round trip")
-        desc = DatasetDescriptor(name="r", qos_type="response_time", dims=dims)
-        back = parse_qos_log(path, desc).tensor
+        back = parse_qos_log(path, dims).tensor
         assert back.entry_list() == t.entry_list()
         # Serialize once more: identical bytes.
         path2 = tmp_path / "round2.txt"
@@ -152,17 +155,16 @@ class TestParseAsPerLine:
     def test_comment_after_data_is_an_error(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.0\n1 1 1 2.0 # note\n")
         with pytest.raises(ParseError, match=r"^line 2: expected 4 fields, got 6 "):
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         fast, per_line = _both(path)
         assert fast == per_line
 
     def test_digit_separators(self, tmp_path):
         path = _write(tmp_path, "1_000 2 3 1_0.5\n")
-        desc = DatasetDescriptor(name="u", qos_type="response_time", dims=(1001, 4, 4))
-        result = parse_qos_log(path, desc)
+        result = parse_qos_log(path, (1001, 4, 4))
         assert result.tensor.entry_list() == [((1000, 2, 3), 10.5)]
         assert result.records == result.kept == 1
-        fast, per_line = _both(path, desc)
+        fast, per_line = _both(path, (1001, 4, 4))
         assert fast == per_line
 
     def test_float_id_mid_chunk(self, tmp_path):
@@ -171,7 +173,7 @@ class TestParseAsPerLine:
         path = _write(tmp_path, "".join(lines))
         with pytest.raises(ParseError, match=re.escape(
                 "line 101: invalid literal for int() with base 10: '1.0'")):
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
 
     def test_bad_line_after_chunk_boundary_names_file_line(self, tmp_path):
         """Comment and blank lines count: the error names the file line."""
@@ -183,7 +185,7 @@ class TestParseAsPerLine:
         path = _write(tmp_path, "".join(lines))
         with pytest.raises(ParseError, match=re.escape(
                 f"line {len(lines)}: invalid literal for int() with base 10: 'x'")):
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
 
     @pytest.mark.parametrize("chunk", [8, data_io._PARSE_CHUNK],
                              ids=["second-chunk", "first-chunk"])
@@ -194,23 +196,23 @@ class TestParseAsPerLine:
         path = tmp_path / "log.txt"
         path.write_bytes(b"0 0 0 1.0\n" + second + b"1 1 1 2.0\n")
         with pytest.raises(ParseError, match=r"^line 2: not valid UTF-8 "):
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         fast, per_line = _both(path)
         assert fast == per_line
 
     def test_out_of_range_id_message(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.0\n9 9 9 -1\n0 4 0 1.0\n")
         with pytest.raises(OutOfBoundsError) as err:
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         assert str(err.value) == "line 3: service index 4 out of range [0, 4)"
         path = _write(tmp_path, "-1 0 0 2.0\n")
         with pytest.raises(OutOfBoundsError) as err:
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         assert str(err.value) == "line 1: user index -1 out of range [0, 4)"
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # another\n", "\n \t\n"])
     def test_no_records_no_warning(self, tmp_path, recwarn, text):
-        result = parse_qos_log(_write(tmp_path, text), D)
+        result = parse_qos_log(_write(tmp_path, text), DIMS)
         assert (result.records, result.kept, result.dropped) == (0, 0, 0)
         assert result.tensor.n_entries == 0
         assert not recwarn.list
@@ -218,7 +220,7 @@ class TestParseAsPerLine:
     def test_separators_and_line_endings(self, tmp_path):
         plain = _write(tmp_path, "0 0 0 1.5\n1 2 3 0.25\n2 3 1 2.0\n", "plain.txt")
         mixed = _write(tmp_path, "0 0 0 1.5\r\n1\t2\t3\t0.25\r\n2\xa03 1\xa0 2.0", "mixed.txt")
-        assert _both(mixed) == (_outcome(lambda: parse_qos_log(plain, D)),) * 2
+        assert _both(mixed) == (_outcome(lambda: parse_qos_log(plain, DIMS)),) * 2
 
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"),
                                               ("-nan", "nan"), ("Infinity", "inf")])
@@ -226,12 +228,12 @@ class TestParseAsPerLine:
         path = _write(tmp_path, f"0 0 0 1.0\n1 1 1 {value}\n")
         with pytest.raises(NegativeValueError,
                            match=f"^QoS values must be finite and >= 0, got {shown}$"):
-            parse_qos_log(path, D)
+            parse_qos_log(path, DIMS)
         fast, per_line = _both(path)
         assert fast == per_line
 
     def test_negative_infinity_is_a_sentinel(self, tmp_path):
-        result = parse_qos_log(_write(tmp_path, "0 0 0 1.0\n1 1 1 -inf\n"), D)
+        result = parse_qos_log(_write(tmp_path, "0 0 0 1.0\n1 1 1 -inf\n"), DIMS)
         assert (result.records, result.kept, result.dropped) == (2, 1, 1)
 
     def test_one_based(self, tmp_path):
@@ -241,7 +243,7 @@ class TestParseAsPerLine:
         assert fast[0] == [[0, 3], [0, 3], [0, 3]]
         path = _write(tmp_path, "1 1 1 3.5\n0 1 1 2.0\n")
         with pytest.raises(OutOfBoundsError) as err:
-            parse_qos_log(path, D, one_based=True)
+            parse_qos_log(path, DIMS, one_based=True)
         assert str(err.value) == "line 2: user index -1 out of range [0, 4)"
 
 
@@ -283,14 +285,13 @@ def test_parse_matches_per_line_parser(tmp_path, monkeypatch, chunk):
     per_line = data_io._parse_lines
     monkeypatch.setattr(data_io, "_parse_lines",
                         lambda *args: fallbacks.append(1) or per_line(*args))
-    desc = DatasetDescriptor(name="d", qos_type="response_time", dims=(5, 6, 7))
     rng = random.Random(chunk)
     errors = 0
     cases = 400
     for case in range(cases):
         path = _write(tmp_path, _mutated(rng, _random_log(rng)), f"{case}.txt")
         one_based = rng.random() < 0.2
-        fast, reference = _both(path, desc, one_based)
+        fast, reference = _both(path, (5, 6, 7), one_based)
         assert fast == reference, path.read_bytes()
         errors += isinstance(fast[0], type)
     # _both calls _parse_lines once itself for each case.
@@ -311,8 +312,7 @@ def test_generated_log_takes_the_fast_path(tmp_path, monkeypatch):
     planted = gen.generate(tmp_path / "log.txt", 3, (20, 30, 10), 2_000)
     monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
     monkeypatch.setattr(data_io, "_PARSE_CHUNK", 4096)
-    desc = DatasetDescriptor(name="g", qos_type="response_time", dims=planted.dims)
-    result = parse_qos_log(tmp_path / "log.txt", desc)
+    result = parse_qos_log(tmp_path / "log.txt", planted.dims)
     assert (result.records, result.kept, result.dropped) == (
         planted.records, planted.kept, planted.dropped)
     t = result.tensor
@@ -325,7 +325,7 @@ def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
     monkeypatch.setattr(data_io, "_PARSE_CHUNK", 16)
     path = _write(tmp_path, "0 0 0 1.0\n" + "# a comment block\n" * 4 + "\n1 1 1 2.0\n")
-    result = parse_qos_log(path, D)
+    result = parse_qos_log(path, DIMS)
     assert (result.records, result.tensor.entry_list()) == (
         2, [((0, 0, 0), 1.0), ((1, 1, 1), 2.0)])
 
@@ -357,8 +357,7 @@ class TestWriteBytes:
                    ((141, 4499, 63), 0.1 + 0.2), ((1, 2, 3), 1e16)]
         tensor = SparseTensor3.from_entries(dims, entries)
         self._check(tmp_path, tensor, None)
-        desc = DatasetDescriptor(name="x", qos_type="response_time", dims=dims)
-        back = parse_qos_log(tmp_path / "fast.txt", desc).tensor
+        back = parse_qos_log(tmp_path / "fast.txt", dims).tensor
         assert back.entry_list() == tensor.entry_list()
         assert back.values.tobytes() == tensor.values.tobytes()
 
@@ -468,6 +467,19 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value", [("dims", [3.9, 3, 3]),
+                                            ("blocks", [[1.5, 1, 1]])])
+    def test_fractional_shape_rejected(self, tmp_path, key, value):
+        """A dim or rank that is no integer is an error, not truncated."""
+        model = init_random((3, 3, 3), BlockStructure(((1, 1, 1),)), 0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError):
+            load_model(path)
+
     def test_version_and_fields_checked(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": 99}))
@@ -510,9 +522,7 @@ class TestCheckpoints:
 def test_full_d1_ingest_matches_independent_line_count():
     """Full dataset ingest: entry count equals an independent text pass."""
     path = os.path.join(os.environ["BTDQOS_DATA_DIR"], "d1.txt")
-    desc = DatasetDescriptor(name="D1", qos_type="response_time",
-                             dims=(142, 4500, 64), source_path=path)
-    result = parse_qos_log(path, desc)
+    result = parse_qos_log(path, (142, 4500, 64))
     seen = set()
     records = kept = 0
     with open(path, encoding="utf-8") as fh:

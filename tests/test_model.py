@@ -36,6 +36,8 @@ class TestBlockStructure:
             BlockStructure(((0, 1, 1),))
         with pytest.raises(InvalidStructureError):
             BlockStructure(((1, 1),))
+        with pytest.raises(InvalidStructureError):  # not truncated to 2
+            BlockStructure(((2.7, 2, 2),))
 
     def test_cp_structure(self):
         assert cp_structure(3).blocks == ((1, 1, 1), (1, 1, 1), (1, 1, 1))

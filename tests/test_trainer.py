@@ -47,6 +47,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lambda1=-0.1), dict(max_iter=0), dict(tol=0.0),
         dict(epsilon_guard=0.0), dict(stop_on="nope"),
+        dict(lambda1=float("inf")), dict(lambda2=float("nan")),
+        dict(lambda3=float("inf")), dict(epsilon_guard=float("inf")),
+        dict(epsilon_guard=float("nan")),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -252,8 +255,8 @@ class TestFit:
     def test_deterministic(self):
         train, val, _, _ = self._split_instance(0)
         cfg = TrainConfig(max_iter=20, tol=1e-12, seed=5)
-        m1, r1 = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
-        m2, r2 = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
+        m1, r1 = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
+        m2, r2 = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         assert r1.loss_trajectory == r2.loss_trajectory
         assert r1.validation_rmse_trajectory == r2.validation_rmse_trajectory
         np.testing.assert_array_equal(model_params_vector(m1), model_params_vector(m2))
@@ -261,7 +264,7 @@ class TestFit:
     def test_infinite_tol_stops_after_one_epoch(self):
         train, val, _, _ = self._split_instance(1)
         cfg = TrainConfig(tol=float("inf"), seed=1)
-        _, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
+        _, report = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 1
         assert report.converged
         assert len(report.loss_trajectory) == 1
@@ -270,7 +273,7 @@ class TestFit:
     def test_max_iter_bound(self):
         train, val, _, _ = self._split_instance(2)
         cfg = TrainConfig(max_iter=7, tol=1e-15, seed=2)
-        _, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
+        _, report = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 7
         assert not report.converged
 
@@ -281,7 +284,7 @@ class TestFit:
     def test_stop_reason(self, caplog, kwargs, reason, epochs):
         train, val, _, _ = self._split_instance(3)
         with caplog.at_level("INFO", logger="btdqos.trainer"):
-            _, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+            _, report = fit(train, val, BlockStructure(((2, 2, 2),)),
                             TrainConfig(seed=3, **kwargs))
         assert report.stop_reason == reason
         assert report.converged == (reason == "tol")
@@ -295,7 +298,7 @@ class TestFit:
         structure = BlockStructure(((2, 2, 2), (1, 2, 1)))
         cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
                           max_iter=8, tol=1e-15, seed=3)
-        _, report = fit(train, val, train.dims, structure, cfg)
+        _, report = fit(train, val, structure, cfg)
         assert report.epochs_run == 8
         model = init_random(train.dims, structure, cfg.seed)
         for loss in report.loss_trajectory:
@@ -306,7 +309,7 @@ class TestFit:
         """Planted noiseless data: training RMSE under 1% of data std."""
         train, val, _, _ = self._split_instance(2, dims=(12, 10, 8), density=0.5)
         cfg = TrainConfig(max_iter=2200, tol=1e-14, seed=2, stop_on="train_loss")
-        model, report = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
+        model, report = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         pred = predict_entries(model, *train.ids)
         train_rmse = float(np.sqrt(np.mean((train.values - pred) ** 2)))
         assert train_rmse <= 0.01 * float(train.values.std())
@@ -314,7 +317,7 @@ class TestFit:
     def test_bias_disabled_keeps_biases_zero(self):
         train, val, _, _ = self._split_instance(4)
         cfg = TrainConfig(max_iter=5, tol=1e-15, seed=4, bias_enabled=False)
-        model, _ = fit(train, val, train.dims, BlockStructure(((2, 2, 2),)), cfg)
+        model, _ = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         for bias in model.biases:
             assert not bias.any()
 
@@ -322,25 +325,26 @@ class TestFit:
         train, _, _, _ = self._split_instance(5)
         empty = SparseTensor3.from_entries(train.dims, [])
         with pytest.raises(EmptyInputError):
-            fit(train, empty, train.dims, BlockStructure(((2, 2, 2),)), TrainConfig())
+            fit(train, empty, BlockStructure(((2, 2, 2),)), TrainConfig())
 
     def test_train_loss_stopping_allows_empty_validation(self):
         train, _, _, _ = self._split_instance(6)
         empty = SparseTensor3.from_entries(train.dims, [])
         cfg = TrainConfig(max_iter=3, tol=1e-15, stop_on="train_loss")
-        _, report = fit(train, empty, train.dims, BlockStructure(((2, 2, 2),)), cfg)
+        _, report = fit(train, empty, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 3
         assert all(np.isnan(v) for v in report.validation_rmse_trajectory)
 
     def test_overlapping_sets_rejected(self):
         train, _, _, _ = self._split_instance(7)
         with pytest.raises(DuplicateIndexError):
-            fit(train, train, train.dims, BlockStructure(((2, 2, 2),)), TrainConfig())
+            fit(train, train, BlockStructure(((2, 2, 2),)), TrainConfig())
 
     def test_dim_mismatch(self):
-        train, val, _, _ = self._split_instance(8)
+        train, _, _, _ = self._split_instance(8)
+        val = SparseTensor3.from_entries((9, 9, 9), [((8, 8, 8), 1.0)])
         with pytest.raises(DimMismatchError):
-            fit(train, val, (9, 9, 9), BlockStructure(((2, 2, 2),)), TrainConfig())
+            fit(train, val, BlockStructure(((2, 2, 2),)), TrainConfig())
 
 
 class TestGridSearch:
@@ -354,7 +358,7 @@ class TestGridSearch:
     def test_single_point(self):
         train, val = self._instance(0)
         cfg = TrainConfig(max_iter=5, tol=1e-15, seed=0)
-        best, _, _ = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+        best, _, _ = grid_search(train, val, BlockStructure(((2, 2, 2),)),
                                  ((0.25,), (0.5,), (0.75,)), cfg)
         assert (best.lambda1, best.lambda2, best.lambda3) == (0.25, 0.5, 0.75)
 
@@ -367,7 +371,7 @@ class TestGridSearch:
         """
         train, val = self._instance(2)
         cfg = TrainConfig(max_iter=800, tol=1e-15, seed=2)
-        best, _, _ = grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+        best, _, _ = grid_search(train, val, BlockStructure(((2, 2, 2),)),
                                  ((0.0, 10.0), (0.0, 10.0), (0.0, 10.0)), cfg)
         assert (best.lambda1, best.lambda2, best.lambda3) == (0.0, 0.0, 0.0)
 
@@ -376,9 +380,9 @@ class TestGridSearch:
         cfg = TrainConfig(max_iter=5, tol=1e-15, seed=2)
         grids_a = ((0.0, 0.1), (0.05, 0.0), (0.0,))
         grids_b = ((0.1, 0.0), (0.0, 0.05), (0.0,))
-        best_a, _, _ = grid_search(train, val, train.dims,
+        best_a, _, _ = grid_search(train, val,
                                    BlockStructure(((2, 2, 2),)), grids_a, cfg)
-        best_b, _, _ = grid_search(train, val, train.dims,
+        best_b, _, _ = grid_search(train, val,
                                    BlockStructure(((2, 2, 2),)), grids_b, cfg)
         assert (best_a.lambda1, best_a.lambda2, best_a.lambda3) == \
                (best_b.lambda1, best_b.lambda2, best_b.lambda3)
@@ -391,13 +395,13 @@ class TestGridSearch:
         cfg = TrainConfig(max_iter=6, tol=1e-15, seed=4, bias_enabled=False)
         # Without biases lambda3 changes nothing: each lambda3 pair ties.
         # The winner is neither the first nor the last point enumerated.
-        best, model, report = grid_search(train, val, train.dims, structure,
+        best, model, report = grid_search(train, val, structure,
                                           ((0.0, 0.1), (0.0, 1.0), (0.5, 0.0)), cfg)
         assert (best.lambda1, best.lambda2, best.lambda3) == (0.1, 0.0, 0.0)
-        _, tied = fit(train, val, train.dims, structure, replace(best, lambda3=0.5))
+        _, tied = fit(train, val, structure, replace(best, lambda3=0.5))
         assert tied.validation_rmse_trajectory == report.validation_rmse_trajectory
 
-        fresh_model, fresh = fit(train, val, train.dims, structure, best)
+        fresh_model, fresh = fit(train, val, structure, best)
         got, want = model.parameter_arrays(), fresh_model.parameter_arrays()
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -406,10 +410,28 @@ class TestGridSearch:
         assert report.validation_rmse_trajectory == fresh.validation_rmse_trajectory
         assert (report.epochs_run, report.converged) == (fresh.epochs_run, fresh.converged)
 
+    def test_no_grid_trains_the_config_as_given(self):
+        """Without a grid the config is the one candidate: it comes back
+        unchanged (integer lambdas stay integers) with the model and
+        report of a plain fit, bit for bit."""
+        train, val = self._instance(5)
+        structure = BlockStructure(((2, 2, 2),))
+        cfg = TrainConfig(lambda1=0, lambda2=1, lambda3=0.5, max_iter=6,
+                          tol=1e-15, seed=5)
+        best, model, report = grid_search(train, val, structure, None, cfg)
+        assert best == cfg and repr(best) == repr(cfg)
+        fresh_model, fresh = fit(train, val, structure, cfg)
+        for a, b in zip(model.parameter_arrays(), fresh_model.parameter_arrays(),
+                        strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert report.loss_trajectory == fresh.loss_trajectory
+        assert report.validation_rmse_trajectory == fresh.validation_rmse_trajectory
+        assert (report.epochs_run, report.stop_reason) == (6, fresh.stop_reason)
+
     def test_empty_grid_rejected(self):
         train, val = self._instance(3)
         with pytest.raises(ConfigError):
-            grid_search(train, val, train.dims, BlockStructure(((2, 2, 2),)),
+            grid_search(train, val, BlockStructure(((2, 2, 2),)),
                         ((), (0.0,), (0.0,)), TrainConfig())
 
 
@@ -421,6 +443,6 @@ def test_cp_emulation_trains():
     n_val = tensor.n_entries // 5
     cfg = TrainConfig(max_iter=50, tol=1e-15, seed=11)
     model, report = fit(tensor.subset(perm[n_val:]), tensor.subset(perm[:n_val]),
-                        tensor.dims, cp_structure(3), cfg)
+                        cp_structure(3), cfg)
     assert report.loss_trajectory[-1] < report.loss_trajectory[0]
     assert model.min_parameter() >= 0.0
