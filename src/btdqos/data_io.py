@@ -21,8 +21,13 @@ for non-canonical or invalid input, and it raises every error with the
 line number of the file.  The file is decoded with ``surrogateescape``, so
 a byte that is not UTF-8 reaches the parsers as a lone surrogate: the
 screen sends its chunk to ``_parse_lines``, which names the line.
-``write_qos_log`` formats a chunk of entries at a time from per-mode
-tables of id strings.
+``write_qos_log`` renders a chunk of entries at a time with whole-array
+numpy operations: ids come from per-mode tables of id bytes, and each
+value's shortest round-trip digits, the ones ``repr`` prints, are found
+on a grid of 15 significant digits (``_repr_digits``).  A value that needs
+more digits, or that ``repr`` prints in exponent form, is left to
+``repr`` itself, row by row, so the file is always what
+``f"{i} {j} {k} {v!r}"`` would write.
 """
 
 import json
@@ -264,25 +269,130 @@ def _ingest_result(dims, ids, values, records) -> IngestResult:
 
 
 def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
-    """Serialize a tensor in the log format, losslessly (repr floats).
+    """Serialize a tensor in the log format, losslessly.
 
-    Entries are formatted ``_WRITE_CHUNK`` at a time: ids are looked up in
-    per-mode tables of ``"<id> "`` strings, values go through ``repr``,
-    and each chunk is one ``write``.
+    Every line is ``f"{i} {j} {k} {v!r}\\n"``.  Entries are rendered
+    ``_WRITE_CHUNK`` at a time (``_render_lines``) and each chunk is one
+    ``write``.
     """
-    tables = [[f"{x} " for x in range(d)] for d in tensor.dims]
+    tables = []
+    for d in tensor.dims:
+        names = np.array([f"{x} " for x in range(d)], dtype=bytes)
+        tables.append(names.view(np.uint8).reshape(d, names.itemsize).T.copy())
     with atomic_write(path) as fh:
         if header:
             fh.write(f"# {header}\n")
         for start in range(0, tensor.n_entries, _WRITE_CHUNK):
             stop = start + _WRITE_CHUNK
-            values = tensor.values[start:stop].tolist()
-            # Five fields per line: three ids, the value and the newline.
-            fields = ["\n"] * (5 * len(values))
-            for axis, (table, idx) in enumerate(zip(tables, tensor.ids)):
-                fields[axis::5] = map(table.__getitem__, idx[start:stop].tolist())
-            fields[3::5] = map(repr, values)
-            fh.write("".join(fields))
+            fh.write(_render_lines(tables, [x[start:stop] for x in tensor.ids],
+                                   tensor.values[start:stop]))
+
+
+#: Exact powers of ten, 10**0 ... 10**18, as float64 and as int64.
+_POW10 = 10.0 ** np.arange(19)
+_IPOW10 = 10 ** np.arange(19, dtype=np.int64)
+#: The two bytes of "%r", one per matrix row, that stand for a value left
+#: to ``repr``.
+_REPR_MARK = np.array([[ord("%")], [ord("r")]], np.uint8)
+
+
+def _render_lines(tables, ids, values) -> str:
+    """The log lines of one chunk of entries, as one string.
+
+    The lines are built in a byte matrix with one row per character
+    position and one column per line, so that each position is written as
+    one contiguous array; zero bytes pad the shorter fields and are
+    deleted at the end.  Ids are gathered from ``tables``, per mode the
+    ``"<id> "`` bytes of every id, one column each.  Values come from
+    ``_repr_digits``; one it cannot render becomes a ``%r`` conversion,
+    filled in with ``repr`` of that value.
+    """
+    ok, whole, frac, decimals = _repr_digits(values)
+    n_whole = len(str(whole.max()))
+    n_frac = int(decimals.max())
+    # Rows: the ids with their spaces, the value's integer digits, its point
+    # and fraction digits, the newline.
+    id_rows = sum(table.shape[0] for table in tables)
+    value = slice(id_rows, id_rows + n_whole + 1 + n_frac)
+    mat = np.empty((value.stop + 1, values.size), np.uint8)
+    row = 0
+    for table, idx in zip(tables, ids):
+        mat[row:row + table.shape[0]] = np.take(table, idx, axis=1)
+        row += table.shape[0]
+    digits = mat[row:row + n_whole]
+    _put_digits(digits, whole)
+    # Blank the leading zeros of the integer part, all but the units digit.
+    digits[:-1] *= whole >= _IPOW10[n_whole - 1:0:-1, None]
+    mat[row + n_whole] = ord(".")
+    digits = mat[row + n_whole + 1:value.stop]
+    _put_digits(digits, frac * np.take(_IPOW10, n_frac - decimals))
+    # Blank the columns past each value's own decimals.
+    digits *= decimals > np.arange(n_frac)[:, None]
+    mat[-1] = ord("\n")
+    # A value left to repr becomes a "%r" conversion, for the only "%"
+    # the text holds.
+    mat[value] *= ok
+    np.copyto(mat[value.start:value.start + 2], _REPR_MARK, where=~ok)
+    text = mat.T.tobytes().translate(None, b"\0").decode("ascii")
+    return text % tuple(values[~ok].tolist()) if not ok.all() else text
+
+
+def _put_digits(rows, x):
+    """Write the decimal digits of int64 ``x`` down ``rows``, units last, as ASCII."""
+    for digit in rows[::-1]:
+        quot = x // 10
+        np.subtract(x, quot * 10, out=digit, casting="unsafe")
+        x = quot
+    rows += ord("0")
+
+
+def _repr_digits(values):
+    """``repr``'s digits of each value, where numpy can find them exactly.
+
+    Returns ``(ok, whole, frac, decimals)``: where ``ok`` is set,
+    ``repr(v)`` is ``f"{whole}.{frac:0{decimals}d}"``; elsewhere the other
+    three are placeholders.  ``ok`` is set for ``0.0`` and for the values
+    in ``[1e-4, 1e15)`` that some decimal of at most 15 significant digits
+    round-trips to; others (16 or 17 digits, ``-0.0``, exponent form) need
+    ``repr``.
+
+    Each value ``v`` is put on the grid of 15 significant digits,
+    ``10**-m`` with ``m = 14 - floor(log10(v))``: ``s = rint(v * 10**m)``,
+    and ``v`` is accepted if exactly one of ``(s - 1, s, s + 1) / 10**m``
+    equals ``v`` and ``s < 1e15``.  That division is exact arithmetic on
+    exact operands (``s + 1 < 2**53``, ``m <= 18``), so it is correctly
+    rounded, just as ``float()`` of that decimal is.  With ``s < 1e15`` the
+    grid step exceeds the width of the interval of reals that round to
+    ``v``, so the decimal found is the only one on the grid that
+    round-trips, and no shorter decimal lies off the grid: it is ``repr``'s
+    shortest round-trip decimal, whose fixed notation ``repr`` prints for
+    ``1e-4 <= v < 1e16``.  An off-by-one ``log10`` only changes the grid
+    to 14 or 16 digits, which the checks still make exact or reject.
+    """
+    # 0.0 is the value whose bits are all zero (-0.0 has the sign bit).
+    ok = ((values >= 1e-4) & (values < 1e15)) | (values.view(np.int64) == 0)
+    v = np.where(ok, values, 0.0)
+    m = (14 - np.floor(np.log10(np.where(v > 0, v, 1.0)))).clip(0, 18).astype(np.intp)
+    scale = np.take(_POW10, m)
+    s = np.rint(v * scale)
+    below, at, above = ((s + step) / scale == v for step in (-1.0, 0.0, 1.0))
+    ok &= (below.view(np.int8) + at.view(np.int8) + above.view(np.int8) == 1) & (s < 1e15)
+    # The decimal's integer part is floor(v): an integer between the two
+    # would round to v as well, so it would be v.
+    whole = np.floor(v).astype(np.int64)
+    frac = (s + above - below).astype(np.int64) - whole * np.take(_IPOW10, m)
+    # Rows left to repr render as 0.0, so they widen no column.
+    frac *= ok
+    whole *= ok
+    # Strip trailing zeros: find how many by halving (frac < 1e15).
+    decimals = m
+    for q in (8, 4, 2, 1):
+        quot = frac // _IPOW10[q]
+        zeros = quot * _IPOW10[q] == frac
+        np.copyto(frac, quot, where=zeros)
+        decimals = decimals - zeros * q
+    # An integer (frac == 0) has lost more than m zeros: print it as "X.0".
+    return ok, whole, frac, np.maximum(decimals, 1)
 
 
 def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
@@ -325,7 +435,7 @@ def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
         doc.update(extra)
     if include_indices:
         doc["partitions"] = {
-            name: [[int(i), int(j), int(k)] for (i, j, k), _ in part.iter_entries()]
+            name: np.stack(part.ids, axis=1).tolist()
             for name, part in (("train", parts.train),
                                ("validation", parts.validation),
                                ("test", parts.test))
@@ -337,7 +447,11 @@ def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
 # -- checkpoints -----------------------------------------------------------
 
 def save_model(model: BnbtModel, path):
-    """Write a model checkpoint (versioned JSON, lossless floats)."""
+    """Write a model checkpoint (versioned JSON, lossless floats).
+
+    The JSON is compact: with ``indent``, ``json.dumps`` would run its
+    pure-Python encoder.
+    """
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "dims": list(model.dims),
@@ -349,7 +463,7 @@ def save_model(model: BnbtModel, path):
     for key, bias in zip(_BIAS_KEYS, model.biases):
         doc[key] = bias.tolist()
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path) -> BnbtModel:

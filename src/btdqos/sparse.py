@@ -13,6 +13,7 @@ per-slice sums with ``bincount`` over the index arrays.
 Tensors are immutable after construction and safe to read concurrently.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     DuplicateIndexError,
     NegativeValueError,
     OutOfBoundsError,
+    check_kind,
 )
 
 #: The three tensor modes, in axis order: the one table from a mode's name
@@ -167,7 +169,8 @@ class SparseTensor3:
 
 
 def _validated_dims(dims):
-    dims = tuple(int(d) for d in dims)
+    """``dims`` as three positive ints; a dim that is no integer is an error."""
+    dims = tuple(int(check_kind(d, numbers.Integral, "every dim")) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise OutOfBoundsError(f"dims must be three positive integers, got {dims}")
     return dims

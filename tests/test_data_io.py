@@ -96,6 +96,17 @@ class TestParse:
         with pytest.raises(OutOfBoundsError, match="dims must be"):
             parse_qos_log(tmp_path / "absent.txt", (0, 4, 4))
 
+    @pytest.mark.parametrize("dims", [(8.9, 8, 8), (8.0, 8, 8), ("x", 8, 8), (True, 8, 8)])
+    def test_dims_that_are_no_integers_are_rejected(self, tmp_path, dims):
+        """A dim is not truncated to an integer; the file is not read."""
+        with pytest.raises(ConfigError, match="every dim must be an integer"):
+            parse_qos_log(tmp_path / "absent.txt", dims)
+
+    def test_numpy_integer_dims_accepted(self, tmp_path):
+        path = _write(tmp_path, "3 3 3 1.5\n")
+        tensor = parse_qos_log(path, tuple(np.array(DIMS))).tensor
+        assert tensor.dims == DIMS and type(tensor.dims[0]) is int
+
     def test_sentinel_dropped_and_counted(self, tmp_path):
         path = _write(tmp_path, "0 0 0 1.5\n1 1 1 -1\n")
         result = parse_qos_log(path, DIMS)
@@ -331,12 +342,27 @@ def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
 
 
 class TestWriteBytes:
-    """``write_qos_log`` writes the bytes of the row-by-row reference writer."""
+    """``write_qos_log`` writes the bytes of the row-by-row reference writer,
+    and the file parses back to the same tensor, bit for bit."""
 
     def _check(self, tmp_path, tensor, header="partition"):
         write_qos_log(tensor, tmp_path / "fast.txt", header=header)
         ref_write_qos_log(tensor, tmp_path / "ref.txt", header=header)
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        back = parse_qos_log(tmp_path / "fast.txt", tensor.dims).tensor
+        assert [x.tolist() for x in back.ids] == [x.tolist() for x in tensor.ids]
+        assert back.values.tobytes() == tensor.values.tobytes()
+
+    def _tensor(self, values, dims=(64, 64, 32), seed=0):
+        """``values`` at distinct random cells, always including the first
+        and the last cell of ``dims``."""
+        values = np.asarray(values, dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        size = int(np.prod(dims))
+        codes = np.concatenate(([0, size - 1],
+                                rng.choice(np.arange(1, size - 1), values.size - 2,
+                                           replace=False)))
+        return SparseTensor3.from_arrays(dims, *np.unravel_index(codes, dims), values)
 
     @pytest.mark.parametrize("header", [None, "empty"])
     def test_empty_tensor(self, tmp_path, header):
@@ -354,12 +380,54 @@ class TestWriteBytes:
     def test_extreme_values_and_largest_ids(self, tmp_path):
         dims = (142, 4500, 64)
         entries = [((141, 0, 0), 0.0), ((0, 4499, 0), 5e-324), ((0, 0, 63), 1e-300),
-                   ((141, 4499, 63), 0.1 + 0.2), ((1, 2, 3), 1e16)]
-        tensor = SparseTensor3.from_entries(dims, entries)
-        self._check(tmp_path, tensor, None)
-        back = parse_qos_log(tmp_path / "fast.txt", dims).tensor
-        assert back.entry_list() == tensor.entry_list()
-        assert back.values.tobytes() == tensor.values.tobytes()
+                   ((141, 4499, 63), 0.1 + 0.2), ((1, 2, 3), 1e16), ((0, 0, 0), 7.5)]
+        self._check(tmp_path, SparseTensor3.from_entries(dims, entries), None)
+
+    EDGES = [
+        0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        9.9e-5, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+        1e15, np.nextafter(1e15, 0), 1e16, np.nextafter(1e16, 0), np.nextafter(1e16, 2e16),
+        9999999999999998.0, 2.0 ** 52 - 1, 2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53,
+        1.0, 10.0, 100.0, 123456.5, 0.1, 0.001, 0.3, 2 / 3, 123456789012345.0,
+        0.000123456789012345, 99999999999999.9, 1.7976931348623157e308,
+    ]
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edge_value(self, tmp_path, value):
+        self._check(tmp_path, self._tensor([value, 1.5, value]))
+
+    def test_zero_signs(self):
+        """0.0 is rendered by numpy; -0.0 is left to repr, which keeps its sign."""
+        ok = data_io._repr_digits(np.array([0.0, -0.0]))[0]
+        assert ok.tolist() == [True, False]
+
+    @pytest.mark.parametrize("decimals", range(18))
+    def test_values_with_k_decimals(self, tmp_path, decimals):
+        """Values below 100 with ``decimals`` decimals, the last one nonzero."""
+        rng = np.random.default_rng(decimals)
+        n = 2000
+        scaled = rng.integers(0, 10 ** min(decimals + 1, 17), n) * 10 + rng.integers(1, 10, n)
+        values = scaled / 10.0 ** decimals
+        self._check(tmp_path, self._tensor(values, seed=decimals))
+        if decimals <= 12:  # at most 15 significant digits
+            short = values[values >= 1e-4]
+            assert data_io._repr_digits(short)[0].all()
+
+    def test_random_bit_patterns(self, tmp_path):
+        """Finite nonnegative doubles of every magnitude, subnormals included."""
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 0x7FF0000000000000, 10 ** 5, dtype=np.int64)
+        self._check(tmp_path, self._tensor(bits.view(np.float64), dims=(60, 60, 60)))
+
+    def test_chunk_mixing_numpy_and_repr_rows(self, tmp_path):
+        """One chunk whose rows alternate between the two renderings."""
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0, 5, 1000)
+        values[::2] = np.round(values[::2], 3)
+        values[::7] = 0.0
+        ok = data_io._repr_digits(values)[0]
+        assert ok[::2].all() and not ok.all()
+        self._check(tmp_path, self._tensor(values))
 
 
 class TestSplit:
@@ -426,6 +494,9 @@ class TestSplit:
         assert doc["counts"]["train"] == 10
         assert doc["dataset"] == "toy"
         assert len(doc["partitions"]["test"]) == 30
+        for name in ("train", "validation", "test"):
+            part = getattr(parts, name)
+            assert doc["partitions"][name] == [list(ijk) for ijk, _ in part.iter_entries()]
 
 
 class TestCheckpoints:
@@ -437,7 +508,14 @@ class TestCheckpoints:
         assert back.dims == model.dims
         assert back.structure == model.structure
         for a, b in zip(model.parameter_arrays(), back.parameter_arrays()):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+    def test_checkpoint_is_compact_sorted_json(self, tmp_path):
+        model = init_random((5, 6, 7), BlockStructure(((2, 2, 2),)), 3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_truncated_file(self, tmp_path):
         model = init_random((3, 3, 3), BlockStructure(((1, 1, 1),)), 0)

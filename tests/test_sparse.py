@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from btdqos.errors import (
+    ConfigError,
     DimMismatchError,
     DuplicateIndexError,
     NegativeValueError,
@@ -26,6 +27,14 @@ def test_build_out_of_bounds():
         SparseTensor3.from_entries((2, 2, 2), [((0, 0, 2), 1.0)])
     with pytest.raises(OutOfBoundsError):
         SparseTensor3.from_entries((2, 2, 2), [((-1, 0, 0), 1.0)])
+
+
+@pytest.mark.parametrize("dims", [(3.5, 2, 2), (3.0, 2, 2), ("3", 2, 2), (3, 2, None)])
+def test_build_dims_that_are_no_integers(dims):
+    """A dim that is no integer is an error, not truncated."""
+    z = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ConfigError, match="every dim must be an integer"):
+        SparseTensor3.from_arrays(dims, z, z, z, np.ones(1))
 
 
 def test_build_negative_value():
