@@ -403,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the cross-density model comparison")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for benchmark cells")
+                   help="worker processes for benchmark cells")
     p.add_argument("--repeats", type=int, default=None)
     p.add_argument("--out-detail", default=None)
     p.add_argument("--out-aggregate", default=None)

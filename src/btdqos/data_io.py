@@ -422,7 +422,12 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
 
 def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
                          include_indices: bool = False):
-    """Write a JSON audit manifest for one split."""
+    """Write a JSON audit manifest for one split.
+
+    The JSON is compact, as in ``save_model``: with ``indent``, the
+    ``(i, j, k)`` triples of ``include_indices`` would go through
+    ``json.dumps``'s pure-Python encoder.
+    """
     doc = {
         "dims": list(parts.dims),
         "counts": {
@@ -441,7 +446,7 @@ def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
                                ("test", parts.test))
         }
     with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -12,7 +12,6 @@ and ``dataset,model,rmse_mean,rmse_std,mae_mean,mae_std``.
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import ConfigError, EmptyTestSetError
 from .model import BlockStructure, BnbtModel, check_dims, predict_entries
 from .rng import derive_seed
 from .sparse import SparseTensor3
-from .trainer import TrainConfig, grid_search
+from .trainer import TrainConfig, grid_search, residual_rmse
 
 logger = logging.getLogger(__name__)
 
@@ -40,16 +39,12 @@ def _residuals(model: BnbtModel, test: SparseTensor3) -> np.ndarray:
     return test.values - pred
 
 
-def _rmse_of(resid: np.ndarray) -> float:
-    return float(np.sqrt(resid @ resid / resid.size))
-
-
 def _mae_of(resid: np.ndarray) -> float:
     return float(np.abs(resid).mean())
 
 
 def rmse(model: BnbtModel, test: SparseTensor3) -> float:
-    return _rmse_of(_residuals(model, test))
+    return residual_rmse(_residuals(model, test))
 
 
 def mae(model: BnbtModel, test: SparseTensor3) -> float:
@@ -59,7 +54,7 @@ def mae(model: BnbtModel, test: SparseTensor3) -> float:
 def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
     """``(rmse, mae)`` from one prediction pass over the test entries."""
     resid = _residuals(model, test)
-    return _rmse_of(resid), _mae_of(resid)
+    return residual_rmse(resid), _mae_of(resid)
 
 
 @dataclass(frozen=True)
@@ -130,6 +125,46 @@ def _aggregate(cells):
     return out
 
 
+#: ``(splits, cfg, grids)`` of the benchmark a worker process serves, set
+#: once per worker by the pool's initializer.
+_worker_shared = None
+
+
+def _share_with_worker(splits, cfg, grids):
+    global _worker_shared
+    _worker_shared = (splits, cfg, grids)
+
+
+def _run_cell(task, shared=None):
+    """Train and score one ``(label, model_label, structure, run_seed)`` cell.
+
+    ``shared`` is ``(splits, cfg, grids)``; a pool worker passes None and
+    uses what its initializer gave it.
+    """
+    splits, cfg, grids = shared or _worker_shared
+    label, model_label, structure, run_seed = task
+    parts = splits[(label, run_seed)]
+    cell_cfg = replace(cfg, seed=derive_seed(run_seed, label, model_label, "train"))
+    cell_cfg, model, report = grid_search(parts.train, parts.validation,
+                                          structure, grids, cell_cfg)
+    test_rmse, test_mae = rmse_and_mae(model, parts.test)
+    cell = BenchmarkCell(
+        dataset=label,
+        model=model_label,
+        seed=run_seed,
+        lambda1=cell_cfg.lambda1,
+        lambda2=cell_cfg.lambda2,
+        lambda3=cell_cfg.lambda3,
+        epochs=report.epochs_run,
+        rmse=test_rmse,
+        mae=test_mae,
+        wall_time_s=report.wall_time,
+    )
+    logger.info("cell %s/%s seed=%d: rmse=%.4f mae=%.4f (%d epochs)",
+                label, model_label, run_seed, cell.rmse, cell.mae, cell.epochs)
+    return cell
+
+
 def run_benchmark(source: SparseTensor3, split_specs, model_configs,
                   cfg: TrainConfig, repeats, grids=None,
                   threads: int = 1) -> MetricsReport:
@@ -144,8 +179,10 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
     trains through ``grid_search`` with ``grids`` (a lambda-grid triple,
     or None for ``cfg``'s own lambdas alone), and the winning fit is the
     cell's model: its lambdas, epochs, test metrics and wall time fill the
-    cell.  Cells are independent and may be trained in up to ``threads``
-    threads; the report order is fixed.
+    cell.  Cells are independent: with ``threads`` > 1 they are trained in
+    ``min(threads, cells)`` worker processes (forked where the platform
+    can), otherwise one after another in this process.  An error raised by
+    a cell propagates either way, and the report order is fixed.
     """
     if not split_specs:
         raise ConfigError("need at least one split spec")
@@ -166,33 +203,23 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
              for model_label, structure in model_configs
              for run_seed in seeds]
 
-    def run_cell(task):
-        label, model_label, structure, run_seed = task
-        parts = splits[(label, run_seed)]
-        cell_cfg = replace(cfg, seed=derive_seed(run_seed, label, model_label, "train"))
-        cell_cfg, model, report = grid_search(parts.train, parts.validation,
-                                              structure, grids, cell_cfg)
-        test_rmse, test_mae = rmse_and_mae(model, parts.test)
-        cell = BenchmarkCell(
-            dataset=label,
-            model=model_label,
-            seed=run_seed,
-            lambda1=cell_cfg.lambda1,
-            lambda2=cell_cfg.lambda2,
-            lambda3=cell_cfg.lambda3,
-            epochs=report.epochs_run,
-            rmse=test_rmse,
-            mae=test_mae,
-            wall_time_s=report.wall_time,
-        )
-        logger.info("cell %s/%s seed=%d: rmse=%.4f mae=%.4f (%d epochs)",
-                    label, model_label, run_seed, cell.rmse, cell.mae, cell.epochs)
-        return cell
+    shared = (splits, cfg, grids)
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        # Imported here: the process-pool modules would add 12-20 ms to the
+        # start-up of every other command.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(run_cell, tasks))
+        # Forked workers inherit `shared` (the split tensors) instead of
+        # unpickling a copy each; elsewhere each worker gets one copy.
+        context = (multiprocessing.get_context("fork")
+                   if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                 initializer=_share_with_worker,
+                                 initargs=shared) as pool:
+            cells = list(pool.map(_run_cell, tasks))
     else:
-        cells = [run_cell(task) for task in tasks]
+        cells = [_run_cell(task, shared) for task in tasks]
 
     return MetricsReport(cells=cells, aggregates=_aggregate(cells))

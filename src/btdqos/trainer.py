@@ -132,6 +132,18 @@ class TrainReport:
 
 # -- objective ------------------------------------------------------------
 
+def _dot(a, b) -> float:
+    # The dot of two vectors, summed in this thread: `a @ b` hands a long
+    # dot to BLAS, whose threads then spin on the cores of the other
+    # benchmark workers.
+    return float(np.einsum("p,p->", a, b))
+
+
+def residual_rmse(resid: np.ndarray) -> float:
+    """Root mean square of a residual vector."""
+    return float(np.sqrt(_dot(resid, resid) / resid.size))
+
+
 def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
               yhat=None) -> float:
     """Regularized training loss over the observed entries.
@@ -143,17 +155,17 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     if yhat is None:
         yhat = predict_entries(model, *train.ids)
     resid = train.values - yhat
-    loss = float(resid @ resid)
+    loss = _dot(resid, resid)
     if cfg.lambda1 > 0.0:
         core_sq = sum(float((s * s).sum()) for s in model.cores)
         loss += cfg.lambda1 * train.n_entries * core_sq
     if cfg.lambda2 > 0.0:
         for family, cnt in zip(model.factors, train.counts):
             row_sq = sum((f * f).sum(axis=1) for f in family)
-            loss += cfg.lambda2 * float(cnt @ row_sq)
+            loss += cfg.lambda2 * _dot(cnt, row_sq)
     if cfg.lambda3 > 0.0:
         for bias, cnt in zip(model.biases, train.counts):
-            loss += cfg.lambda3 * float(cnt @ (bias * bias))
+            loss += cfg.lambda3 * _dot(cnt, bias * bias)
     return loss
 
 
@@ -205,9 +217,8 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             for family, idx in zip(m.factors, ids)]
 
     # Scratch shared by every pass and block (outer products, contractions,
-    # contractions weighted by y or yhat): fresh entry-sized temporaries
-    # per block and pass would stay behind in each thread's malloc arena
-    # and raise peak memory when fits run in threads.
+    # contractions weighted by y or yhat), allocated once per epoch instead
+    # of as fresh entry-sized temporaries per block and pass.
     widest = max(max(l * mm, l * n, mm * n) for l, mm, n in blocks)
     top_rank = max(max(b) for b in blocks)
     outer_buf = np.empty(widest * n_obs, dtype=np.float64)
@@ -296,8 +307,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
 def _validation_rmse(model, validation):
     pred = predict_entries(model, *validation.ids)
-    resid = validation.values - pred
-    return float(np.sqrt(resid @ resid / resid.size))
+    return residual_rmse(validation.values - pred)
 
 
 def fit(train: SparseTensor3, validation: SparseTensor3, structure,

@@ -381,6 +381,29 @@ class TestBenchmark:
         assert message in caplog.text
         assert "unexpected failure" not in caplog.text
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_typed_error_from_a_cell(self, workdir, caplog, threads):
+        """A cell's typed error exits 2 whether cells run in-process or in workers."""
+        _toy_log(workdir / "toy.txt", n=100, dims=(8, 8, 8), seed=1)
+        doc = {
+            "dataset": {"name": "toy", "qos_type": "response_time",
+                        "users": 8, "services": 8, "slices": 8,
+                        "path": "toy.txt"},
+            # 0.0001 of 100 entries leaves every test partition empty.
+            "splits": [{"label": "empty-test", "train": 0.5,
+                        "validation": 0.4, "test": 0.0001}],
+            "repeats": 1,
+            "train": {"max_iter": 3, "tol": 1e-15},
+            "output": {"detail_csv": "bench/detail.csv",
+                       "aggregate_csv": "bench/aggregate.csv"},
+        }
+        (workdir / "bench.json").write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", "bench.json",
+                     "--threads", threads]) == 2
+        assert "metrics need at least one test entry" in caplog.text
+        assert "unexpected failure" not in caplog.text
+        assert not (workdir / "bench").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["train", "--config", "train.json", "--threads", "2"],

@@ -490,7 +490,10 @@ class TestSplit:
         path = tmp_path / "manifest.json"
         write_split_manifest(parts, path, extra={"dataset": "toy"},
                              include_indices=True)
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+        doc = json.loads(text)
+        # Compact like a checkpoint: no indentation, keys sorted, one newline.
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
         assert doc["counts"]["train"] == 10
         assert doc["dataset"] == "toy"
         assert len(doc["partitions"]["test"]) == 30

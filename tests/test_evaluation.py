@@ -163,6 +163,41 @@ class TestRunBenchmark:
 
         assert [key(c) for c in serial.cells] == [key(c) for c in threaded.cells]
 
+    @pytest.mark.parametrize("threads, pools", [(64, [2]), (1, [])])
+    def test_worker_count_is_capped_by_cells(self, monkeypatch, threads, pools):
+        """At most one worker process per cell; one worker starts no pool."""
+        import concurrent.futures.process
+
+        from btdqos import evaluation
+
+        started = []
+
+        class InProcessPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                            InProcessPool)
+        monkeypatch.setattr(evaluation, "_worker_shared", None)
+        report = run_benchmark(
+            self._source(), [("toy.1", (0.5, 0.2, 0.3))],
+            [("cp", cp_structure(2)), ("tucker", tucker_structure(2, 2, 2))],
+            self._cfg(), repeats=1, threads=threads)
+        assert [c.model for c in report.cells] == ["cp", "tucker"]
+        assert started == pools
+
     def test_grid_search_integration(self):
         report = run_benchmark(
             self._source(), [("toy.1", (0.5, 0.2, 0.3))],
