@@ -118,14 +118,11 @@ def _structure_from_dict(d) -> BlockStructure:
     raise ConfigError("structure needs one of 'blocks', 'cp' or 'tucker'")
 
 
-def _train_config_from_dict(d, seed_override=None) -> TrainConfig:
+def _train_config_from_dict(d) -> TrainConfig:
     unknown = set(d) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
-    kwargs = dict(d)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return TrainConfig(**kwargs)
+    return TrainConfig(**d)
 
 
 def _grids_from_config(doc):
@@ -215,17 +212,13 @@ def cmd_train(args) -> int:
     structure = _structure_from_dict(_section(doc, "structure"))
 
     train_doc = dict(_section(doc, "train"))
-    if args.max_iter is not None:
-        train_doc["max_iter"] = args.max_iter
-    if args.tol is not None:
-        train_doc["tol"] = args.tol
+    for key in ("max_iter", "tol", "seed", "lambda1", "lambda2", "lambda3"):
+        value = getattr(args, key)
+        if value is not None:
+            train_doc[key] = value
     if args.no_bias:
         train_doc["bias_enabled"] = False
-    for lam in ("lambda1", "lambda2", "lambda3"):
-        value = getattr(args, lam)
-        if value is not None:
-            train_doc[lam] = value
-    cfg = _train_config_from_dict(train_doc, seed_override=args.seed)
+    cfg = _train_config_from_dict(train_doc)
 
     out_doc = _section(doc, "output")
     checkpoint_path = Path(args.checkpoint or _output(out_doc, "checkpoint", "model.json"))

@@ -271,7 +271,8 @@ def _ingest_result(dims, ids, values, records) -> IngestResult:
 def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
     """Serialize a tensor in the log format, losslessly.
 
-    Every line is ``f"{i} {j} {k} {v!r}\\n"``.  Entries are rendered
+    Every line is ``f"{i} {j} {k} {v!r}\\n"``, after one ``# `` comment line
+    per line of ``header`` (split by ``str.splitlines``).  Entries are rendered
     ``_WRITE_CHUNK`` at a time (``_render_lines``) and each chunk is one
     ``write``.
     """
@@ -281,7 +282,7 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
         tables.append(names.view(np.uint8).reshape(d, names.itemsize).T.copy())
     with atomic_write(path) as fh:
         if header:
-            fh.write(f"# {header}\n")
+            fh.write("".join(f"# {line}\n" for line in header.splitlines()))
         for start in range(0, tensor.n_entries, _WRITE_CHUNK):
             stop = start + _WRITE_CHUNK
             fh.write(_render_lines(tables, [x[start:stop] for x in tensor.ids],

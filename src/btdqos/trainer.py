@@ -21,15 +21,19 @@ with g the core/factor contraction for that entry, and for a user bias::
     d <- d * sum_{obs(i)} y / (sum_{obs(i)} yhat + lambda3 * |obs(i)| * d)
 
 Ratios of nonnegative sums keep every parameter nonnegative without any
-projection step.  The prediction cache is refreshed after each of the seven
-update passes (cores, A, B, C, d, e, f), not after every coordinate, and
-never by a full prediction pass: the epoch keeps one prediction vector per
-block plus the bias sum.  A core or factor pass already holds, per block,
-the contraction g of the core with the other two gathered factor families;
-the dot of the updated rows with g is that block's new prediction.  A bias
-pass moves only the bias sum.  Every denominator gets a small additive
-guard so empty or all-zero slices cannot divide by zero; parameters of
-slices with no observations are left untouched.
+projection step.  ``penalty_weights`` is the one table of the lambda * count
+weights, one entry per pass: the MU denominators and ``objective`` both read
+it.  The prediction cache is refreshed after each of the seven update
+passes (cores, A, B, C, d, e, f), not after every coordinate, and never by
+a full prediction pass: the epoch keeps a prediction table with one row per
+block and one per mode's gathered bias, and the predictions are its column
+sums.  A core or factor pass already holds, per block, the contraction g of
+the core with the other two gathered factor families; the dot of the
+updated rows with g is that block's new row.  A bias pass is a factor pass
+on a one-column factor whose contraction is a row of ones.  Every
+denominator gets the additive guard ``EPSILON_GUARD`` so empty or all-zero
+slices cannot divide by zero; parameters of slices with no observations
+are left untouched.
 
 ``fit`` hands one prediction buffer to every epoch and scores the training
 objective from the predictions the epoch left there, so a training
@@ -73,6 +77,9 @@ logger = logging.getLogger(__name__)
 STOP_ON_VALIDATION = "validation_rmse"
 STOP_ON_TRAIN_LOSS = "train_loss"
 
+#: Added to every multiplicative-update denominator.
+EPSILON_GUARD = 1e-12
+
 #: What a ``TrainConfig`` field of each annotated type accepts.
 _FIELD_KINDS = {float: numbers.Real, int: numbers.Integral, bool: bool, str: str}
 
@@ -87,7 +94,6 @@ class TrainConfig:
     max_iter: int = 1000
     tol: float = 1e-5
     seed: int = 0
-    epsilon_guard: float = 1e-12
     bias_enabled: bool = True
     stop_on: str = STOP_ON_VALIDATION
 
@@ -101,8 +107,6 @@ class TrainConfig:
             raise ConfigError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ConfigError("tol must be > 0")
-        if not (math.isfinite(self.epsilon_guard) and self.epsilon_guard > 0):
-            raise ConfigError("epsilon_guard must be finite and > 0")
         if self.stop_on not in (STOP_ON_VALIDATION, STOP_ON_TRAIN_LOSS):
             raise ConfigError(f"unknown stop_on {self.stop_on!r}")
 
@@ -125,10 +129,6 @@ class TrainReport:
     def epochs_run(self) -> int:
         return len(self.loss_trajectory)
 
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == STOP_TOL
-
 
 # -- objective ------------------------------------------------------------
 
@@ -144,6 +144,21 @@ def residual_rmse(resid: np.ndarray) -> float:
     return float(np.sqrt(_dot(resid, resid) / resid.size))
 
 
+def penalty_weights(train: SparseTensor3, cfg: TrainConfig):
+    """Each update pass's penalty weight, in pass order: the cores, each
+    mode's factors, then each mode's bias.
+
+    A parameter's penalty is its lambda times the number of observed
+    entries it touches: every entry for a core, the entries of its slice
+    for a factor row or a bias.  The weights of a per-slice pass are
+    ``(dim, 1)`` columns, one per slice, so a bias pairs with them as the
+    one-column factor ``bias[:, None]``.
+    """
+    return [cfg.lambda1 * train.n_entries,
+            *(cfg.lambda2 * cnt[:, None] for cnt in train.counts),
+            *(cfg.lambda3 * cnt[:, None] for cnt in train.counts)]
+
+
 def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
               yhat=None) -> float:
     """Regularized training loss over the observed entries.
@@ -156,16 +171,9 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         yhat = predict_entries(model, *train.ids)
     resid = train.values - yhat
     loss = _dot(resid, resid)
-    if cfg.lambda1 > 0.0:
-        core_sq = sum(float((s * s).sum()) for s in model.cores)
-        loss += cfg.lambda1 * train.n_entries * core_sq
-    if cfg.lambda2 > 0.0:
-        for family, cnt in zip(model.factors, train.counts):
-            row_sq = sum((f * f).sum(axis=1) for f in family)
-            loss += cfg.lambda2 * _dot(cnt, row_sq)
-    if cfg.lambda3 > 0.0:
-        for bias, cnt in zip(model.biases, train.counts):
-            loss += cfg.lambda3 * _dot(cnt, bias * bias)
+    passes = [model.cores, *model.factors, *([b[:, None]] for b in model.biases)]
+    for weight, params in zip(penalty_weights(train, cfg), passes):
+        loss += sum(float((weight * x * x).sum()) for x in params)
     return loss
 
 
@@ -188,14 +196,18 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     Pass order is cores, user factors, service factors, time factors, then
     the three biases; every pass sees the predictions left by the one
     before.  The epoch gathers each block's factor rows once (re-gathering
-    only the family a pass updates) and keeps one prediction vector per
-    block.  Each pass contracts a block's core with the outer product of
-    the two other gathered families in one matrix product; after the
-    update, the dot of the new rows with that same contraction is the
-    block's new prediction, and a bias pass changes only the bias sum.
-    Predictions are the bias sum plus the block predictions, never a full
-    recomputation.  Parameters whose slice has no observations keep their
-    current values.
+    only the family a pass updates) and keeps a prediction table: one row
+    per block, then one row per mode's gathered bias.  Each pass rewrites
+    the rows of the terms it updates and sets the predictions to the
+    table's column sums, never a full recomputation.  A core pass contracts
+    a block's core with the outer product of the gathered user and service
+    rows in one matrix product.  The six per-slice passes share one update:
+    a factor's contraction is its block's core with the outer product of
+    the two other gathered families, and a bias is a one-column factor
+    whose contraction is a row of ones.  After an update, the dot of the
+    new gathered rows with that contraction is the term's new row.
+    Parameters whose slice has no observations keep their current values.
+    Every MU denominator reads its penalty weight from ``penalty_weights``.
 
     ``yhat``, when given, is an ``(n_entries,)`` float64 array the epoch
     uses as its prediction buffer; it ends holding the returned model's
@@ -210,8 +222,8 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     ids = train.ids
     y = train.values
     n_obs = train.n_entries
-    guard = cfg.epsilon_guard
     blocks = m.structure.blocks
+    weights = penalty_weights(train, cfg)
     # rows[axis][r]: block r's factor rows of one family, as (rank, n_obs).
     rows = [[gather_rows(f, idx) for f in family]
             for family, idx in zip(m.factors, ids)]
@@ -236,24 +248,20 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     def updated(x, num, den, weight, observed):
         # The SLF-NMUT ratio; values whose slice is unobserved are kept.
         den += weight * x
-        return np.where(observed, x * num / (den + guard), x)
+        return np.where(observed, x * num / (den + EPSILON_GUARD), x)
 
-    bias_sum = np.zeros(n_obs, dtype=np.float64)
-    for bias, idx in zip(m.biases, ids):
-        bias_sum += take_into(bias, idx, scratch(weighted_buf, 1)[0])
-    block_pred = np.empty((len(blocks), n_obs), dtype=np.float64)
+    # pred[r]: block r's predictions; pred[len(blocks) + axis]: that mode's
+    # gathered bias.  The predictions are its column sums.
+    pred = np.empty((len(blocks) + 3, n_obs), dtype=np.float64)
     for r, (l, mm, n) in enumerate(blocks):
         ab = row_outer(rows[0][r], rows[1][r], out=scratch(outer_buf, l * mm))
-        predict_block(m.cores[r], ab, rows[2][r], out=block_pred[r],
+        predict_block(m.cores[r], ab, rows[2][r], out=pred[r],
                       work=scratch(contr_buf, n))
+    for axis, (bias, idx) in enumerate(zip(m.biases, ids)):
+        take_into(bias, idx, pred[len(blocks) + axis])
     if yhat is None:
         yhat = np.empty(n_obs, dtype=np.float64)
-
-    def refresh():
-        np.sum(block_pred, axis=0, out=yhat)
-        np.add(yhat, bias_sum, out=yhat)
-
-    refresh()
+    np.sum(pred, axis=0, out=yhat)
     if not np.isfinite(yhat).all():
         raise NonFiniteError("model predictions are non-finite before the epoch")
 
@@ -265,13 +273,13 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         num = (ab @ weighted.T).reshape(core.shape)
         np.multiply(c, yhat, out=weighted)
         den = (ab @ weighted.T).reshape(core.shape)
-        m.cores[r] = updated(core, num, den, cfg.lambda1 * n_obs, True)
-        predict_block(m.cores[r], ab, c, out=block_pred[r],
-                      work=scratch(contr_buf, n))
-    refresh()
+        m.cores[r] = updated(core, num, den, weights[0], True)
+        predict_block(m.cores[r], ab, c, out=pred[r], work=scratch(contr_buf, n))
+    np.sum(pred, axis=0, out=yhat)
 
-    for axis, (idx, factors, cnt) in enumerate(zip(ids, m.factors, train.counts)):
-        observed = cnt[:, None] > 0
+    def factor_terms(axis):
+        # Per block: the factor, its contraction with the rest of the block
+        # term, where its gathered rows live, and its prediction row.
         for r, core in enumerate(m.cores):
             rank = core.shape[axis]
             x, z = (rows[k][r] for k in range(3) if k != axis)
@@ -279,23 +287,30 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             # Mode `axis` first, the other two in order, matching row_outer(x, z).
             unfolded = np.moveaxis(core, axis, 0).reshape(rank, -1)
             contr = np.matmul(unfolded, xz, out=scratch(contr_buf, rank))
-            weighted = scratch(weighted_buf, rank)
-            f = factors[r]
-            num = _segment_sums(idx, np.multiply(contr, y, out=weighted), f.shape[0])
-            den = _segment_sums(idx, np.multiply(contr, yhat, out=weighted), f.shape[0])
-            factors[r] = updated(f, num, den, cfg.lambda2 * cnt[:, None], observed)
-            take_into(factors[r].T, idx, rows[axis][r])
-            np.einsum("kp,kp->p", rows[axis][r], contr, out=block_pred[r])
-        refresh()
+            yield m.factors[axis][r], contr, rows[axis][r], r
 
+    ones = np.broadcast_to(1.0, (1, n_obs))  # a read-only view: no entry-sized buffer
+
+    def bias_terms(axis):
+        # The bias as a one-column factor, updated in place.  Its gathered
+        # values only feed its prediction row, so they go to free scratch.
+        yield (m.biases[axis][:, None], ones, scratch(outer_buf, 1),
+               len(blocks) + axis)
+
+    passes = [(factor_terms, axis) for axis in range(3)]
     if cfg.bias_enabled:
-        for axis, (idx, cnt) in enumerate(zip(ids, train.counts)):
-            bias = m.biases[axis]
-            num = np.bincount(idx, weights=y, minlength=bias.size)
-            den = np.bincount(idx, weights=yhat, minlength=bias.size)
-            m.biases[axis] = updated(bias, num, den, cfg.lambda3 * cnt, cnt > 0)
-            bias_sum += take_into(m.biases[axis] - bias, idx, scratch(weighted_buf, 1)[0])
-            refresh()
+        passes += [(bias_terms, axis) for axis in range(3)]
+    for (terms, axis), weight in zip(passes, weights[1:]):
+        idx = ids[axis]
+        observed = train.counts[axis][:, None] > 0
+        for x, contr, gathered, k in terms(axis):
+            weighted = scratch(weighted_buf, x.shape[1])
+            num = _segment_sums(idx, np.multiply(contr, y, out=weighted), x.shape[0])
+            den = _segment_sums(idx, np.multiply(contr, yhat, out=weighted), x.shape[0])
+            x[...] = updated(x, num, den, weight, observed)
+            take_into(x.T, idx, gathered)
+            np.einsum("kp,kp->p", gathered, contr, out=pred[k])
+        np.sum(pred, axis=0, out=yhat)
 
     for arr in m.parameter_arrays():
         if not np.isfinite(arr).all():

@@ -24,6 +24,7 @@ from btdqos.model import (
     predict_entry,
 )
 from btdqos.sparse import MODES, SparseTensor3
+from btdqos.trainer import EPSILON_GUARD
 
 #: Coordinate kinds of the bias vectors, in axis order.
 BIAS_KINDS = tuple(f"{mode}_bias" for mode in MODES)
@@ -63,7 +64,7 @@ def ref_epoch(model, tensor, cfg):
     if not entries:
         return m
     n_obs = len(entries)
-    g = cfg.epsilon_guard
+    g = EPSILON_GUARD
     yhat = _yhat_list(m, entries)
 
     new_cores = []
@@ -389,6 +390,7 @@ def ref_write_qos_log(tensor, path, header=None):
     """Row-by-row QoS log writer: the bytes ``write_qos_log`` must produce."""
     with open(path, "w", encoding="utf-8") as fh:
         if header:
-            fh.write(f"# {header}\n")
+            for line in header.splitlines():
+                fh.write(f"# {line}\n")
         for i, j, k, v in zip(*tensor.ids, tensor.values):
             fh.write(f"{i} {j} {k} {float(v)!r}\n")

@@ -12,7 +12,7 @@ import pytest
 
 import btdqos
 from btdqos.cli import main
-from btdqos.data_io import load_model, save_model
+from btdqos.data_io import load_model, parse_qos_log, save_model
 from btdqos.model import BlockStructure, init_random
 from test_model import single_block_model
 
@@ -66,6 +66,19 @@ class TestIngest:
         assert manifest["kept"] == 100
         for name in ("train.txt", "validation.txt", "test.txt"):
             assert (workdir / "splits" / name).exists()
+
+    def test_multi_line_name_keeps_partitions_readable(self, workdir):
+        """A dataset label with a line break still writes partition files
+        whose header lines are all comments."""
+        _toy_log(workdir / "toy.txt", n=100, dims=(10, 10, 10))
+        code = main(["ingest", "--data", "toy.txt", "--users", "10",
+                     "--services", "10", "--slices", "10",
+                     "--split", "0.1,0.1,0.8", "--name", "x\ny", "--out", "splits"])
+        assert code == 0
+        manifest = json.loads((workdir / "splits" / "manifest.json").read_text())
+        for name, count in manifest["counts"].items():
+            result = parse_qos_log(workdir / "splits" / f"{name}.txt", (10, 10, 10))
+            assert result.tensor.n_entries == count
 
     def test_missing_file_names_path(self, workdir, caplog):
         code = main(["ingest", "--data", "absent.txt", "--users", "5",
@@ -122,6 +135,22 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # header plus exactly one epoch row
         assert "stopped on max_iter after 1 epochs" in caplog.text
+
+    def test_seed_flag_overrides_config_seed(self, workdir):
+        """--seed 5 trains what a config with train.seed 5 trains, not what
+        the fixture's own seed 3 trains."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        cfg["train"]["seed"] = 5
+        (workdir / "seed5.json").write_text(json.dumps(cfg))
+        fixture = str(FIXTURES / "train8.json")
+        checkpoints = []
+        for argv in ([fixture, "--seed", "5"], ["seed5.json"], [fixture]):
+            assert main(["train", "--config", *argv, "--max-iter", "3"]) == 0
+            checkpoints.append((workdir / "out" / "model.json").read_bytes())
+        flag, config, default = checkpoints
+        assert flag == config
+        assert flag != default
 
     def test_no_bias_zeroes_bias_vectors(self, workdir):
         code = main(["train", "--config", str(FIXTURES / "train8.json"),
@@ -231,7 +260,8 @@ class TestTrain:
         (("output", "checkpoint"), 5, "output.checkpoint must be a string"),
         (("train", "lambda1"), float("inf"), "coefficients must be finite and >= 0"),
         (("train", "lambda1"), float("nan"), "coefficients must be finite and >= 0"),
-        (("train", "epsilon_guard"), float("inf"), "epsilon_guard must be finite"),
+        (("train", "epsilon_guard"), float("inf"),
+         "unknown train config fields: ['epsilon_guard']"),
         (("grid",), {"lambda1": [float("nan")], "lambda2": [0.01], "lambda3": [0.01]},
          "coefficients must be finite and >= 0"),
     ])

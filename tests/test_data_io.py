@@ -368,6 +368,11 @@ class TestWriteBytes:
     def test_empty_tensor(self, tmp_path, header):
         self._check(tmp_path, SparseTensor3.from_entries((2, 3, 4), []), header)
 
+    @pytest.mark.parametrize("header", ["a\nb", "a\rb"])
+    def test_multi_line_header(self, tmp_path, header):
+        """Each line of a header is its own comment line, so the file parses."""
+        self._check(tmp_path, self._tensor([1.5, 0.25, 2.0]), header)
+
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundary(self, tmp_path, offset):
         dims = (64, 64, 32)

@@ -25,6 +25,7 @@ from btdqos.errors import (
 from btdqos.model import BlockStructure, cp_structure, init_random, predict_entries
 from btdqos.sparse import SparseTensor3
 from btdqos.trainer import (
+    EPSILON_GUARD,
     TrainConfig,
     epoch,
     fit,
@@ -41,16 +42,14 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.max_iter == 1000
         assert cfg.tol == 1e-5
-        assert cfg.epsilon_guard == 1e-12
+        assert EPSILON_GUARD == 1e-12
         assert cfg.bias_enabled
 
     @pytest.mark.parametrize("kwargs", [
-        dict(lambda1=-0.1), dict(max_iter=0), dict(tol=0.0),
-        dict(epsilon_guard=0.0), dict(stop_on="nope"),
+        dict(lambda1=-0.1), dict(max_iter=0), dict(tol=0.0), dict(stop_on="nope"),
         dict(lambda1=float("inf")), dict(lambda2=float("nan")),
-        dict(lambda3=float("inf")), dict(epsilon_guard=float("inf")),
-        dict(epsilon_guard=float("nan")),
-    ])
+        dict(lambda3=float("inf")),
+    ], ids=[f"kwargs{n}" for n in (0, 1, 2, 4, 5, 6, 7)])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
@@ -69,15 +68,18 @@ class TestObjective:
         assert objective(m, t, ZERO_REG) == 0.0
 
     def test_matches_reference_with_regularization(self):
-        """Vectorized loss equals the quadruple-loop oracle on 4x4x4."""
-        cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
-                          stop_on="train_loss")
-        for seed in range(5):
-            dims, structure, tensor, model = random_instance(
-                seed, max_dim=4, max_blocks=2, max_rank=2)
-            fast = objective(model, tensor, cfg)
-            slow = ref_objective(model, tensor, cfg)
-            assert fast == pytest.approx(slow, rel=1e-10)
+        """Vectorized loss equals the quadruple-loop oracle on 4x4x4.
+
+        Distinct lambdas, and each one alone at zero, show a penalty
+        weight paired with the wrong kind of parameter."""
+        for lambdas in ((0.01, 0.02, 0.005), (0, 0.02, 0), (0.03, 0, 0.01)):
+            cfg = TrainConfig(*lambdas, stop_on="train_loss")
+            for seed in range(5):
+                dims, structure, tensor, model = random_instance(
+                    seed, max_dim=4, max_blocks=2, max_rank=2)
+                fast = objective(model, tensor, cfg)
+                slow = ref_objective(model, tensor, cfg)
+                assert fast == pytest.approx(slow, rel=1e-10), lambdas
 
     def test_dim_mismatch(self):
         m = single_block_model(1, 1, 1, 1, 0, 0, 0)
@@ -266,7 +268,7 @@ class TestFit:
         cfg = TrainConfig(tol=float("inf"), seed=1)
         _, report = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 1
-        assert report.converged
+        assert report.stop_reason == "tol"
         assert len(report.loss_trajectory) == 1
         assert len(report.validation_rmse_trajectory) == 1
 
@@ -275,7 +277,7 @@ class TestFit:
         cfg = TrainConfig(max_iter=7, tol=1e-15, seed=2)
         _, report = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 7
-        assert not report.converged
+        assert report.stop_reason == "max_iter"
 
     @pytest.mark.parametrize("kwargs, reason, epochs", [
         (dict(tol=float("inf")), "tol", 1),
@@ -287,7 +289,6 @@ class TestFit:
             _, report = fit(train, val, BlockStructure(((2, 2, 2),)),
                             TrainConfig(seed=3, **kwargs))
         assert report.stop_reason == reason
-        assert report.converged == (reason == "tol")
         assert report.epochs_run == epochs
         assert f"fit: {epochs} epochs, stopped on {reason}," in caplog.text
 
@@ -408,7 +409,7 @@ class TestGridSearch:
             np.testing.assert_array_equal(a, b)
         assert report.loss_trajectory == fresh.loss_trajectory
         assert report.validation_rmse_trajectory == fresh.validation_rmse_trajectory
-        assert (report.epochs_run, report.converged) == (fresh.epochs_run, fresh.converged)
+        assert (report.epochs_run, report.stop_reason) == (fresh.epochs_run, fresh.stop_reason)
 
     def test_no_grid_trains_the_config_as_given(self):
         """Without a grid the config is the one candidate: it comes back
