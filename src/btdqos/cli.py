@@ -85,6 +85,16 @@ def _fields(d, keys, where):
         raise ConfigError(f"{where} is missing {exc}")
 
 
+def _check_labels(pairs, what):
+    """A ConfigError unless every ``(label, _)`` of ``pairs`` has a string
+    label that no other pair uses: cells and aggregates are keyed by them."""
+    seen = set()
+    for label, _ in pairs:
+        if check_kind(label, str, f"every {what} label") in seen:
+            raise ConfigError(f"duplicate {what} label {label!r}")
+        seen.add(label)
+
+
 def _dataset_from_config(doc):
     """The dataset descriptor of a config and its ``one_based`` flag."""
     d = _section(doc, "dataset")
@@ -290,6 +300,7 @@ def cmd_benchmark(args) -> int:
         split_specs.append((label, tuple(ratios)))
     if not split_specs:
         raise ConfigError("benchmark config needs a nonempty splits list")
+    _check_labels(split_specs, "split")
 
     models_doc = doc.get("models")
     if models_doc is None:
@@ -301,6 +312,7 @@ def cmd_benchmark(args) -> int:
             raise ConfigError("every model config needs a label")
         structure = _structure_from_dict(entry)
         model_configs.append((entry["label"], structure))
+    _check_labels(model_configs, "model")
 
     repeats = (args.repeats if args.repeats is not None
                else check_kind(doc.get("repeats", 1), numbers.Integral, "repeats"))

@@ -32,6 +32,11 @@ from .sparse import MODES
 PREDICT_CHUNK = 4096
 
 
+def _positive_int(x) -> bool:
+    # true and false are no sizes, although bool subclasses int.
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Shape descriptor: one (L, M, N) rank triple per block."""
@@ -43,8 +48,7 @@ class BlockStructure:
         if not blocks:
             raise InvalidStructureError("a block structure needs at least one block")
         for b in blocks:
-            if len(b) != 3 or not all(isinstance(x, numbers.Integral) and x >= 1
-                                      for x in b):
+            if len(b) != 3 or not all(map(_positive_int, b)):
                 raise InvalidStructureError(f"invalid block ranks {b}")
         object.__setattr__(self, "blocks", tuple(tuple(map(int, b)) for b in blocks))
 
@@ -139,9 +143,10 @@ def init_random(dims, structure: BlockStructure, seed: int) -> BnbtModel:
     time factors, then the three bias vectors) so one seed always yields
     one bitwise-identical model.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 1 for d in dims):
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(map(_positive_int, dims)):
         raise InvalidStructureError(f"dims must be three positive integers, got {dims}")
+    dims = tuple(map(int, dims))
     if not isinstance(structure, BlockStructure):
         structure = BlockStructure(tuple(structure))
     rng = np.random.default_rng(int(seed) % (2 ** 64))
@@ -185,7 +190,7 @@ def gather_rows(factor: np.ndarray, ids) -> np.ndarray:
 
     One row per rank component and one column per entry keeps every
     component contiguous over the entries: the layout ``row_outer``,
-    ``predict_block`` and the trainer's per-slice sums read.
+    ``predict_entries`` and the trainer's per-slice sums read.
     """
     return np.take(factor.T, ids, axis=1)
 
@@ -205,27 +210,16 @@ def row_outer(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def predict_block(core: np.ndarray, ab: np.ndarray, c: np.ndarray,
-                  out=None, work=None) -> np.ndarray:
-    """One block's predictions from its gathered rows (see ``gather_rows``).
-
-    ``ab`` is ``row_outer`` of the user and service rows and ``c`` the time
-    rows.  ``core.reshape(L*M, N).T @ ab`` contracts the core with the user
-    and service rows in one matrix product (written to ``work`` if given);
-    its per-entry dot with ``c`` is the block term.
-    """
-    l, m, n = core.shape
-    contr = np.matmul(core.reshape(l * m, n).T, ab, out=work)
-    return np.einsum("np,np->p", contr, c, out=out)
-
-
 def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.ndarray:
     """Vectorized predictions for parallel 1-d index arrays.
 
-    Each block costs one factored contraction (``predict_block``) over the
-    gathered factor rows, on top of the three gathered biases.  Entries go
-    through in chunks of ``PREDICT_CHUNK``, so the temporaries stay small
-    and cache-resident however many entries are asked for.
+    Each block costs one factored contraction over the gathered factor
+    rows, on top of the three gathered biases: ``core.reshape(L*M, N).T``
+    times ``row_outer`` of the user and service rows contracts the core
+    with those rows in one matrix product, and its per-entry dot with the
+    time rows is the block term.  Entries go through in chunks of
+    ``PREDICT_CHUNK``, so the temporaries stay small and cache-resident
+    however many entries are asked for.
     """
     ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
     (a, b, c), (d, e, f) = model.factors, model.biases
@@ -235,9 +229,10 @@ def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.nda
         part = out[lo:lo + PREDICT_CHUNK]
         np.add(d[u], e[s], out=part)
         part += f[t]
-        for r in range(model.structure.n_blocks):
+        for r, (l, m, n) in enumerate(model.structure.blocks):
             ab = row_outer(gather_rows(a[r], u), gather_rows(b[r], s))
-            part += predict_block(model.cores[r], ab, gather_rows(c[r], t))
+            contr = model.cores[r].reshape(l * m, n).T @ ab
+            part += np.einsum("np,np->p", contr, gather_rows(c[r], t))
     return out
 
 

@@ -27,13 +27,14 @@ it.  The prediction cache is refreshed after each of the seven update
 passes (cores, A, B, C, d, e, f), not after every coordinate, and never by
 a full prediction pass: the epoch keeps a prediction table with one row per
 block and one per mode's gathered bias, and the predictions are its column
-sums.  A core or factor pass already holds, per block, the contraction g of
-the core with the other two gathered factor families; the dot of the
-updated rows with g is that block's new row.  A bias pass is a factor pass
-on a one-column factor whose contraction is a row of ones.  Every
-denominator gets the additive guard ``EPSILON_GUARD`` so empty or all-zero
-slices cannot divide by zero; parameters of slices with no observations
-are left untouched.
+sums.
+
+All seven passes run one step, which applies the ratio above and
+refreshes the updated parameters' table rows; a pass differs from another
+only in the terms it hands the step (see ``epoch``).  The table's first
+fill is the same row refresh.  Every denominator gets the additive guard
+``EPSILON_GUARD`` so empty or all-zero slices cannot divide by zero;
+parameters of slices with no observations are left untouched.
 
 ``fit`` hands one prediction buffer to every epoch and scores the training
 objective from the predictions the epoch left there, so a training
@@ -48,7 +49,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -65,7 +66,6 @@ from .model import (
     check_dims,
     gather_rows,
     init_random,
-    predict_block,
     predict_entries,
     row_outer,
 )
@@ -197,17 +197,30 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     the three biases; every pass sees the predictions left by the one
     before.  The epoch gathers each block's factor rows once (re-gathering
     only the family a pass updates) and keeps a prediction table: one row
-    per block, then one row per mode's gathered bias.  Each pass rewrites
-    the rows of the terms it updates and sets the predictions to the
-    table's column sums, never a full recomputation.  A core pass contracts
-    a block's core with the outer product of the gathered user and service
-    rows in one matrix product.  The six per-slice passes share one update:
-    a factor's contraction is its block's core with the outer product of
-    the two other gathered families, and a bias is a one-column factor
-    whose contraction is a row of ones.  After an update, the dot of the
-    new gathered rows with that contraction is the term's new row.
-    Parameters whose slice has no observations keep their current values.
-    Every MU denominator reads its penalty weight from ``penalty_weights``.
+    per block, then one row per mode's gathered bias.  The predictions are
+    the table's column sums, never a full recomputation.
+
+    All seven passes run one step over their terms.  A term is a parameter
+    matrix x, its contraction ``contr`` (a row per column of x, a column per
+    entry), its table row, a ``scatter`` of entry-wise rows onto x's shape
+    and a ``gather`` of x back onto the entries.  The step multiplies x by
+    the SLF-NMUT ratio of ``scatter(contr * y)`` over
+    ``scatter(contr * yhat)`` plus the penalty weight times x, sets the
+    term's table row to the per-entry dot of ``gather(x)`` with ``contr``,
+    and after the pass re-sums the predictions.
+
+    - A factor's contraction is its block's core with the outer product of
+      the two other gathered families; it scatters by per-slice sums over
+      the mode's ids and gathers by taking its updated rows.
+    - A bias is a one-column factor whose contraction is a row of ones.
+    - A core is an ``(L*M, N)`` matrix whose contraction is its block's
+      time rows.  With ``ab`` the outer product of the user and service
+      rows, it scatters by ``ab @ w.T`` and gathers by ``x.T @ ab``.
+
+    The table's first fill is the same row refresh over the core and bias
+    terms, with no update.  Parameters whose slice has no observations keep
+    their current values.  Every MU denominator reads its penalty weight
+    from ``penalty_weights``.
 
     ``yhat``, when given, is an ``(n_entries,)`` float64 array the epoch
     uses as its prediction buffer; it ends holding the returned model's
@@ -223,7 +236,6 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     y = train.values
     n_obs = train.n_entries
     blocks = m.structure.blocks
-    weights = penalty_weights(train, cfg)
     # rows[axis][r]: block r's factor rows of one family, as (rank, n_obs).
     rows = [[gather_rows(f, idx) for f in family]
             for family, idx in zip(m.factors, ids)]
@@ -245,41 +257,25 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         # default mode="raise" would stage the result in a fresh array.
         return np.take(values, idx, axis=values.ndim - 1, out=out, mode="clip")
 
-    def updated(x, num, den, weight, observed):
-        # The SLF-NMUT ratio; values whose slice is unobserved are kept.
-        den += weight * x
-        return np.where(observed, x * num / (den + EPSILON_GUARD), x)
+    def slice_term(axis, x, contr, k, gathered):
+        # A factor or bias term: per-slice sums over the mode's ids, and the
+        # take of the updated rows into `gathered`.
+        idx = ids[axis]
+        return (x, contr, k, lambda w: _segment_sums(idx, w, x.shape[0]),
+                lambda new: take_into(new.T, idx, gathered),
+                train.counts[axis][:, None] > 0)
 
-    # pred[r]: block r's predictions; pred[len(blocks) + axis]: that mode's
-    # gathered bias.  The predictions are its column sums.
-    pred = np.empty((len(blocks) + 3, n_obs), dtype=np.float64)
-    for r, (l, mm, n) in enumerate(blocks):
-        ab = row_outer(rows[0][r], rows[1][r], out=scratch(outer_buf, l * mm))
-        predict_block(m.cores[r], ab, rows[2][r], out=pred[r],
-                      work=scratch(contr_buf, n))
-    for axis, (bias, idx) in enumerate(zip(m.biases, ids)):
-        take_into(bias, idx, pred[len(blocks) + axis])
-    if yhat is None:
-        yhat = np.empty(n_obs, dtype=np.float64)
-    np.sum(pred, axis=0, out=yhat)
-    if not np.isfinite(yhat).all():
-        raise NonFiniteError("model predictions are non-finite before the epoch")
-
-    for r, (l, mm, n) in enumerate(blocks):
-        a, b, c = (rows[axis][r] for axis in range(3))
-        ab = row_outer(a, b, out=scratch(outer_buf, l * mm))
-        core = m.cores[r]
-        weighted = np.multiply(c, y, out=scratch(weighted_buf, n))
-        num = (ab @ weighted.T).reshape(core.shape)
-        np.multiply(c, yhat, out=weighted)
-        den = (ab @ weighted.T).reshape(core.shape)
-        m.cores[r] = updated(core, num, den, weights[0], True)
-        predict_block(m.cores[r], ab, c, out=pred[r], work=scratch(contr_buf, n))
-    np.sum(pred, axis=0, out=yhat)
+    def core_terms():
+        for r, (l, mm, n) in enumerate(blocks):
+            ab = row_outer(rows[0][r], rows[1][r], out=scratch(outer_buf, l * mm))
+            # The reshape is a view, so the step writes the core in place:
+            # BnbtModel.copy() returns C-contiguous arrays.
+            yield (m.cores[r].reshape(l * mm, n), rows[2][r], r,
+                   lambda w: ab @ w.T,
+                   lambda new: np.matmul(new.T, ab, out=scratch(contr_buf, n)),
+                   True)
 
     def factor_terms(axis):
-        # Per block: the factor, its contraction with the rest of the block
-        # term, where its gathered rows live, and its prediction row.
         for r, core in enumerate(m.cores):
             rank = core.shape[axis]
             x, z = (rows[k][r] for k in range(3) if k != axis)
@@ -287,30 +283,42 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             # Mode `axis` first, the other two in order, matching row_outer(x, z).
             unfolded = np.moveaxis(core, axis, 0).reshape(rank, -1)
             contr = np.matmul(unfolded, xz, out=scratch(contr_buf, rank))
-            yield m.factors[axis][r], contr, rows[axis][r], r
+            yield slice_term(axis, m.factors[axis][r], contr, r, rows[axis][r])
 
     ones = np.broadcast_to(1.0, (1, n_obs))  # a read-only view: no entry-sized buffer
 
     def bias_terms(axis):
         # The bias as a one-column factor, updated in place.  Its gathered
         # values only feed its prediction row, so they go to free scratch.
-        yield (m.biases[axis][:, None], ones, scratch(outer_buf, 1),
-               len(blocks) + axis)
+        yield slice_term(axis, m.biases[axis][:, None], ones,
+                         len(blocks) + axis, scratch(outer_buf, 1))
 
-    passes = [(factor_terms, axis) for axis in range(3)]
-    if cfg.bias_enabled:
-        passes += [(bias_terms, axis) for axis in range(3)]
-    for (terms, axis), weight in zip(passes, weights[1:]):
-        idx = ids[axis]
-        observed = train.counts[axis][:, None] > 0
-        for x, contr, gathered, k in terms(axis):
-            weighted = scratch(weighted_buf, x.shape[1])
-            num = _segment_sums(idx, np.multiply(contr, y, out=weighted), x.shape[0])
-            den = _segment_sums(idx, np.multiply(contr, yhat, out=weighted), x.shape[0])
-            x[...] = updated(x, num, den, weight, observed)
-            take_into(x.T, idx, gathered)
-            np.einsum("kp,kp->p", gathered, contr, out=pred[k])
+    # pred[r]: block r's predictions; pred[len(blocks) + axis]: that mode's
+    # gathered bias.
+    pred = np.empty((len(blocks) + 3, n_obs), dtype=np.float64)
+    if yhat is None:
+        yhat = np.empty(n_obs, dtype=np.float64)
+
+    def pass_step(terms, weight=None):
+        # Terms are taken one at a time, as they share the scratch buffers.
+        # Without a weight the step only refreshes the terms' table rows.
+        for x, contr, k, scatter, gather, observed in terms:
+            if weight is not None:
+                weighted = scratch(weighted_buf, x.shape[1])
+                num = scatter(np.multiply(contr, y, out=weighted))
+                den = scatter(np.multiply(contr, yhat, out=weighted)) + weight * x
+                x[...] = np.where(observed, x * num / (den + EPSILON_GUARD), x)
+            np.einsum("kp,kp->p", gather(x), contr, out=pred[k])
         np.sum(pred, axis=0, out=yhat)
+
+    pass_step(chain(core_terms(), *map(bias_terms, range(3))))
+    if not np.isfinite(yhat).all():
+        raise NonFiniteError("model predictions are non-finite before the epoch")
+    passes = [core_terms(), *map(factor_terms, range(3))]
+    if cfg.bias_enabled:
+        passes += map(bias_terms, range(3))
+    for terms, weight in zip(passes, penalty_weights(train, cfg)):
+        pass_step(terms, weight)
 
     for arr in m.parameter_arrays():
         if not np.isfinite(arr).all():

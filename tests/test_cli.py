@@ -411,6 +411,31 @@ class TestBenchmark:
         assert message in caplog.text
         assert "unexpected failure" not in caplog.text
 
+    @pytest.mark.parametrize("key, labels, message", [
+        pytest.param("splits", ["a", "a"], "duplicate split label 'a'",
+                     id="repeated-split"),
+        pytest.param("models", ["m", "m"], "duplicate model label 'm'",
+                     id="repeated-model"),
+        pytest.param("splits", [["a"], "b"], "every split label must be a string",
+                     id="list-split"),
+        pytest.param("models", ["m", ["m"]], "every model label must be a string",
+                     id="list-model"),
+    ])
+    def test_labels_must_be_unique_strings(self, workdir, caplog, key, labels, message):
+        """Cells are keyed by label: a repeated one would drop a split or
+        merge two models' rows, and a list cannot key anything."""
+        self._config(workdir)
+        doc = json.loads((workdir / "bench.json").read_text())
+        doc["splits"].append({"label": "toy.2", "train": 0.6, "validation": 0.1,
+                              "test": 0.3})
+        for entry, label in zip(doc[key], labels):
+            entry["label"] = label
+        (workdir / "bench.json").write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", "bench.json"]) == 2
+        assert message in caplog.text
+        assert "unexpected failure" not in caplog.text
+        assert not (workdir / "bench").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_typed_error_from_a_cell(self, workdir, caplog, threads):
         """A cell's typed error exits 2 whether cells run in-process or in workers."""

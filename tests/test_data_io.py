@@ -566,6 +566,17 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError):
             load_model(path)
 
+    def test_boolean_rank_rejected(self, tmp_path):
+        """true is no rank, although it would match a rank-1 core's shape."""
+        model = init_random((3, 3, 3), BlockStructure(((1, 2, 2),)), 0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["blocks"] = [[True, 2, 2]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match="invalid block ranks"):
+            load_model(path)
+
     def test_version_and_fields_checked(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": 99}))

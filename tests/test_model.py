@@ -38,6 +38,8 @@ class TestBlockStructure:
             BlockStructure(((1, 1),))
         with pytest.raises(InvalidStructureError):  # not truncated to 2
             BlockStructure(((2.7, 2, 2),))
+        with pytest.raises(InvalidStructureError):  # true is no rank
+            BlockStructure(((True, 2, 2),))
 
     def test_cp_structure(self):
         assert cp_structure(3).blocks == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
@@ -68,8 +70,10 @@ class TestInitRandom:
         assert m.max_parameter() <= 0.05
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidStructureError):
-            init_random((0, 2, 2), BlockStructure(((1, 1, 1),)), 0)
+        """A dim that is no positive integer is an error, not truncated."""
+        for dims in [(0, 2, 2), (2.7, 3, 4), (True, 2, 2), (2, 2)]:
+            with pytest.raises(InvalidStructureError):
+                init_random(dims, BlockStructure(((1, 1, 1),)), 0)
 
     def test_parameter_count_paper_scale(self):
         """Parameter count at the benchmark scale, against the size formula.

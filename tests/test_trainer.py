@@ -229,6 +229,29 @@ class TestEpoch:
             np.testing.assert_allclose(buf, predict_entries(model, *tensor.ids),
                                        rtol=1e-12)
 
+    @pytest.mark.parametrize("relaid", [
+        pytest.param(np.asfortranarray, id="fortran"),
+        pytest.param(lambda a: np.repeat(a, 2, axis=-1)[..., ::2], id="strided"),
+    ])
+    def test_parameter_layout_does_not_change_the_epoch(self, relaid):
+        """The epoch writes its copy of the cores and factors in place, so
+        Fortran-ordered or strided parameters give the C-ordered result."""
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
+                          stop_on="train_loss")
+        dims, _, tensor, _ = random_instance(43, max_dim=6)
+        model = init_random(dims, BlockStructure(((1, 2, 3), (2, 2, 2))), 43)
+        other = model.copy()
+        other.cores = [relaid(core) for core in model.cores]
+        other.factors = [[relaid(f) for f in family] for family in model.factors]
+        other.biases = [relaid(b) for b in model.biases]
+        assert not any(a.flags.c_contiguous for a in other.cores)
+        want, got = np.empty(tensor.n_entries), np.empty(tensor.n_entries)
+        expected = epoch(model, tensor, cfg, yhat=want)
+        actual = epoch(other, tensor, cfg, yhat=got)
+        np.testing.assert_array_equal(model_params_vector(actual),
+                                      model_params_vector(expected))
+        np.testing.assert_array_equal(got, want)
+
     def test_objective_non_increasing(self):
         """Empirical descent over the seeded fixture suite (short check)."""
         cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
