@@ -7,7 +7,6 @@ against CP- and Tucker-structured emulations across data densities.
 """
 
 from .data_io import (
-    DatasetDescriptor,
     IngestResult,
     SplitSpec,
     load_model,

@@ -6,7 +6,6 @@ usage or validation problems, 3 on runtime or numerical failures.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -16,13 +15,12 @@ import sys
 from pathlib import Path
 
 from .data_io import (
-    DatasetDescriptor,
     SplitSpec,
-    atomic_write,
     load_model,
     parse_qos_log,
     save_model,
     split,
+    write_csv,
     write_qos_log,
     write_split_manifest,
 )
@@ -30,12 +28,16 @@ from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError, check_kind
 from .evaluation import rmse_and_mae, run_benchmark
 from .model import BlockStructure, cp_structure, predict_entry
 from .rng import derive_seed
+from .sparse import PARTITIONS
 from .trainer import TrainConfig, grid_search
 
 logger = logging.getLogger(__name__)
 
 #: Default dataset root for relative data paths.
 DATA_DIR_ENV = "BTDQOS_DATA_DIR"
+
+#: The QoS measures a dataset may hold (``dataset.qos_type``, ``--qos-type``).
+QOS_TYPES = ("response_time", "throughput")
 
 #: Default benchmark model set: a CP emulation and a Tucker emulation of the
 #: usual baselines, plus the native block term model.  Three blocks of rank
@@ -95,18 +97,29 @@ def _check_labels(pairs, what):
         seen.add(label)
 
 
-def _dataset_from_config(doc):
-    """The dataset descriptor of a config and its ``one_based`` flag."""
+def _load_dataset(doc, config_dir):
+    """``(name, IngestResult)`` of the log that a config's dataset section names."""
     d = _section(doc, "dataset")
     path, *dims = _fields(d, ("path", "users", "services", "slices"),
                           "dataset config")
-    descriptor = DatasetDescriptor(
-        name=d.get("name", "dataset"),
-        qos_type=d.get("qos_type", "response_time"),
-        dims=dims,
-        source_path=check_kind(path, str, "dataset.path"),
-    )
-    return descriptor, check_kind(d.get("one_based", False), bool, "dataset.one_based")
+    name = check_kind(d.get("name", "dataset"), str, "dataset.name")
+    qos_type = d.get("qos_type", "response_time")
+    if qos_type not in QOS_TYPES:
+        raise ConfigError(f"qos_type must be one of {QOS_TYPES}, got {qos_type!r}")
+    one_based = check_kind(d.get("one_based", False), bool, "dataset.one_based")
+    data_path = _resolve_input(check_kind(path, str, "dataset.path"), config_dir)
+    return name, parse_qos_log(data_path, dims, one_based=one_based)
+
+
+def _write_partitions(parts, out_dir, name):
+    """Write each partition to ``<out_dir>/<partition>.txt`` under a
+    ``# <name> <partition> partition`` header; ``{partition: file name}``."""
+    files = {}
+    for part_name, part in parts.named():
+        file_path = Path(out_dir) / f"{part_name}.txt"
+        write_qos_log(part, file_path, header=f"{name} {part_name} partition")
+        files[part_name] = file_path.name
+    return files
 
 
 def _output(out_doc, key, default):
@@ -116,16 +129,18 @@ def _output(out_doc, key, default):
 
 
 def _structure_from_dict(d) -> BlockStructure:
+    kinds = [kind for kind in ("blocks", "cp", "tucker") if kind in d]
+    if len(kinds) != 1:
+        raise ConfigError("structure needs exactly one of 'blocks', 'cp' or "
+                          f"'tucker', got {kinds}")
     if "blocks" in d:
         return BlockStructure(tuple(
             tuple(_list_of(b, numbers.Integral, "every structure.blocks entry"))
             for b in check_kind(d["blocks"], list, "structure.blocks")))
     if "cp" in d:
         return cp_structure(check_kind(d["cp"], numbers.Integral, "structure.cp"))
-    if "tucker" in d:
-        return BlockStructure((tuple(_list_of(d["tucker"], numbers.Integral,
-                                              "structure.tucker")),))
-    raise ConfigError("structure needs one of 'blocks', 'cp' or 'tucker'")
+    return BlockStructure((tuple(_list_of(d["tucker"], numbers.Integral,
+                                          "structure.tucker")),))
 
 
 def _train_config_from_dict(d) -> TrainConfig:
@@ -169,33 +184,21 @@ def cmd_ingest(args) -> int:
         raise ConfigError(f"--split must be three comma-separated ratios, got {args.split!r}")
     seed = args.seed if args.seed is not None else 0
     spec = SplitSpec(*ratios, seed=seed)
-    descriptor = DatasetDescriptor(
-        name=args.name or Path(args.data).stem,
-        qos_type=args.qos_type,
-        dims=(args.users, args.services, args.slices),
-        source_path=args.data,
-    )
+    name = args.name or Path(args.data).stem
     data_path = _resolve_input(args.data)
-    result = parse_qos_log(data_path, descriptor.dims, one_based=args.one_based)
+    result = parse_qos_log(data_path, (args.users, args.services, args.slices),
+                           one_based=args.one_based)
     logger.info("ingested %s: %d records, %d kept, %d dropped",
                 data_path, result.records, result.kept, result.dropped)
     parts = split(result.tensor, spec)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for part_name, part in (("train", parts.train),
-                            ("validation", parts.validation),
-                            ("test", parts.test)):
-        file_path = out_dir / f"{part_name}.txt"
-        write_qos_log(part, file_path,
-                      header=f"{descriptor.name} {part_name} partition")
-        files[part_name] = file_path.name
+    files = _write_partitions(parts, out_dir, name)
     write_split_manifest(
         parts, out_dir / "manifest.json",
         extra={
-            "dataset": descriptor.name,
-            "qos_type": descriptor.qos_type,
+            "dataset": name,
+            "qos_type": args.qos_type,
             "source": str(args.data),
             "seed": seed,
             "ratios": list(ratios),
@@ -213,11 +216,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     doc, config_dir = _load_config(args.config)
-    descriptor, one_based = _dataset_from_config(doc)
     split_doc = _section(doc, "split")
     if not split_doc:
         raise ConfigError("train config needs a split section")
-    spec = SplitSpec(*_fields(split_doc, ("train", "validation", "test"), "split config"),
+    spec = SplitSpec(*_fields(split_doc, PARTITIONS, "split config"),
                      seed=split_doc.get("seed", 0))
     structure = _structure_from_dict(_section(doc, "structure"))
 
@@ -236,8 +238,7 @@ def cmd_train(args) -> int:
                            or _output(out_doc, "trajectory_csv", "trajectory.csv"))
     splits_dir = _output(out_doc, "splits_dir", "")
 
-    data_path = _resolve_input(descriptor.source_path, config_dir)
-    result = parse_qos_log(data_path, descriptor.dims, one_based=one_based)
+    name, result = _load_dataset(doc, config_dir)
     parts = split(result.tensor, spec)
     logger.info("training on %d entries (validation %d, test %d held out)",
                 parts.train.n_entries, parts.validation.n_entries,
@@ -246,22 +247,12 @@ def cmd_train(args) -> int:
     _, model, report = grid_search(parts.train, parts.validation, structure,
                                    _grids_from_config(doc), cfg)
 
-    for parent in (checkpoint_path.parent, trajectory_path.parent):
-        parent.mkdir(parents=True, exist_ok=True)
     save_model(model, checkpoint_path)
-    with atomic_write(trajectory_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "objective", "validation_rmse"))
-        for n, (loss, vr) in enumerate(zip(report.loss_trajectory,
-                                           report.validation_rmse_trajectory), 1):
-            writer.writerow((n, repr(loss), repr(vr)))
+    write_csv(trajectory_path, ("epoch", "objective", "validation_rmse"),
+              zip(range(1, report.epochs_run + 1), report.loss_trajectory,
+                  report.validation_rmse_trajectory))
     if splits_dir:
-        splits_path = Path(splits_dir)
-        splits_path.mkdir(parents=True, exist_ok=True)
-        for part_name, part in (("train", parts.train),
-                                ("validation", parts.validation),
-                                ("test", parts.test)):
-            write_qos_log(part, splits_path / f"{part_name}.txt")
+        _write_partitions(parts, splits_dir, name)
     logger.info("stopped on %s after %d epochs; checkpoint %s, trajectory %s",
                 report.stop_reason, report.epochs_run, checkpoint_path,
                 trajectory_path)
@@ -286,16 +277,10 @@ def cmd_predict(args) -> int:
 
 def cmd_benchmark(args) -> int:
     doc, config_dir = _load_config(args.config)
-    descriptor, one_based = _dataset_from_config(doc)
-    data_path = _resolve_input(descriptor.source_path, config_dir)
-    result = parse_qos_log(data_path, descriptor.dims, one_based=one_based)
-    logger.info("benchmark source %s: %d observed entries",
-                descriptor.name, result.tensor.n_entries)
-
     split_specs = []
     for entry in check_kind(doc.get("splits", []), list, "splits"):
         label, *ratios = _fields(check_kind(entry, dict, "every splits entry"),
-                                 ("label", "train", "validation", "test"),
+                                 ("label", *PARTITIONS),
                                  "split spec")
         split_specs.append((label, tuple(ratios)))
     if not split_specs:
@@ -328,12 +313,13 @@ def cmd_benchmark(args) -> int:
     aggregate_path = Path(args.out_aggregate
                           or _output(out_doc, "aggregate_csv", "benchmark_aggregate.csv"))
 
+    name, result = _load_dataset(doc, config_dir)
+    logger.info("benchmark source %s: %d observed entries",
+                name, result.tensor.n_entries)
     report = run_benchmark(result.tensor, split_specs, model_configs, cfg,
                            repeats=run_seeds, grids=grids,
                            threads=max(1, args.threads))
 
-    for parent in (detail_path.parent, aggregate_path.parent):
-        parent.mkdir(parents=True, exist_ok=True)
     report.write_detail_csv(detail_path)
     report.write_aggregate_csv(aggregate_path)
     logger.info("wrote %d detail rows to %s and %d aggregate rows to %s",
@@ -366,8 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", required=True,
                    help="train,validation,test ratios, e.g. 0.1,0.1,0.8")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--qos-type", default="response_time",
-                   choices=("response_time", "throughput"))
+    p.add_argument("--qos-type", default="response_time", choices=QOS_TYPES)
     p.add_argument("--name", default=None, help="dataset label")
     p.add_argument("--one-based", action="store_true",
                    help="input ids count from 1")
@@ -428,10 +413,7 @@ def main(argv=None) -> int:
         format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
-        logger.error("error: %s", exc)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (*VALIDATION_ERRORS, OSError) as exc:
         logger.error("error: %s", exc)
         return 2
     except BtdqosError as exc:

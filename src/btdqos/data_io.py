@@ -6,8 +6,9 @@ decimal value).  Lines whose first non-blank character is ``#`` and blank
 lines are ignored; a ``#`` after data is a parse error.  Values below zero
 follow the WS-DREAM missing-data convention and are dropped (but counted).
 See docs/formats.md for the checkpoint and manifest layouts.  Every
-artifact is written through ``atomic_write``, so a write that fails
-part-way leaves the previous file in place.
+artifact is written through ``atomic_write`` (CSV files through
+``write_csv``, which uses it): it creates the missing parent directories,
+and a write that fails part-way leaves the previous file in place.
 
 ``parse_qos_log(path, dims)`` reads a log into a tensor of the given dims
 (every id must lie within them) in chunks of about 256 KiB of whole lines,
@@ -30,6 +31,7 @@ more digits, or that ``repr`` prints in exponent form, is left to
 ``f"{i} {j} {k} {v!r}"`` would write.
 """
 
+import csv
 import json
 import math
 import numbers
@@ -59,20 +61,20 @@ CHECKPOINT_VERSION = 1
 _FACTOR_KEYS = tuple(f"{mode}_factors" for mode in MODES)
 _BIAS_KEYS = tuple(f"{mode}_bias" for mode in MODES)
 
-QOS_TYPES = ("response_time", "throughput")
-
 
 @contextmanager
 def atomic_write(path, newline=None):
     """Open ``path`` for writing text so that it changes all at once or not at all.
 
-    The text goes to a new file in the same directory, which is flushed,
+    The parent directories of ``path`` are created first if missing.  The
+    text goes to a new file in the same directory, which is flushed,
     synced to disk and then moved onto ``path``; if anything fails before
     the move, the new file is removed and ``path`` keeps its old content.
     The file is created like ``open(path, "w")`` would create it, so it
     gets the same permissions.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with tmp.open("x", encoding="utf-8", newline=newline) as fh:
@@ -85,22 +87,15 @@ def atomic_write(path, newline=None):
         raise
 
 
-@dataclass(frozen=True)
-class DatasetDescriptor:
-    """Identifies one QoS dataset and its declared tensor dimensions."""
+def write_csv(path, columns, rows):
+    """Write a header of ``columns`` and then ``rows`` (sequences) as CSV.
 
-    name: str
-    qos_type: str
-    dims: tuple
-    source_path: str | None = None
-
-    def __post_init__(self):
-        if self.qos_type not in QOS_TYPES:
-            raise ConfigError(f"qos_type must be one of {QOS_TYPES}, got {self.qos_type!r}")
-        dims = tuple(int(check_kind(d, numbers.Integral, "every dim")) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ConfigError(f"dims must be three positive integers, got {dims}")
-        object.__setattr__(self, "dims", dims)
+    ``csv`` writes a float as its ``repr``, so the floats read back bitwise.
+    """
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -431,21 +426,13 @@ def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
     """
     doc = {
         "dims": list(parts.dims),
-        "counts": {
-            "train": parts.train.n_entries,
-            "validation": parts.validation.n_entries,
-            "test": parts.test.n_entries,
-        },
+        "counts": {name: part.n_entries for name, part in parts.named()},
     }
     if extra:
         doc.update(extra)
     if include_indices:
-        doc["partitions"] = {
-            name: np.stack(part.ids, axis=1).tolist()
-            for name, part in (("train", parts.train),
-                               ("validation", parts.validation),
-                               ("test", parts.test))
-        }
+        doc["partitions"] = {name: np.stack(part.ids, axis=1).tolist()
+                             for name, part in parts.named()}
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
 

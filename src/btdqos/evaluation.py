@@ -10,13 +10,12 @@ Detail rows and per-model aggregates are exported as CSV with the columns
 and ``dataset,model,rmse_mean,rmse_std,mae_mean,mae_std``.
 """
 
-import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .data_io import SplitSpec, atomic_write, split
+from .data_io import SplitSpec, split, write_csv
 from .errors import ConfigError, EmptyTestSetError
 from .model import BlockStructure, BnbtModel, check_dims, predict_entries
 from .rng import derive_seed
@@ -24,11 +23,6 @@ from .sparse import SparseTensor3
 from .trainer import TrainConfig, grid_search, residual_rmse
 
 logger = logging.getLogger(__name__)
-
-DETAIL_COLUMNS = ("dataset", "model", "seed", "lambda1", "lambda2", "lambda3",
-                  "epochs", "rmse", "mae", "wall_time_s")
-AGGREGATE_COLUMNS = ("dataset", "model", "rmse_mean", "rmse_std",
-                     "mae_mean", "mae_std")
 
 
 def _residuals(model: BnbtModel, test: SparseTensor3) -> np.ndarray:
@@ -85,24 +79,21 @@ class ModelAggregate:
     mae_std: float
 
 
+#: The CSV columns: a row is its dataclass's fields, in order.
+DETAIL_COLUMNS = tuple(f.name for f in fields(BenchmarkCell))
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(ModelAggregate))
+
+
 @dataclass
 class MetricsReport:
     cells: list
     aggregates: list
 
     def write_detail_csv(self, path):
-        _write_csv(path, DETAIL_COLUMNS, self.cells)
+        write_csv(path, DETAIL_COLUMNS, map(astuple, self.cells))
 
     def write_aggregate_csv(self, path):
-        _write_csv(path, AGGREGATE_COLUMNS, self.aggregates)
-
-
-def _write_csv(path, columns, rows):
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([getattr(row, col) for col in columns])
+        write_csv(path, AGGREGATE_COLUMNS, map(astuple, self.aggregates))
 
 
 def _aggregate(cells):

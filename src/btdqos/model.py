@@ -25,6 +25,7 @@ from .errors import (
     InvalidStructureError,
     NegativeValueError,
     OutOfBoundsError,
+    check_kind,
 )
 from .sparse import MODES
 
@@ -69,8 +70,8 @@ def cp_structure(n_blocks: int) -> BlockStructure:
     With unit blocks the model degenerates to a weighted biased CP sum,
     which is how the CP baseline is emulated.
     """
-    if n_blocks < 1:
-        raise InvalidStructureError("need at least one block")
+    if not _positive_int(n_blocks):
+        raise InvalidStructureError(f"need a positive integer block count, got {n_blocks!r}")
     return BlockStructure(((1, 1, 1),) * n_blocks)
 
 
@@ -141,8 +142,9 @@ def init_random(dims, structure: BlockStructure, seed: int) -> BnbtModel:
 
     The draw order is fixed (cores block by block, then user, service and
     time factors, then the three bias vectors) so one seed always yields
-    one bitwise-identical model.
+    one bitwise-identical model.  ``seed`` must be an integer (not a bool).
     """
+    check_kind(seed, numbers.Integral, "the init seed")
     dims = tuple(dims)
     if len(dims) != 3 or not all(map(_positive_int, dims)):
         raise InvalidStructureError(f"dims must be three positive integers, got {dims}")

@@ -13,6 +13,7 @@ per-slice sums with ``bincount`` over the index arrays.
 Tensors are immutable after construction and safe to read concurrently.
 """
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -29,6 +30,10 @@ from .errors import (
 #: The three tensor modes, in axis order: the one table from a mode's name
 #: to its axis.  Everything per mode is indexed by axis.
 MODES = ("user", "service", "time")
+
+#: The partitions of a split, in order: the one table of their names (the
+#: fields of ``SplitTensor``, the split-config keys, the partition files).
+PARTITIONS = ("train", "validation", "test")
 
 
 class SparseTensor3:
@@ -192,11 +197,9 @@ class SplitTensor:
         if self.validation.dims != dims or self.test.dims != dims:
             raise DimMismatchError(
                 f"partition dims differ: {dims}, {self.validation.dims}, {self.test.dims}")
-        pairs = (("train", "validation"), ("train", "test"), ("validation", "test"))
-        for a, b in pairs:
+        for (a, x), (b, y) in itertools.combinations(self.named(), 2):
             # Index codes are sorted and unique within each tensor.
-            common = np.intersect1d(getattr(self, a).index_codes(),
-                                    getattr(self, b).index_codes(),
+            common = np.intersect1d(x.index_codes(), y.index_codes(),
                                     assume_unique=True)
             if common.size:
                 raise DuplicateIndexError(
@@ -205,3 +208,7 @@ class SplitTensor:
     @property
     def dims(self):
         return self.train.dims
+
+    def named(self):
+        """``(name, tensor)`` of each partition, in ``PARTITIONS`` order."""
+        return tuple((name, getattr(self, name)) for name in PARTITIONS)

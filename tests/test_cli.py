@@ -264,6 +264,11 @@ class TestTrain:
          "unknown train config fields: ['epsilon_guard']"),
         (("grid",), {"lambda1": [float("nan")], "lambda2": [0.01], "lambda3": [0.01]},
          "coefficients must be finite and >= 0"),
+        (("dataset", "name"), [1], "dataset.name must be a string"),
+        (("dataset", "qos_type"), "latency", "qos_type must be one of"),
+        (("dataset", "users"), 0, "dims must be three positive integers"),
+        (("structure", "cp"), 3,
+         "structure needs exactly one of 'blocks', 'cp' or 'tucker'"),
     ])
     def test_mistyped_config_value_is_a_usage_error(self, workdir, caplog, where,
                                                      value, message):
@@ -284,6 +289,25 @@ class TestTrain:
         assert main(["train", "--config", "cfg.json", "--max-iter", "1"]) == 2
         assert message in caplog.text
         assert "unexpected failure" not in caplog.text
+
+    def test_split_files_match_ingest(self, workdir):
+        """``output.splits_dir`` holds the partitions ``ingest`` writes for the
+        same log, ratios, seed and name, byte for byte, headers included."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", "cfg.json", "--max-iter", "1"]) == 0
+        split_doc = cfg["split"]
+        assert main(["ingest", "--data", str(FIXTURES / "qos8.txt"),
+                     "--users", "8", "--services", "8", "--slices", "8",
+                     "--split", f"{split_doc['train']},{split_doc['validation']},"
+                                f"{split_doc['test']}",
+                     "--seed", str(split_doc["seed"]), "--name", cfg["dataset"]["name"],
+                     "--out", "ingested"]) == 0
+        for name in ("train.txt", "validation.txt", "test.txt"):
+            trained = (workdir / "out" / "splits" / name).read_bytes()
+            assert trained.startswith(b"# fixture8 ")
+            assert trained == (workdir / "ingested" / name).read_bytes()
 
 
 class TestEvaluatePredict:
@@ -410,6 +434,19 @@ class TestBenchmark:
         assert main(["benchmark", "--config", "bench.json"]) == 2
         assert message in caplog.text
         assert "unexpected failure" not in caplog.text
+
+    def test_model_with_two_structure_kinds(self, workdir, caplog):
+        """A models entry naming two structure kinds exits 2, and the config
+        is checked before the log is read: here the log is absent."""
+        self._config(workdir)
+        (workdir / "toy.txt").unlink()
+        doc = json.loads((workdir / "bench.json").read_text())
+        doc["models"][0]["tucker"] = [2, 2, 2]
+        (workdir / "bench.json").write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", "bench.json"]) == 2
+        assert ("structure needs exactly one of 'blocks', 'cp' or 'tucker', "
+                "got ['cp', 'tucker']") in caplog.text
+        assert not (workdir / "bench").exists()
 
     @pytest.mark.parametrize("key, labels, message", [
         pytest.param("splits", ["a", "a"], "duplicate split label 'a'",

@@ -12,7 +12,6 @@ import pytest
 from _reference import ref_write_qos_log
 from btdqos import data_io
 from btdqos.data_io import (
-    DatasetDescriptor,
     SplitSpec,
     atomic_write,
     load_model,
@@ -66,14 +65,6 @@ def _both(path, dims=DIMS, one_based=False):
 
 
 class TestDescriptorAndSpec:
-    def test_qos_type_validated(self):
-        with pytest.raises(ConfigError):
-            DatasetDescriptor(name="x", qos_type="latency", dims=(1, 1, 1))
-
-    def test_dims_validated(self):
-        with pytest.raises(ConfigError):
-            DatasetDescriptor(name="x", qos_type="throughput", dims=(0, 1, 1))
-
     def test_ratio_bounds(self):
         with pytest.raises(ConfigError):
             SplitSpec(0.0, 0.5, 0.5)
@@ -610,6 +601,14 @@ class TestCheckpoints:
                     fail()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_save_creates_parent_directories(self, tmp_path):
+        """Every write creates the directories its path names, and leaves
+        only the file it wrote behind."""
+        path = tmp_path / "a" / "b" / "model.json"
+        save_model(init_random((3, 4, 2), BlockStructure(((1, 2, 1),)), 0), path)
+        assert load_model(path).dims == (3, 4, 2)
+        assert [p.name for p in path.parent.iterdir()] == ["model.json"]
 
 
 @pytest.mark.skipif(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import ref_dense
-from btdqos.errors import InvalidStructureError, OutOfBoundsError
+from btdqos.errors import ConfigError, InvalidStructureError, OutOfBoundsError
 from btdqos.model import (
     BlockStructure,
     BnbtModel,
@@ -43,8 +43,9 @@ class TestBlockStructure:
 
     def test_cp_structure(self):
         assert cp_structure(3).blocks == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
-        with pytest.raises(InvalidStructureError):
-            cp_structure(0)
+        for n_blocks in (0, True, 2.5):
+            with pytest.raises(InvalidStructureError):
+                cp_structure(n_blocks)
 
     def test_tucker_structure(self):
         assert tucker_structure(3, 3, 3).blocks == ((3, 3, 3),)
@@ -70,10 +71,13 @@ class TestInitRandom:
         assert m.max_parameter() <= 0.05
 
     def test_invalid_inputs(self):
-        """A dim that is no positive integer is an error, not truncated."""
+        """A dim or seed that is no integer is an error, not truncated."""
         for dims in [(0, 2, 2), (2.7, 3, 4), (True, 2, 2), (2, 2)]:
             with pytest.raises(InvalidStructureError):
                 init_random(dims, BlockStructure(((1, 1, 1),)), 0)
+        for seed in (2.7, True, "2"):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                init_random((2, 2, 2), BlockStructure(((1, 1, 1),)), seed)
 
     def test_parameter_count_paper_scale(self):
         """Parameter count at the benchmark scale, against the size formula.
