@@ -123,9 +123,17 @@ def _write_partitions(parts, out_dir, name):
 
 
 def _output(out_doc, key, default):
-    """Path ``key`` of the ``output`` section, ``default`` when absent or null."""
+    """Path ``key`` of the ``output`` section, ``default`` when absent or null.
+
+    An empty path names no file, so it is a ConfigError, except for a key
+    whose default is empty: there ``""`` is the "off" value (``splits_dir``).
+    """
     value = out_doc.get(key)
-    return default if value is None else check_kind(value, str, f"output.{key}")
+    if value is None:
+        return default
+    if not check_kind(value, str, f"output.{key}") and default:
+        raise ConfigError(f"output.{key} must not be empty")
+    return value
 
 
 def _structure_from_dict(d) -> BlockStructure:

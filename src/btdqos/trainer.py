@@ -36,9 +36,17 @@ fill is the same row refresh.  Every denominator gets the additive guard
 ``EPSILON_GUARD`` so empty or all-zero slices cannot divide by zero;
 parameters of slices with no observations are left untouched.
 
-``fit`` hands one prediction buffer to every epoch and scores the training
+Every entry-sized buffer of an epoch lives in an ``EpochWorkspace``: the
+training ids cast to ``np.intp``, the gathered factor rows, the prediction
+table, the outer-product, contraction and weighted scratch, and the
+predictions.  ``fit`` makes one workspace when it starts and hands it to
+every epoch, so an epoch allocates no entry-sized buffer.  An epoch whose
+input model is the one the same workspace's last epoch returned is warm:
+it skips the gathers and the table's first fill, whose results the last
+epoch left in the workspace, bitwise.  ``fit`` scores the training
 objective from the predictions the epoch left there, so a training
-iteration predicts the training set only inside the epoch.
+iteration predicts the training set only inside the epoch.  A standalone
+``epoch`` call makes a fresh workspace.
 ``grid_search`` trains one model per regularization triple and returns the
 winner's model and report, so the winning fit is never trained twice;
 without a grid, the config's own triple is the one candidate.
@@ -64,7 +72,6 @@ from .errors import (
 from .model import (
     BnbtModel,
     check_dims,
-    gather_rows,
     init_random,
     predict_entries,
     row_outer,
@@ -189,8 +196,41 @@ def _segment_sums(idx, weights, dim):
     return out
 
 
+class EpochWorkspace:
+    """The entry-sized buffers of ``epoch`` for one training tensor and block
+    structure, made once and reused by every epoch handed the workspace.
+
+    It holds the tensor's ids cast to ``np.intp`` (so ``bincount`` and
+    ``take`` convert no ids), the gathered factor rows ``rows[axis][r]`` as
+    ``(rank, n_entries)`` arrays, the prediction table ``pred`` (one row per
+    block, then one per mode's gathered bias), the outer-product,
+    contraction and weighted scratch, and the predictions ``yhat``.
+
+    ``model`` is the model the workspace's last epoch returned, or None.
+    The rows, the table and ``yhat`` are consistent with it, so an epoch
+    handed that same model object is warm: it skips the gathers and the
+    table's first fill.  The model must not be changed in place in between.
+    """
+
+    def __init__(self, train: SparseTensor3, structure):
+        n_obs = train.n_entries
+        blocks = structure.blocks
+        self.train = train
+        self.structure = structure
+        self.ids = [idx.astype(np.intp) for idx in train.ids]
+        self.rows = [[np.empty((b[axis], n_obs)) for b in blocks] for axis in range(3)]
+        widest = max(max(l * m, l * n, m * n) for l, m, n in blocks)
+        top_rank = max(max(b) for b in blocks)
+        self.outer = np.empty(widest * n_obs)
+        self.contr = np.empty(top_rank * n_obs)
+        self.weighted = np.empty(top_rank * n_obs)
+        self.pred = np.empty((len(blocks) + 3, n_obs))
+        self.yhat = np.empty(n_obs)
+        self.model = None
+
+
 def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
-          yhat=None) -> BnbtModel:
+          workspace: EpochWorkspace | None = None) -> BnbtModel:
     """One full multiplicative-update pass; returns a new model.
 
     Pass order is cores, user factors, service factors, time factors, then
@@ -222,32 +262,31 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     their current values.  Every MU denominator reads its penalty weight
     from ``penalty_weights``.
 
-    ``yhat``, when given, is an ``(n_entries,)`` float64 array the epoch
-    uses as its prediction buffer; it ends holding the returned model's
-    predictions of the entries of ``train``.  They match ``predict_entries``
-    up to rounding in the last bits.
+    The rows, the table, the scratch and the predictions live in
+    ``workspace``, an ``EpochWorkspace`` made for ``train`` and the model's
+    structure; without one the epoch makes its own.  The epoch is warm when
+    ``model`` is the model the workspace's last epoch returned: the rows and
+    the table it left are then the ones a fresh gather and first fill would
+    give (the time pass refreshes a block row with the first fill's
+    contraction), so the epoch skips both and its result is bitwise the
+    same.  ``workspace.yhat`` ends holding the returned model's predictions
+    of the entries of ``train``; they match ``predict_entries`` up to
+    rounding in the last bits.
     """
     check_dims(model, train.dims)
     m = model.copy()
     if train.n_entries == 0:
         return m
+    ws = EpochWorkspace(train, m.structure) if workspace is None else workspace
+    if ws.train is not train or ws.structure != m.structure:
+        raise ValueError("the workspace was made for another tensor or structure")
+    # Until this epoch returns, its buffers match no model.
+    warm, ws.model = ws.model is model, None
 
-    ids = train.ids
+    ids, rows, pred, yhat = ws.ids, ws.rows, ws.pred, ws.yhat
     y = train.values
     n_obs = train.n_entries
     blocks = m.structure.blocks
-    # rows[axis][r]: block r's factor rows of one family, as (rank, n_obs).
-    rows = [[gather_rows(f, idx) for f in family]
-            for family, idx in zip(m.factors, ids)]
-
-    # Scratch shared by every pass and block (outer products, contractions,
-    # contractions weighted by y or yhat), allocated once per epoch instead
-    # of as fresh entry-sized temporaries per block and pass.
-    widest = max(max(l * mm, l * n, mm * n) for l, mm, n in blocks)
-    top_rank = max(max(b) for b in blocks)
-    outer_buf = np.empty(widest * n_obs, dtype=np.float64)
-    contr_buf = np.empty(top_rank * n_obs, dtype=np.float64)
-    weighted_buf = np.empty(top_rank * n_obs, dtype=np.float64)
 
     def scratch(buf, n_rows):
         return buf[:n_rows * n_obs].reshape(n_rows, n_obs)
@@ -255,7 +294,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     def take_into(values, idx, out):
         # The tensor's indices are in range, so "clip" never clips; the
         # default mode="raise" would stage the result in a fresh array.
-        return np.take(values, idx, axis=values.ndim - 1, out=out, mode="clip")
+        return values.take(idx, axis=values.ndim - 1, out=out, mode="clip")
 
     def slice_term(axis, x, contr, k, gathered):
         # A factor or bias term: per-slice sums over the mode's ids, and the
@@ -267,22 +306,23 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
     def core_terms():
         for r, (l, mm, n) in enumerate(blocks):
-            ab = row_outer(rows[0][r], rows[1][r], out=scratch(outer_buf, l * mm))
+            ab = row_outer(rows[0][r], rows[1][r], out=scratch(ws.outer, l * mm))
             # The reshape is a view, so the step writes the core in place:
             # BnbtModel.copy() returns C-contiguous arrays.
             yield (m.cores[r].reshape(l * mm, n), rows[2][r], r,
                    lambda w: ab @ w.T,
-                   lambda new: np.matmul(new.T, ab, out=scratch(contr_buf, n)),
+                   lambda new: np.matmul(new.T, ab, out=scratch(ws.contr, n)),
                    True)
 
     def factor_terms(axis):
+        others = [k for k in range(3) if k != axis]
         for r, core in enumerate(m.cores):
             rank = core.shape[axis]
-            x, z = (rows[k][r] for k in range(3) if k != axis)
-            xz = row_outer(x, z, out=scratch(outer_buf, x.shape[0] * z.shape[0]))
+            x, z = (rows[k][r] for k in others)
+            xz = row_outer(x, z, out=scratch(ws.outer, x.shape[0] * z.shape[0]))
             # Mode `axis` first, the other two in order, matching row_outer(x, z).
-            unfolded = np.moveaxis(core, axis, 0).reshape(rank, -1)
-            contr = np.matmul(unfolded, xz, out=scratch(contr_buf, rank))
+            unfolded = core.transpose(axis, *others).reshape(rank, -1)
+            contr = np.matmul(unfolded, xz, out=scratch(ws.contr, rank))
             yield slice_term(axis, m.factors[axis][r], contr, r, rows[axis][r])
 
     ones = np.broadcast_to(1.0, (1, n_obs))  # a read-only view: no entry-sized buffer
@@ -291,27 +331,25 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         # The bias as a one-column factor, updated in place.  Its gathered
         # values only feed its prediction row, so they go to free scratch.
         yield slice_term(axis, m.biases[axis][:, None], ones,
-                         len(blocks) + axis, scratch(outer_buf, 1))
-
-    # pred[r]: block r's predictions; pred[len(blocks) + axis]: that mode's
-    # gathered bias.
-    pred = np.empty((len(blocks) + 3, n_obs), dtype=np.float64)
-    if yhat is None:
-        yhat = np.empty(n_obs, dtype=np.float64)
+                         len(blocks) + axis, scratch(ws.outer, 1))
 
     def pass_step(terms, weight=None):
         # Terms are taken one at a time, as they share the scratch buffers.
         # Without a weight the step only refreshes the terms' table rows.
         for x, contr, k, scatter, gather, observed in terms:
             if weight is not None:
-                weighted = scratch(weighted_buf, x.shape[1])
+                weighted = scratch(ws.weighted, x.shape[1])
                 num = scatter(np.multiply(contr, y, out=weighted))
                 den = scatter(np.multiply(contr, yhat, out=weighted)) + weight * x
                 x[...] = np.where(observed, x * num / (den + EPSILON_GUARD), x)
             np.einsum("kp,kp->p", gather(x), contr, out=pred[k])
         np.sum(pred, axis=0, out=yhat)
 
-    pass_step(chain(core_terms(), *map(bias_terms, range(3))))
+    if not warm:
+        for family, idx, gathered in zip(m.factors, ids, rows):
+            for f, out in zip(family, gathered):
+                take_into(f.T, idx, out)
+        pass_step(chain(core_terms(), *map(bias_terms, range(3))))
     if not np.isfinite(yhat).all():
         raise NonFiniteError("model predictions are non-finite before the epoch")
     passes = [core_terms(), *map(factor_terms, range(3))]
@@ -323,6 +361,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     for arr in m.parameter_arrays():
         if not np.isfinite(arr).all():
             raise NonFiniteError("update produced a non-finite parameter")
+    ws.model = m
     return m
 
 
@@ -342,8 +381,10 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     consecutive epochs drops below ``cfg.tol`` or ``cfg.max_iter`` is
     reached; ``TrainReport.stop_reason`` says which.  The default metric
     is RMSE on the validation partition; ``stop_on="train_loss"`` switches
-    to the training objective.  Each epoch leaves its training predictions
-    in one buffer, from which the epoch's objective is scored.
+    to the training objective.  The fit makes one ``EpochWorkspace`` and
+    hands it to every epoch, so every epoch after the first is warm (see
+    ``epoch``); each epoch leaves its training predictions in the
+    workspace's ``yhat``, from which the epoch's objective is scored.
 
     Returns ``(model, TrainReport)``.
     """
@@ -373,10 +414,10 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     prev = (_validation_rmse(model, validation) if use_validation
             else objective(model, train, cfg))
     stop_reason = STOP_MAX_ITER
-    yhat = np.empty(train.n_entries, dtype=np.float64)
+    workspace = EpochWorkspace(train, model.structure)
     for n in range(cfg.max_iter):
-        model = epoch(model, train, cfg, yhat)
-        losses.append(objective(model, train, cfg, yhat))
+        model = epoch(model, train, cfg, workspace)
+        losses.append(objective(model, train, cfg, workspace.yhat))
         val_rmses.append(_validation_rmse(model, validation)
                          if validation.n_entries else float("nan"))
         current = val_rmses[-1] if use_validation else losses[-1]

@@ -269,6 +269,8 @@ class TestTrain:
         (("dataset", "users"), 0, "dims must be three positive integers"),
         (("structure", "cp"), 3,
          "structure needs exactly one of 'blocks', 'cp' or 'tucker'"),
+        (("output", "checkpoint"), "", "output.checkpoint must not be empty"),
+        (("output", "trajectory_csv"), "", "output.trajectory_csv must not be empty"),
     ])
     def test_mistyped_config_value_is_a_usage_error(self, workdir, caplog, where,
                                                      value, message):
@@ -308,6 +310,23 @@ class TestTrain:
             trained = (workdir / "out" / "splits" / name).read_bytes()
             assert trained.startswith(b"# fixture8 ")
             assert trained == (workdir / "ingested" / name).read_bytes()
+
+    def test_empty_output_path_is_rejected_before_the_log_is_read(self, workdir,
+                                                                 caplog):
+        """An empty checkpoint path exits 2 before the log is read (here the
+        log is absent), while an empty ``splits_dir`` means no partitions."""
+        cfg = json.loads((FIXTURES / "train8.json").read_text())
+        cfg["output"]["checkpoint"] = ""
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", "cfg.json", "--max-iter", "1"]) == 2
+        assert "output.checkpoint must not be empty" in caplog.text
+
+        cfg["dataset"]["path"] = str(FIXTURES / "qos8.txt")
+        cfg["output"].update(checkpoint="out/model.json", splits_dir="")
+        (workdir / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", "cfg.json", "--max-iter", "1"]) == 0
+        assert (workdir / "out" / "model.json").exists()
+        assert not (workdir / "out" / "splits").exists()
 
 
 class TestEvaluatePredict:
@@ -425,6 +444,8 @@ class TestBenchmark:
         ("models", {"label": "m"}, "models must be a JSON list"),
         ("repeats", "x", "repeats must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
+        ("output", {"detail_csv": ""}, "output.detail_csv must not be empty"),
+        ("output", {"aggregate_csv": ""}, "output.aggregate_csv must not be empty"),
     ])
     def test_mistyped_value_is_a_usage_error(self, workdir, caplog, key, value, message):
         self._config(workdir)

@@ -1,5 +1,6 @@
 """Tests for the regularized objective and multiplicative-update training."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from btdqos.model import BlockStructure, cp_structure, init_random, predict_entr
 from btdqos.sparse import SparseTensor3
 from btdqos.trainer import (
     EPSILON_GUARD,
+    EpochWorkspace,
     TrainConfig,
     epoch,
     fit,
@@ -215,19 +217,52 @@ class TestEpoch:
         pytest.param(True, ((1, 2, 3), (2, 2, 2), (3, 1, 2)), id="three-blocks"),
     ])
     def test_yhat_buffer_holds_final_predictions(self, bias_enabled, blocks):
-        """The buffer an epoch is given ends holding the new model's
-        predictions, also when it is reused epoch after epoch."""
+        """The workspace's prediction buffer ends holding the new model's
+        predictions, also when the workspace is reused epoch after epoch."""
         cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
                           bias_enabled=bias_enabled, stop_on="train_loss")
         dims, _, tensor, _ = random_instance(41, max_dim=6)
         model = init_random(dims, BlockStructure(blocks), 41)
         if not bias_enabled:
             model.biases = [np.zeros(dim) for dim in dims]
-        buf = np.full(tensor.n_entries, np.nan)
+        workspace = EpochWorkspace(tensor, model.structure)
         for _ in range(3):
-            model = epoch(model, tensor, cfg, yhat=buf)
-            np.testing.assert_allclose(buf, predict_entries(model, *tensor.ids),
+            model = epoch(model, tensor, cfg, workspace)
+            np.testing.assert_allclose(workspace.yhat,
+                                       predict_entries(model, *tensor.ids),
                                        rtol=1e-12)
+
+    def test_warm_epoch_allocates_no_entry_sized_buffer(self):
+        """An epoch handed the model its workspace's last epoch returned
+        allocates less than one entry-sized float64 row: the ids, gathered
+        rows, prediction table and scratch all come from the workspace."""
+        rng = np.random.default_rng(7)
+        dims = (40, 40, 40)
+        codes = rng.choice(np.prod(dims), size=25_000, replace=False)
+        tensor = SparseTensor3.from_arrays(dims, *np.unravel_index(codes, dims),
+                                           rng.uniform(0.5, 2.0, codes.size))
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005)
+        model = init_random(dims, BlockStructure(((1, 2, 3), (3, 3, 3))), 7)
+        workspace = EpochWorkspace(tensor, model.structure)
+        model = epoch(model, tensor, cfg, workspace)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            epoch(model, tensor, cfg, workspace)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 8 * tensor.n_entries
+
+    def test_workspace_of_another_tensor_rejected(self):
+        dims, structure, tensor, model = random_instance(44, max_dim=6)
+        other = tensor.subset(np.arange(tensor.n_entries - 1))
+        with pytest.raises(ValueError, match="another tensor or structure"):
+            epoch(model, tensor, ZERO_REG, EpochWorkspace(other, structure))
+        with pytest.raises(ValueError, match="another tensor or structure"):
+            epoch(model, tensor, ZERO_REG,
+                  EpochWorkspace(tensor, BlockStructure(((1, 1, 1),))))
 
     @pytest.mark.parametrize("relaid", [
         pytest.param(np.asfortranarray, id="fortran"),
@@ -245,12 +280,13 @@ class TestEpoch:
         other.factors = [[relaid(f) for f in family] for family in model.factors]
         other.biases = [relaid(b) for b in model.biases]
         assert not any(a.flags.c_contiguous for a in other.cores)
-        want, got = np.empty(tensor.n_entries), np.empty(tensor.n_entries)
-        expected = epoch(model, tensor, cfg, yhat=want)
-        actual = epoch(other, tensor, cfg, yhat=got)
+        want = EpochWorkspace(tensor, model.structure)
+        got = EpochWorkspace(tensor, model.structure)
+        expected = epoch(model, tensor, cfg, want)
+        actual = epoch(other, tensor, cfg, got)
         np.testing.assert_array_equal(model_params_vector(actual),
                                       model_params_vector(expected))
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got.yhat, want.yhat)
 
     def test_objective_non_increasing(self):
         """Empirical descent over the seeded fixture suite (short check)."""
@@ -317,17 +353,26 @@ class TestFit:
 
     def test_loss_trajectory_matches_objective_of_replayed_models(self):
         """The objective fit scores from the epoch's predictions equals a
-        fresh prediction pass over each epoch's model."""
+        fresh prediction pass over each epoch's model, and fit's warm epochs
+        end bitwise at the model of standalone epochs, with and without the
+        bias passes."""
         train, val, _, _ = self._split_instance(3)
         structure = BlockStructure(((2, 2, 2), (1, 2, 1)))
-        cfg = TrainConfig(lambda1=0.01, lambda2=0.01, lambda3=0.01,
-                          max_iter=8, tol=1e-15, seed=3)
-        _, report = fit(train, val, structure, cfg)
-        assert report.epochs_run == 8
-        model = init_random(train.dims, structure, cfg.seed)
-        for loss in report.loss_trajectory:
-            model = epoch(model, train, cfg)
-            assert loss == pytest.approx(objective(model, train, cfg), rel=1e-12)
+        # Without biases the fit at lambda = 0.01 stalls within two epochs,
+        # so that case trains at lambda = 0.001.
+        for lam, bias_enabled in ((0.01, True), (0.001, False)):
+            cfg = TrainConfig(lambda1=lam, lambda2=lam, lambda3=lam, max_iter=8,
+                              tol=1e-15, seed=3, bias_enabled=bias_enabled)
+            fitted, report = fit(train, val, structure, cfg)
+            assert report.epochs_run == 8
+            model = init_random(train.dims, structure, cfg.seed)
+            if not bias_enabled:
+                model.biases = [np.zeros(dim) for dim in train.dims]
+            for loss in report.loss_trajectory:
+                model = epoch(model, train, cfg)
+                assert loss == pytest.approx(objective(model, train, cfg), rel=1e-12)
+            np.testing.assert_array_equal(model_params_vector(fitted),
+                                          model_params_vector(model))
 
     def test_noiseless_recovery(self):
         """Planted noiseless data: training RMSE under 1% of data std."""
