@@ -198,7 +198,9 @@ def cmd_ingest(args) -> int:
                            one_based=args.one_based)
     logger.info("ingested %s: %d records, %d kept, %d dropped",
                 data_path, result.records, result.kept, result.dropped)
+    counts = {key: getattr(result, key) for key in ("records", "kept", "dropped")}
     parts = split(result.tensor, spec)
+    del result  # the partition writes need the partitions only
 
     out_dir = Path(args.out)
     files = _write_partitions(parts, out_dir, name)
@@ -210,9 +212,7 @@ def cmd_ingest(args) -> int:
             "source": str(args.data),
             "seed": seed,
             "ratios": list(ratios),
-            "records": result.records,
-            "kept": result.kept,
-            "dropped": result.dropped,
+            **counts,
             "files": files,
         },
         include_indices=args.manifest_indices,
@@ -248,6 +248,7 @@ def cmd_train(args) -> int:
 
     name, result = _load_dataset(doc, config_dir)
     parts = split(result.tensor, spec)
+    del result  # the fit and the partition writes need the partitions only
     logger.info("training on %d entries (validation %d, test %d held out)",
                 parts.train.n_entries, parts.validation.n_entries,
                 parts.test.n_entries)

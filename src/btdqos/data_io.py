@@ -11,17 +11,24 @@ artifact is written through ``atomic_write`` (CSV files through
 and a write that fails part-way leaves the previous file in place.
 
 ``parse_qos_log(path, dims)`` reads a log into a tensor of the given dims
-(every id must lie within them) in chunks of about 256 KiB of whole lines,
-each converted to columns by numpy's C tokenizer (``np.loadtxt``).  A
-chunk is first screened for the two spellings ``loadtxt`` reads otherwise
-than ``int``/``float`` do (a ``#`` after data, a ``_`` digit separator).
-A failed screen, a ``loadtxt`` error or warning (other than the one for a
-chunk without data), or an id out of range makes it parse the whole file
-again with ``_parse_lines``, one line at a time.  So that path runs only
+(every id must lie within them) in chunks of about 64 KiB of whole lines,
+each converted to rows by numpy's C tokenizer (``np.loadtxt``) and its
+kept records copied straight into the tensor's final columns (int32 ids,
+float64 values).  A log in (user, service, time) order without repeats,
+as the partition files are, then becomes the tensor without a sort or
+another copy (``SparseTensor3.from_arrays``), so ingest holds about 28 B
+per entry for the tensor plus one chunk.  A chunk is first screened for
+the two spellings ``loadtxt`` reads otherwise than ``int``/``float`` do (a
+``#`` after data, a ``_`` digit separator).  A failed screen, a
+``loadtxt`` error or warning (other than the one for a chunk without
+data), or an id out of range makes it parse the whole file again with
+``_parse_lines``, one line at a time.  So that path runs only
 for non-canonical or invalid input, and it raises every error with the
 line number of the file.  The file is decoded with ``surrogateescape``, so
 a byte that is not UTF-8 reaches the parsers as a lone surrogate: the
 screen sends its chunk to ``_parse_lines``, which names the line.
+``split`` labels each entry with its partition (one byte per entry) and
+slices each partition in storage order, so it sorts nothing either.
 ``write_qos_log`` renders a chunk of entries at a time with whole-array
 numpy operations: ids come from per-mode tables of id bytes, and each
 value's shortest round-trip digits, the ones ``repr`` prints, are found
@@ -53,7 +60,7 @@ from .errors import (
     check_kind,
 )
 from .model import BlockStructure, BnbtModel, validate_model
-from .sparse import MODES, SparseTensor3, SplitTensor, _validated_dims
+from .sparse import MODES, PARTITIONS, SparseTensor3, SplitTensor, _validated_dims
 
 CHECKPOINT_VERSION = 1
 
@@ -134,10 +141,13 @@ class IngestResult:
     dropped: int
 
 
-#: Characters of log text handed to ``np.loadtxt`` at a time.  With 1 MiB
-#: chunks the bench-density workload peaked about 4 MiB higher than with
-#: 256 KiB or less, and the smaller chunks parse no slower.
-_PARSE_CHUNK = 1 << 18
+#: Characters of log text handed to ``np.loadtxt`` at a time.  Peak RSS of
+#: the CLI with 64 KiB / 256 KiB / 1 MiB chunks (3 runs each, 2 vCPUs):
+#: ingest of 1M records 98.9-99.0 / 99.8 / 100.5-100.6 MiB, train of 0.5M
+#: 67.5-67.6 / 68.0-68.2 / 69.7-69.9 MiB, the 100k-record benchmark
+#: 42.0-42.2 / 42.0-42.1 / 45.3-45.5 MiB; parsing the 1M-record log took a
+#: median 0.42 / 0.43 / 0.46 s.
+_PARSE_CHUNK = 1 << 16
 #: Entries formatted per ``write`` by ``write_qos_log``.
 _WRITE_CHUNK = 1 << 16
 _RECORD_DTYPE = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
@@ -169,14 +179,18 @@ def parse_qos_log(path, dims, one_based: bool = False) -> IngestResult:
 def _parse_chunks(fh, dims, shift):
     """Kept ids and values plus the record count, through numpy's C tokenizer.
 
-    Raises ``_NotCanonical``, or whatever ``np.loadtxt`` raises, for input
-    it might read otherwise than ``_parse_lines``.  Its warnings are raised
+    Each chunk's kept records are range-checked and written straight into
+    the returned columns (int32 ids, float64 values), which grow by half
+    again with ``ndarray.resize`` whenever a chunk does not fit and are cut
+    to size at the end; so no chunk's rows outlive it.  Raises
+    ``_NotCanonical``, or whatever ``np.loadtxt`` raises, for input it
+    might read otherwise than ``_parse_lines``.  Its warnings are raised
     too: numpy before 2.0 reads an id of ``1.0`` as 1 with a
     DeprecationWarning.  A chunk of comment and blank lines only is no
     such input: it holds no records either way.
     """
-    kept = [np.zeros(0, _RECORD_DTYPE)]
-    records = 0
+    columns = [np.zeros(0, np.int32) for _ in dims] + [np.zeros(0, np.float64)]
+    size = records = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -188,13 +202,22 @@ def _parse_chunks(fh, dims, shift):
             rows = np.loadtxt(text.split("\n"), comments="#", dtype=_RECORD_DTYPE,
                               ndmin=1)
             records += rows.size
-            kept.append(rows[~(rows["v"] < 0)])  # WS-DREAM sentinel; NaN is kept
-    *ids, values = (np.concatenate([rows[name] for rows in kept])
-                    for name in _RECORD_DTYPE.names)
-    for x, d in zip(ids, dims):
-        x -= shift
-        if x.size and (x.min() < 0 or x.max() >= d):
-            raise _NotCanonical("an id is out of range")
+            rows = rows[~(rows["v"] < 0)]  # WS-DREAM sentinel; NaN is kept
+            stop = size + rows.size
+            if stop > columns[-1].size:
+                for column in columns:
+                    # No view of a column is alive here.
+                    column.resize(max(stop, column.size * 3 // 2), refcheck=False)
+            for column, name, d in zip(columns, _RECORD_DTYPE.names, dims):
+                x = rows[name] - shift
+                if x.size and (x.min() < 0 or x.max() >= d):
+                    raise _NotCanonical("an id is out of range")
+                column[size:stop] = x
+            columns[-1][size:stop] = rows["v"]
+            size = stop
+    for column in columns:
+        column.resize(size, refcheck=False)
+    *ids, values = columns
     return ids, values, records
 
 
@@ -398,6 +421,11 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
     test partition receives its floor share plus whatever the floors left
     over, so ratios summing to one always cover the input exactly.  Ratios
     summing below one leave the surplus entries unassigned.
+
+    The shuffled order assigns each entry a one-byte partition label and
+    is then dropped; each partition takes its positions from the labels
+    with ``np.flatnonzero``, which returns them in increasing order, so
+    ``subset`` slices them without a sort.
     """
     n = tensor.n_entries
     if n == 0:
@@ -408,12 +436,14 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
     n_val = math.floor(spec.validation_ratio * n + 1e-9)
     total = math.floor(
         (spec.train_ratio + spec.validation_ratio + spec.test_ratio) * n + 1e-9)
-    n_test = total - n_train - n_val
-    return SplitTensor(
-        train=tensor.subset(perm[:n_train]),
-        validation=tensor.subset(perm[n_train:n_train + n_val]),
-        test=tensor.subset(perm[n_train + n_val:n_train + n_val + n_test]),
-    )
+    # Entries past `total` keep the label of no partition.
+    labels = np.full(n, len(PARTITIONS), np.uint8)
+    bounds = (0, n_train, n_train + n_val, total)
+    for label, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        labels[perm[start:stop]] = label
+    del perm
+    return SplitTensor(*(tensor.subset(np.flatnonzero(labels == label))
+                         for label in range(len(PARTITIONS))))
 
 
 def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,

@@ -1,14 +1,19 @@
 """Coordinate-format storage for sparse third-order QoS tensors.
 
 Observed entries of a ``|I| x |J| x |K|`` tensor are kept as parallel arrays,
-``ids[axis]`` (one index array per mode, in ``MODES`` order) and ``values``,
-plus their linear index codes ``(i * |J| + j) * |K| + k``.  The one index a
-tensor holds is its invariant: entries are sorted by code and each code
-occurs once.  ``subset`` relies on it to slice partitions without sorting
-or validating again, and the partition disjointness checks rely on it to
-intersect codes without a uniqueness pass.  ``counts[axis][index]`` is the
-number of observed entries in one slice; the update rules form their
-per-slice sums with ``bincount`` over the index arrays.
+``ids[axis]`` (one int32 index array per mode, in ``MODES`` order) and
+``values``, plus their int64 linear index codes ``(i * |J| + j) * |K| + k``.
+The one index a tensor holds is its invariant: entries are sorted by code
+and each code occurs once.  Input whose codes are strictly increasing
+already (every log ``write_qos_log`` writes) is the sorted fast path of
+``from_arrays``: it keeps the arrays without a sort, and int32 ids and
+float64 values without a copy.  ``subset`` relies on the invariant to
+slice partitions without validating again, and skips its sort for
+strictly increasing positions, which is what ``data_io.split`` passes.
+The partition disjointness checks (``n_shared``) look up the smaller
+tensor's codes in the larger one's.  ``counts[axis][index]`` is the number of
+observed entries in one slice; the update rules form their per-slice sums
+with ``bincount`` over the index arrays.
 
 Tensors are immutable after construction and safe to read concurrently.
 """
@@ -64,10 +69,18 @@ class SparseTensor3:
         indices carrying the same value collapse to one entry; duplicates
         with different values raise ``DuplicateIndexError`` because silent
         averaging would mask ingestion bugs.
+
+        Input already in that order, each index once, is neither sorted nor
+        copied: int32 id arrays and float64 value arrays become the
+        tensor's own (as read-only views), so the caller must not write to
+        them afterwards.
         """
         dims = _validated_dims(dims)
-        ids = [np.ascontiguousarray(x, dtype=np.int64)
-               for x in (user_ids, service_ids, time_ids)]
+        # int32 is the stored id dtype; other ids are read as int64 and
+        # range-checked before they are narrowed.
+        ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
+        ids = [np.ascontiguousarray(x, dtype=x.dtype if x.dtype == np.int32 else np.int64)
+               for x in ids]
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if any(x.shape != vals.shape for x in ids) or vals.ndim != 1:
             raise OutOfBoundsError("index and value arrays must be 1-D and equal length")
@@ -81,7 +94,15 @@ class SparseTensor3:
             bad = vals[~(np.isfinite(vals) & (vals >= 0))][0]
             raise NegativeValueError(f"QoS values must be finite and >= 0, got {bad}")
 
-        codes = (ids[0] * dims[1] + ids[1]) * dims[2] + ids[2]
+        codes = ids[0].astype(np.int64)
+        codes *= dims[1]
+        codes += ids[1]
+        codes *= dims[2]
+        codes += ids[2]
+        if _strictly_increasing(codes):
+            return cls(dims, [x.astype(np.int32, copy=False).view() for x in ids],
+                       vals.view(), codes)
+
         order = np.argsort(codes, kind="stable")
         codes, vals = codes[order], vals[order]
         ids = [x[order] for x in ids]
@@ -98,7 +119,7 @@ class SparseTensor3:
                 codes, vals = codes[keep], vals[keep]
                 ids = [x[keep] for x in ids]
 
-        return cls(dims, [x.astype(np.int32) for x in ids], vals, codes)
+        return cls(dims, [x.astype(np.int32, copy=False) for x in ids], vals, codes)
 
     @classmethod
     def from_entries(cls, dims, entries):
@@ -142,26 +163,42 @@ class SparseTensor3:
     def subset(self, positions) -> "SparseTensor3":
         """New tensor holding the entries at the given storage positions.
 
-        Positions are sorted and repeats dropped, so the stored arrays are
-        sliced in code order and the result keeps the sorted-unique-code
-        invariant without being validated or sorted again.
+        Positions are sorted and repeats dropped (unless they are strictly
+        increasing already), so the stored arrays are sliced in code order
+        and the result keeps the sorted-unique-code invariant without being
+        validated or sorted again.
         """
         pos = np.asarray(positions, dtype=np.int64)
         if pos.ndim != 1:
             raise OutOfBoundsError("positions must be a 1-D sequence")
-        pos = np.sort(pos)
+        if not _strictly_increasing(pos):
+            pos = np.sort(pos)
+            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
         if pos.size and (pos[0] < 0 or pos[-1] >= self.n_entries):
             bad = pos[0] if pos[0] < 0 else pos[-1]
             raise OutOfBoundsError(
                 f"position {bad} out of range [0, {self.n_entries})")
-        if pos.size > 1:
-            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
-        return SparseTensor3(self.dims, [x[pos] for x in self.ids],
-                             self.values[pos], self._codes[pos])
+        ids = [x[pos] for x in self.ids]
+        values, codes = self.values[pos], self._codes[pos]
+        # The positions need not live on while the counts are formed.
+        del positions, pos
+        return SparseTensor3(self.dims, ids, values, codes)
 
     def index_codes(self) -> np.ndarray:
         """Linearized (i, j, k) codes, sorted ascending, each once."""
         return self._codes
+
+    def n_shared(self, other: "SparseTensor3") -> int:
+        """How many entries, by index, this tensor and ``other`` both hold.
+
+        Each code of the smaller tensor is looked up in the larger one's
+        sorted codes, so no array of both tensors' codes is formed.
+        """
+        small, large = sorted((self._codes, other.index_codes()), key=len)
+        if not small.size:
+            return 0
+        found = large.take(np.searchsorted(large, small), mode="clip")
+        return int(np.count_nonzero(found == small))
 
     def _check_index(self, i, j, k):
         for axis, v in enumerate((i, j, k)):
@@ -171,6 +208,11 @@ class SparseTensor3:
 
     def __repr__(self):
         return (f"SparseTensor3(dims={self.dims}, n_entries={self.n_entries})")
+
+
+def _strictly_increasing(x) -> bool:
+    """Whether each element of the 1-D ``x`` exceeds the one before it."""
+    return bool((x[1:] > x[:-1]).all())
 
 
 def _validated_dims(dims):
@@ -198,12 +240,9 @@ class SplitTensor:
             raise DimMismatchError(
                 f"partition dims differ: {dims}, {self.validation.dims}, {self.test.dims}")
         for (a, x), (b, y) in itertools.combinations(self.named(), 2):
-            # Index codes are sorted and unique within each tensor.
-            common = np.intersect1d(x.index_codes(), y.index_codes(),
-                                    assume_unique=True)
-            if common.size:
-                raise DuplicateIndexError(
-                    f"{a} and {b} partitions share {common.size} entries")
+            shared = x.n_shared(y)
+            if shared:
+                raise DuplicateIndexError(f"{a} and {b} partitions share {shared} entries")
 
     @property
     def dims(self):

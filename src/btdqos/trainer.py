@@ -391,12 +391,9 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     if validation.dims != train.dims:
         raise DimMismatchError(
             f"validation dims {validation.dims} differ from train dims {train.dims}")
-    # Index codes are sorted and unique within each tensor.
-    overlap = np.intersect1d(train.index_codes(), validation.index_codes(),
-                             assume_unique=True)
-    if overlap.size:
-        raise DuplicateIndexError(
-            f"train and validation sets share {overlap.size} entries")
+    overlap = train.n_shared(validation)
+    if overlap:
+        raise DuplicateIndexError(f"train and validation sets share {overlap} entries")
     if train.n_entries == 0:
         raise EmptyInputError("training set is empty")
     use_validation = cfg.stop_on == STOP_ON_VALIDATION

@@ -8,10 +8,16 @@ with the package's vectorized ones:
 - ``ref_gradient``: the analytic descent direction of one coordinate,
   checked in turn against ``ref_gradient_fd``, a finite difference of the
   objective;
-- ``ref_write_qos_log``: one formatted line and one write per entry.
+- ``ref_write_qos_log``: one formatted line and one write per entry;
+- ``ref_tensor_arrays``: a tensor's stored arrays from a Python dict and
+  ``sorted``;
+- ``ref_split_positions``: a split's storage positions from slices of the
+  seeded permutation, each sorted.
 
 Slow by construction; use only at small sizes.
 """
+
+import math
 
 import numpy as np
 
@@ -394,3 +400,31 @@ def ref_write_qos_log(tensor, path, header=None):
                 fh.write(f"# {line}\n")
         for i, j, k, v in zip(*tensor.ids, tensor.values):
             fh.write(f"{i} {j} {k} {float(v)!r}\n")
+
+
+def ref_tensor_arrays(dims, ii, jj, kk, vals):
+    """``(ids, values, codes)`` a tensor built from these entries must store.
+
+    Entries are collected in a dict keyed by ``(i, j, k)`` and sorted with
+    ``sorted``; a repeated index must repeat its value (else ``ValueError``).
+    """
+    entries = {}
+    for i, j, k, v in zip(*(np.asarray(x).tolist() for x in (ii, jj, kk, vals))):
+        if entries.setdefault((i, j, k), v) != v:
+            raise ValueError(f"index {(i, j, k)} has two values")
+    keys = sorted(entries)
+    ids = [np.array([key[axis] for key in keys], dtype=np.int32) for axis in range(3)]
+    values = np.array([entries[key] for key in keys], dtype=np.float64)
+    codes = np.array([(i * dims[1] + j) * dims[2] + k for i, j, k in keys], dtype=np.int64)
+    return ids, values, codes
+
+
+def ref_split_positions(n, spec):
+    """Sorted storage positions of each partition that ``split`` must pick:
+    consecutive slices of the seeded permutation, sized by the floor rule."""
+    perm = np.random.default_rng(int(spec.seed) % (2 ** 64)).permutation(n)
+    sizes = [math.floor(r * n + 1e-9) for r in (spec.train_ratio, spec.validation_ratio)]
+    total = math.floor(
+        (spec.train_ratio + spec.validation_ratio + spec.test_ratio) * n + 1e-9)
+    bounds = (0, sizes[0], sizes[0] + sizes[1], total)
+    return [np.sort(perm[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -4,12 +4,13 @@ import json
 import os
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _reference import ref_write_qos_log
+from _reference import ref_split_positions, ref_write_qos_log
 from btdqos import data_io
 from btdqos.data_io import (
     SplitSpec,
@@ -323,6 +324,26 @@ def test_generated_log_takes_the_fast_path(tmp_path, monkeypatch):
         assert np.array_equal(got, want)
 
 
+def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
+    """Parsing holds little beyond the tensor it returns: a generated log of
+    about 200k records peaks at no more than 1.6 times the tensor's bytes
+    (ids, values, codes and counts), by tracemalloc."""
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import gen
+
+    planted = gen.generate(tmp_path / "log.txt", 5, (142, 4500, 64), 190_000)
+    tracemalloc.start()
+    try:
+        result = parse_qos_log(tmp_path / "log.txt", planted.dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = result.tensor
+    assert result.records == planted.records > 195_000
+    held = sum(x.nbytes for x in (*t.ids, t.values, t.index_codes(), *t.counts))
+    assert peak <= 1.6 * held, (peak, held)
+
+
 def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
     monkeypatch.setattr(data_io, "_PARSE_CHUNK", 16)
@@ -474,6 +495,20 @@ class TestSplit:
         merged = sorted(parts.train.entry_list() + parts.validation.entry_list()
                         + parts.test.entry_list())
         assert merged == sorted(t.entry_list())
+
+    @pytest.mark.parametrize("ratios", [(0.1, 0.1, 0.8), (0.3, 0.1, 0.6),
+                                        (0.05, 0.05, 0.2), (0.5, 0.25, 0.125)])
+    def test_membership_matches_reference(self, ratios):
+        """Each partition holds the entries at the sorted slice of the
+        seeded permutation that the reference split picks."""
+        t = self._tensor(101)
+        for seed in (0, 1, 7, 2 ** 40):
+            spec = SplitSpec(*ratios, seed=seed)
+            for (_, part), positions in zip(split(t, spec).named(),
+                                            ref_split_positions(t.n_entries, spec)):
+                np.testing.assert_array_equal(part.index_codes(),
+                                              t.index_codes()[positions])
+                np.testing.assert_array_equal(part.values, t.values[positions])
 
     def test_empty_input(self):
         t = SparseTensor3.from_entries((2, 2, 2), [])
