@@ -33,8 +33,7 @@ from .evaluation import (
     BenchmarkCell,
     MetricsReport,
     ModelAggregate,
-    mae,
-    rmse,
+    rmse_and_mae,
     run_benchmark,
 )
 from .model import (
@@ -43,7 +42,6 @@ from .model import (
     cp_structure,
     init_random,
     predict_entries,
-    predict_entry,
     tucker_structure,
     validate_model,
 )

@@ -26,9 +26,9 @@ from .data_io import (
 )
 from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError, check_kind
 from .evaluation import rmse_and_mae, run_benchmark
-from .model import BlockStructure, cp_structure, predict_entry
+from .model import BlockStructure, cp_structure, predict_entries
 from .rng import derive_seed
-from .sparse import PARTITIONS
+from .sparse import PARTITIONS, SparseTensor3
 from .trainer import TrainConfig, grid_search
 
 logger = logging.getLogger(__name__)
@@ -279,8 +279,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(_resolve_input(args.checkpoint))
-    value = predict_entry(model, args.i, args.j, args.k)
-    print(format(value, "#.6g"))
+    cell = SparseTensor3.from_arrays(model.dims, [args.i], [args.j], [args.k], [0.0])
+    print(format(predict_entries(model, *cell.ids)[0], "#.6g"))
     return 0
 
 

@@ -25,30 +25,13 @@ from .trainer import TrainConfig, grid_search, residual_rmse
 logger = logging.getLogger(__name__)
 
 
-def _residuals(model: BnbtModel, test: SparseTensor3) -> np.ndarray:
+def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
+    """``(rmse, mae)`` from one prediction pass over the test entries."""
     check_dims(model, test.dims)
     if test.n_entries == 0:
         raise EmptyTestSetError("metrics need at least one test entry")
-    pred = predict_entries(model, *test.ids)
-    return test.values - pred
-
-
-def _mae_of(resid: np.ndarray) -> float:
-    return float(np.abs(resid).mean())
-
-
-def rmse(model: BnbtModel, test: SparseTensor3) -> float:
-    return residual_rmse(_residuals(model, test))
-
-
-def mae(model: BnbtModel, test: SparseTensor3) -> float:
-    return _mae_of(_residuals(model, test))
-
-
-def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
-    """``(rmse, mae)`` from one prediction pass over the test entries."""
-    resid = _residuals(model, test)
-    return residual_rmse(resid), _mae_of(resid)
+    resid = test.values - predict_entries(model, *test.ids)
+    return residual_rmse(resid), float(np.abs(resid).mean())
 
 
 @dataclass(frozen=True)

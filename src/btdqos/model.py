@@ -24,7 +24,6 @@ from .errors import (
     DimMismatchError,
     InvalidStructureError,
     NegativeValueError,
-    OutOfBoundsError,
     check_kind,
 )
 from .sparse import MODES
@@ -56,12 +55,6 @@ class BlockStructure:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def parameter_count(self, dims) -> int:
-        """Total parameters of a model with these blocks on ``dims``."""
-        i, j, k = dims
-        factors = sum(i * l + j * m + k * n + l * m * n for l, m, n in self.blocks)
-        return factors + i + j + k
 
 
 def cp_structure(n_blocks: int) -> BlockStructure:
@@ -104,15 +97,6 @@ class BnbtModel:
         each mode's factors, then the biases."""
         return [*self.cores, *(f for family in self.factors for f in family),
                 *self.biases]
-
-    def parameter_count(self) -> int:
-        return sum(a.size for a in self.parameter_arrays())
-
-    def min_parameter(self) -> float:
-        return min(float(a.min()) for a in self.parameter_arrays())
-
-    def max_parameter(self) -> float:
-        return max(float(a.max()) for a in self.parameter_arrays())
 
 
 def validate_model(model: BnbtModel):
@@ -161,30 +145,6 @@ def init_random(dims, structure: BlockStructure, seed: int) -> BnbtModel:
                  for axis, dim in enumerate(dims)],
         biases=[u(dim) for dim in dims],
     )
-
-
-def predict_entry(model: BnbtModel, i: int, j: int, k: int) -> float:
-    """Predicted QoS value at one cell, by direct quadruple summation.
-
-    This is the scalar reference path; batched prediction goes through
-    ``predict_entries``.
-    """
-    cell = (i, j, k)
-    for axis, v in enumerate(cell):
-        if not 0 <= v < model.dims[axis]:
-            raise OutOfBoundsError(
-                f"{MODES[axis]} index {v} out of range [0, {model.dims[axis]})")
-    total = 0.0
-    for r in range(model.structure.n_blocks):
-        core = model.cores[r]
-        a, b, c = (family[r][v] for family, v in zip(model.factors, cell))
-        ll, mm, nn = core.shape
-        for l in range(ll):
-            for m in range(mm):
-                for n in range(nn):
-                    total += core[l, m, n] * a[l] * b[m] * c[n]
-    d, e, f = (bias[v] for bias, v in zip(model.biases, cell))
-    return total + float(d + e + f)
 
 
 def gather_rows(factor: np.ndarray, ids) -> np.ndarray:

@@ -48,7 +48,7 @@ class SparseTensor3:
 
     def __init__(self, dims, ids, values, _codes):
         # Internal constructor: arrays are already validated and sorted by
-        # code, each code once.  Use from_entries/from_arrays or subset.
+        # code, each code once.  Use from_arrays or subset.
         self.dims = dims
         self.ids = tuple(ids)
         self.values = values
@@ -76,20 +76,21 @@ class SparseTensor3:
         them afterwards.
         """
         dims = _validated_dims(dims)
-        # int32 is the stored id dtype; other ids are read as int64 and
-        # range-checked before they are narrowed.
         ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
-        ids = [np.ascontiguousarray(x, dtype=x.dtype if x.dtype == np.int32 else np.int64)
-               for x in ids]
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if any(x.shape != vals.shape for x in ids) or vals.ndim != 1:
             raise OutOfBoundsError("index and value arrays must be 1-D and equal length")
 
+        # Ids are range-checked in the dtype they came in, so an index past
+        # int64 is reported, not wrapped or overflowed.  int32 is the stored
+        # id dtype; other ids are read as int64 before they are narrowed.
         for axis, idx in enumerate(ids):
             if idx.size and (idx.min() < 0 or idx.max() >= dims[axis]):
                 bad = idx[(idx < 0) | (idx >= dims[axis])][0]
                 raise OutOfBoundsError(
                     f"{MODES[axis]} index {bad} out of range [0, {dims[axis]})")
+        ids = [np.ascontiguousarray(x, dtype=x.dtype if x.dtype == np.int32 else np.int64)
+               for x in ids]
         if vals.size and (not np.isfinite(vals).all() or vals.min() < 0):
             bad = vals[~(np.isfinite(vals) & (vals >= 0))][0]
             raise NegativeValueError(f"QoS values must be finite and >= 0, got {bad}")
@@ -121,44 +122,11 @@ class SparseTensor3:
 
         return cls(dims, [x.astype(np.int32, copy=False) for x in ids], vals, codes)
 
-    @classmethod
-    def from_entries(cls, dims, entries):
-        """Build a tensor from ``((i, j, k), value)`` pairs."""
-        entries = list(entries)
-        if not entries:
-            z = np.zeros(0, dtype=np.int64)
-            return cls.from_arrays(dims, z, z, z, np.zeros(0))
-        idx = np.array([e[0] for e in entries], dtype=np.int64)
-        vals = np.array([e[1] for e in entries], dtype=np.float64)
-        if idx.ndim != 2 or idx.shape[1] != 3:
-            raise OutOfBoundsError("each entry index must be an (i, j, k) triple")
-        return cls.from_arrays(dims, idx[:, 0], idx[:, 1], idx[:, 2], vals)
-
     # -- access ----------------------------------------------------------
 
     @property
     def n_entries(self) -> int:
         return int(self.values.size)
-
-    def __len__(self) -> int:
-        return self.n_entries
-
-    def value_at(self, i: int, j: int, k: int) -> float:
-        """Value of observed entry (i, j, k); KeyError if unobserved."""
-        self._check_index(i, j, k)
-        code = (i * self.dims[1] + j) * self.dims[2] + k
-        pos = np.searchsorted(self._codes, code)
-        if pos == self._codes.size or self._codes[pos] != code:
-            raise KeyError(f"entry ({i}, {j}, {k}) is not observed")
-        return float(self.values[pos])
-
-    def iter_entries(self):
-        """Yield ``((i, j, k), value)`` in lexicographic order."""
-        for i, j, k, v in zip(*self.ids, self.values):
-            yield (int(i), int(j), int(k)), float(v)
-
-    def entry_list(self):
-        return list(self.iter_entries())
 
     def subset(self, positions) -> "SparseTensor3":
         """New tensor holding the entries at the given storage positions.
@@ -199,12 +167,6 @@ class SparseTensor3:
             return 0
         found = large.take(np.searchsorted(large, small), mode="clip")
         return int(np.count_nonzero(found == small))
-
-    def _check_index(self, i, j, k):
-        for axis, v in enumerate((i, j, k)):
-            if not 0 <= v < self.dims[axis]:
-                raise OutOfBoundsError(
-                    f"{MODES[axis]} index {v} out of range [0, {self.dims[axis]})")
 
     def __repr__(self):
         return (f"SparseTensor3(dims={self.dims}, n_entries={self.n_entries})")

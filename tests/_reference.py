@@ -3,6 +3,8 @@
 The oracles recompute results along paths that share no accumulation code
 with the package's vectorized ones:
 
+- ``predict_entry``: the scalar oracle, one cell's prediction by direct
+  quadruple summation, against which ``predict_entries`` is checked;
 - ``ref_objective`` and ``ref_epoch``: plain Python loops over entries;
 - ``ref_dense``: the full approximation tensor from mode products;
 - ``ref_gradient``: the analytic descent direction of one coordinate,
@@ -13,6 +15,11 @@ with the package's vectorized ones:
   ``sorted``;
 - ``ref_split_positions``: a split's storage positions from slices of the
   seeded permutation, each sorted.
+
+Plain helpers build and read small tensors entry by entry:
+``from_entries`` builds one from ``((i, j, k), value)`` pairs,
+``entry_list`` lists those pairs in storage order, and ``value_at`` looks
+one up.
 
 Slow by construction; use only at small sizes.
 """
@@ -27,7 +34,6 @@ from btdqos.model import (
     check_dims,
     init_random,
     predict_entries,
-    predict_entry,
 )
 from btdqos.sparse import MODES, SparseTensor3
 from btdqos.trainer import EPSILON_GUARD
@@ -36,10 +42,44 @@ from btdqos.trainer import EPSILON_GUARD
 BIAS_KINDS = tuple(f"{mode}_bias" for mode in MODES)
 
 
+def from_entries(dims, entries):
+    """A tensor built from ``((i, j, k), value)`` pairs."""
+    entries = list(entries)
+    idx = np.array([e[0] for e in entries], dtype=np.int64).reshape(-1, 3)
+    return SparseTensor3.from_arrays(dims, *idx.T, [e[1] for e in entries])
+
+
+def entry_list(tensor):
+    """``((i, j, k), value)`` of every stored entry, in storage order."""
+    return [((int(i), int(j), int(k)), float(v))
+            for i, j, k, v in zip(*tensor.ids, tensor.values)]
+
+
+def value_at(tensor, i, j, k):
+    """Value of observed entry (i, j, k); KeyError if unobserved."""
+    return dict(entry_list(tensor))[(i, j, k)]
+
+
+def predict_entry(model, i, j, k):
+    """Predicted value at one in-range cell, by direct quadruple summation."""
+    cell = (i, j, k)
+    total = 0.0
+    for r in range(model.structure.n_blocks):
+        core = model.cores[r]
+        a, b, c = (family[r][v] for family, v in zip(model.factors, cell))
+        ll, mm, nn = core.shape
+        for l in range(ll):
+            for m in range(mm):
+                for n in range(nn):
+                    total += core[l, m, n] * a[l] * b[m] * c[n]
+    d, e, f = (bias[v] for bias, v in zip(model.biases, cell))
+    return total + float(d + e + f)
+
+
 def ref_objective(model, tensor, cfg):
     """Quadruple-loop evaluation of the regularized training loss."""
     total = 0.0
-    for (i, j, k), y in tensor.iter_entries():
+    for (i, j, k), y in entry_list(tensor):
         delta = y - predict_entry(model, i, j, k)
         total += delta * delta
         for r in range(model.structure.n_blocks):
@@ -66,7 +106,7 @@ def ref_epoch(model, tensor, cfg):
     each pass, exactly like the optimized trainer.
     """
     m = model.copy()
-    entries = tensor.entry_list()
+    entries = entry_list(tensor)
     if not entries:
         return m
     n_obs = len(entries)
@@ -152,8 +192,8 @@ def ref_dense(model):
 
     Each block is assembled by three successive mode products of its core
     with the factor matrices, then blocks are summed and biases broadcast
-    on top.  This path shares no summation code with ``predict_entry``,
-    which is what makes the pair a useful cross-check.
+    on top.  This path shares no summation code with ``predict_entries``
+    or ``predict_entry``, which is what makes it a useful cross-check.
     """
     out = np.zeros(model.dims, dtype=np.float64)
     for r in range(model.structure.n_blocks):

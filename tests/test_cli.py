@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import predict_entry
 import btdqos
 from btdqos.cli import main
 from btdqos.data_io import load_model, parse_qos_log, save_model
@@ -361,6 +362,36 @@ class TestEvaluatePredict:
         save_model(model, workdir / "ck.json")
         assert main(["predict", "--checkpoint", "ck.json",
                      "-i", "9", "-j", "0", "-k", "0"]) == 2
+
+    @pytest.mark.parametrize("flag,value,mode", [
+        ("-i", "-1", "user"), ("-k", "-1", "time"),
+        ("-j", str(2 ** 63), "service"), ("-i", str(10 ** 20), "user")])
+    def test_predict_index_out_of_range_names_its_mode(self, workdir, caplog,
+                                                       flag, value, mode):
+        """A negative index must not wrap to the last row, and one past
+        int64 must not overflow: both are usage errors naming the mode."""
+        model = init_random((2, 2, 2), BlockStructure(((1, 1, 1),)), 0)
+        save_model(model, workdir / "ck.json")
+        cell = {"-i": "0", "-j": "0", "-k": "0", flag: value}
+        assert main(["predict", "--checkpoint", "ck.json",
+                     *(x for item in cell.items() for x in item)]) == 2
+        assert f"{mode} index {value} out of range [0, 2)" in caplog.text
+        assert "unexpected failure" not in caplog.text
+
+    def test_predict_prints_the_scalar_oracle_for_every_cell(self, workdir, capsys):
+        """Every cell of a random-init model prints the quadruple-loop
+        oracle's value.  The blocks are scaled up so that their terms move
+        the printed digits instead of hiding behind the biases."""
+        model = init_random((3, 4, 2), BlockStructure(((2, 1, 2), (1, 2, 1))), 5)
+        for block in (model.cores, *model.factors):
+            for arr in block:
+                arr *= 10.0
+        save_model(model, workdir / "ck.json")
+        for i, j, k in np.ndindex(model.dims):
+            assert main(["predict", "--checkpoint", "ck.json",
+                         "-i", str(i), "-j", str(j), "-k", str(k)]) == 0
+            assert capsys.readouterr().out == (
+                format(predict_entry(model, i, j, k), "#.6g") + "\n")
 
     def test_corrupt_checkpoint(self, workdir):
         (workdir / "ck.json").write_text("{not json")

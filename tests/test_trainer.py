@@ -8,6 +8,7 @@ import pytest
 
 from _reference import (
     exact_fit_instance,
+    from_entries,
     model_params_vector,
     planted_tensor,
     random_instance,
@@ -61,12 +62,12 @@ class TestObjective:
     def test_single_entry_unregularized(self):
         """y=2 predicted as 1 with all lambdas zero -> loss 1."""
         m = single_block_model(1, 1, 1, 1, 0, 0, 0)  # predicts 1.0
-        t = SparseTensor3.from_entries((1, 1, 1), [((0, 0, 0), 2.0)])
+        t = from_entries((1, 1, 1), [((0, 0, 0), 2.0)])
         assert objective(m, t, ZERO_REG) == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_observations(self):
         m = single_block_model(1, 1, 1, 1, 0, 0, 0)
-        t = SparseTensor3.from_entries((1, 1, 1), [])
+        t = from_entries((1, 1, 1), [])
         assert objective(m, t, ZERO_REG) == 0.0
 
     def test_matches_reference_with_regularization(self):
@@ -85,7 +86,7 @@ class TestObjective:
 
     def test_dim_mismatch(self):
         m = single_block_model(1, 1, 1, 1, 0, 0, 0)
-        t = SparseTensor3.from_entries((2, 2, 2), [((0, 0, 0), 1.0)])
+        t = from_entries((2, 2, 2), [((0, 0, 0), 1.0)])
         with pytest.raises(DimMismatchError):
             objective(m, t, ZERO_REG)
 
@@ -101,7 +102,7 @@ class TestGradient:
     def test_hand_case(self):
         """s=a=b=c=1, no biases, y=2 -> direction for a is -(2-1)*1 = -1."""
         m = single_block_model(1, 1, 1, 1, 0, 0, 0)
-        t = SparseTensor3.from_entries((1, 1, 1), [((0, 0, 0), 2.0)])
+        t = from_entries((1, 1, 1), [((0, 0, 0), 2.0)])
         assert ref_gradient(m, t, ZERO_REG, ("user", 0, 0, 0)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
@@ -143,7 +144,7 @@ class TestEpoch:
         m.dims = (1, 1, 2)
         m.factors[2] = [np.zeros((2, 1))]
         m.biases[2] = np.array([0.25, 0.25])
-        t = SparseTensor3.from_entries((1, 1, 2), [((0, 0, 0), 2.0), ((0, 0, 1), 4.0)])
+        t = from_entries((1, 1, 2), [((0, 0, 0), 2.0), ((0, 0, 1), 4.0)])
         after = epoch(m, t, ZERO_REG)
         assert after.biases[0][0] == pytest.approx(1.5, rel=1e-9)
 
@@ -187,12 +188,12 @@ class TestEpoch:
             dims, structure, tensor, model = random_instance(seed + 50)
             for _ in range(20):
                 model = epoch(model, tensor, cfg)
-            assert model.min_parameter() >= 0.0
+            assert model_params_vector(model).min() >= 0.0
 
     def test_unobserved_slices_keep_initialization(self):
         """Rows without observations are never touched by an epoch."""
         dims = (3, 2, 2)
-        t = SparseTensor3.from_entries(dims, [((0, 0, 0), 1.0), ((0, 1, 1), 2.0)])
+        t = from_entries(dims, [((0, 0, 0), 1.0), ((0, 1, 1), 2.0)])
         model = init_random(dims, BlockStructure(((1, 1, 1),)), 9)
         after = epoch(model, t, ZERO_REG)
         np.testing.assert_array_equal(after.factors[0][0][1:], model.factors[0][0][1:])
@@ -201,7 +202,7 @@ class TestEpoch:
 
     def test_empty_tensor_is_identity(self):
         model = init_random((2, 2, 2), BlockStructure(((1, 1, 1),)), 1)
-        t = SparseTensor3.from_entries((2, 2, 2), [])
+        t = from_entries((2, 2, 2), [])
         after = epoch(model, t, ZERO_REG)
         np.testing.assert_array_equal(model_params_vector(after),
                                       model_params_vector(model))
@@ -392,13 +393,13 @@ class TestFit:
 
     def test_validation_stopping_requires_validation(self):
         train, _, _, _ = self._split_instance(5)
-        empty = SparseTensor3.from_entries(train.dims, [])
+        empty = from_entries(train.dims, [])
         with pytest.raises(EmptyInputError):
             fit(train, empty, BlockStructure(((2, 2, 2),)), TrainConfig())
 
     def test_train_loss_stopping_allows_empty_validation(self):
         train, _, _, _ = self._split_instance(6)
-        empty = SparseTensor3.from_entries(train.dims, [])
+        empty = from_entries(train.dims, [])
         cfg = TrainConfig(max_iter=3, tol=1e-15, stop_on="train_loss")
         _, report = fit(train, empty, BlockStructure(((2, 2, 2),)), cfg)
         assert report.epochs_run == 3
@@ -411,7 +412,7 @@ class TestFit:
 
     def test_dim_mismatch(self):
         train, _, _, _ = self._split_instance(8)
-        val = SparseTensor3.from_entries((9, 9, 9), [((8, 8, 8), 1.0)])
+        val = from_entries((9, 9, 9), [((8, 8, 8), 1.0)])
         with pytest.raises(DimMismatchError):
             fit(train, val, BlockStructure(((2, 2, 2),)), TrainConfig())
 
@@ -514,4 +515,4 @@ def test_cp_emulation_trains():
     model, report = fit(tensor.subset(perm[n_val:]), tensor.subset(perm[:n_val]),
                         cp_structure(3), cfg)
     assert report.loss_trajectory[-1] < report.loss_trajectory[0]
-    assert model.min_parameter() >= 0.0
+    assert model_params_vector(model).min() >= 0.0
