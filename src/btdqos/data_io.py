@@ -13,11 +13,12 @@ and a write that fails part-way leaves the previous file in place.
 ``parse_qos_log(path, dims)`` reads a log into a tensor of the given dims
 (every id must lie within them) in chunks of about 64 KiB of whole lines,
 each converted to rows by numpy's C tokenizer (``np.loadtxt``) and its
-kept records copied straight into the tensor's final columns (int32 ids,
-float64 values).  A log in (user, service, time) order without repeats,
-as the partition files are, then becomes the tensor without a sort or
-another copy (``SparseTensor3.from_arrays``), so ingest holds about 28 B
-per entry for the tensor plus one chunk.  A chunk is first screened for
+kept records written straight into the tensor's final columns (int64
+codes, float64 values), which are sized from the file.  A log in (user,
+service, time) order without repeats, as the partition files are, then
+becomes the tensor without a sort or another copy
+(``SparseTensor3.from_codes``), so ingest holds about 16 B per entry for
+the tensor plus one chunk.  A chunk is first screened for
 the two spellings ``loadtxt`` reads otherwise than ``int``/``float`` do (a
 ``#`` after data, a ``_`` digit separator).  A failed screen, a
 ``loadtxt`` error or warning (other than the one for a chunk without
@@ -28,9 +29,10 @@ line number of the file.  The file is decoded with ``surrogateescape``, so
 a byte that is not UTF-8 reaches the parsers as a lone surrogate: the
 screen sends its chunk to ``_parse_lines``, which names the line.
 ``split`` labels each entry with its partition (one byte per entry) and
-slices each partition in storage order, so it sorts nothing either.
-``write_qos_log`` renders a chunk of entries at a time with whole-array
-numpy operations: ids come from per-mode tables of id bytes, and each
+picks each partition in storage order with a boolean mask, so it sorts
+nothing either.  ``write_qos_log`` renders a chunk of entries at a time
+with whole-array numpy operations: ids, unravelled from the chunk's codes,
+come from per-mode tables of id bytes, and each
 value's shortest round-trip digits, the ones ``repr`` prints, are found
 on a grid of 15 significant digits (``_repr_digits``).  A value that needs
 more digits, or that ``repr`` prints in exponent form, is left to
@@ -60,7 +62,15 @@ from .errors import (
     check_kind,
 )
 from .model import BlockStructure, BnbtModel, validate_model
-from .sparse import MODES, PARTITIONS, SparseTensor3, SplitTensor, _validated_dims
+from .sparse import (
+    MODES,
+    PARTITIONS,
+    SparseTensor3,
+    SplitTensor,
+    _validated_dims,
+    ravel,
+    unravel,
+)
 
 CHECKPOINT_VERSION = 1
 
@@ -169,33 +179,37 @@ def parse_qos_log(path, dims, one_based: bool = False) -> IngestResult:
     shift = 1 if one_based else 0
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            ids, values, records = _parse_chunks(fh, dims, shift)
+            codes, values, records = _parse_chunks(fh, dims, shift)
         except (_NotCanonical, ValueError, Warning):
             fh.seek(0)
             return _parse_lines(fh, dims, shift)
-    return _ingest_result(dims, ids, values, records)
+    return _ingest_result(SparseTensor3.from_codes(dims, codes, values), values.size,
+                          records)
 
 
 def _parse_chunks(fh, dims, shift):
-    """Kept ids and values plus the record count, through numpy's C tokenizer.
+    """Kept codes and values plus the record count, through numpy's C tokenizer.
 
     Each chunk's kept records are range-checked and written straight into
-    the returned columns (int32 ids, float64 values), which grow by half
-    again with ``ndarray.resize`` whenever a chunk does not fit and are cut
-    to size at the end; so no chunk's rows outlive it.  Raises
+    the returned columns (int64 codes, float64 values).  Whenever a chunk
+    does not fit, ``ndarray.resize`` sizes them for the records the rest of
+    the file would hold at the density read so far, plus a 1/64 margin;
+    they are cut to size at the end, so no chunk's rows outlive it.  Raises
     ``_NotCanonical``, or whatever ``np.loadtxt`` raises, for input it
     might read otherwise than ``_parse_lines``.  Its warnings are raised
     too: numpy before 2.0 reads an id of ``1.0`` as 1 with a
     DeprecationWarning.  A chunk of comment and blank lines only is no
     such input: it holds no records either way.
     """
-    columns = [np.zeros(0, np.int32) for _ in dims] + [np.zeros(0, np.float64)]
-    size = records = 0
+    codes, values = np.zeros(0, np.int64), np.zeros(0, np.float64)
+    file_size = os.fstat(fh.fileno()).st_size
+    size = records = read = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         # Whole lines: the text read so far plus the rest of its last line.
         while text := fh.read(_PARSE_CHUNK) + fh.readline():
+            read += len(text)
             _screen(text)
             # Newlines were translated on reading, so these are the lines
             # _parse_lines would see (plus a blank one at the end).
@@ -204,21 +218,24 @@ def _parse_chunks(fh, dims, shift):
             records += rows.size
             rows = rows[~(rows["v"] < 0)]  # WS-DREAM sentinel; NaN is kept
             stop = size + rows.size
-            if stop > columns[-1].size:
-                for column in columns:
+            if stop > codes.size:
+                # Room for the records the rest of the file would hold at
+                # the density read so far (by half again for a file of
+                # unknown size, such as a pipe).
+                expected = stop * file_size // read or codes.size * 3 // 2
+                for column in (codes, values):
                     # No view of a column is alive here.
-                    column.resize(max(stop, column.size * 3 // 2), refcheck=False)
-            for column, name, d in zip(columns, _RECORD_DTYPE.names, dims):
-                x = rows[name] - shift
+                    column.resize(max(stop, expected + expected // 64), refcheck=False)
+            ids = [rows[name] - shift for name in _RECORD_DTYPE.names[:3]]
+            for x, d in zip(ids, dims):
                 if x.size and (x.min() < 0 or x.max() >= d):
                     raise _NotCanonical("an id is out of range")
-                column[size:stop] = x
-            columns[-1][size:stop] = rows["v"]
+            codes[size:stop] = ravel(ids, dims)
+            values[size:stop] = rows["v"]
             size = stop
-    for column in columns:
+    for column in (codes, values):
         column.resize(size, refcheck=False)
-    *ids, values = columns
-    return ids, values, records
+    return codes, values, records
 
 
 def _screen(text):
@@ -276,14 +293,13 @@ def _parse_lines(lines, dims, shift) -> IngestResult:
                     f"line {line_no}: {MODES[axis]} index {x} out of range [0, {d})")
             columns[axis].append(x)
         values.append(v)
-    return _ingest_result(dims, [np.array(c, dtype=np.int64) for c in columns],
-                          np.array(values, dtype=np.float64), records)
+    return _ingest_result(SparseTensor3.from_arrays(dims, *columns, values),
+                          len(values), records)
 
 
-def _ingest_result(dims, ids, values, records) -> IngestResult:
-    tensor = SparseTensor3.from_arrays(dims, *ids, values)
-    return IngestResult(tensor=tensor, records=records, kept=values.size,
-                        dropped=records - values.size)
+def _ingest_result(tensor, kept, records) -> IngestResult:
+    return IngestResult(tensor=tensor, records=records, kept=kept,
+                        dropped=records - kept)
 
 
 def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
@@ -292,8 +308,9 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
     Every line is ``f"{i} {j} {k} {v!r}\\n"``, after one ``# `` comment line
     per line of ``header`` (split by ``str.splitlines``).  Entries are rendered
     ``_WRITE_CHUNK`` at a time (``_render_lines``) and each chunk is one
-    ``write``.
+    ``write``; only that chunk's codes are unravelled to ids.
     """
+    codes = tensor.index_codes()
     tables = []
     for d in tensor.dims:
         names = np.array([f"{x} " for x in range(d)], dtype=bytes)
@@ -303,7 +320,7 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
             fh.write("".join(f"# {line}\n" for line in header.splitlines()))
         for start in range(0, tensor.n_entries, _WRITE_CHUNK):
             stop = start + _WRITE_CHUNK
-            fh.write(_render_lines(tables, [x[start:stop] for x in tensor.ids],
+            fh.write(_render_lines(tables, unravel(codes[start:stop], tensor.dims),
                                    tensor.values[start:stop]))
 
 
@@ -423,9 +440,9 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
     summing below one leave the surplus entries unassigned.
 
     The shuffled order assigns each entry a one-byte partition label and
-    is then dropped; each partition takes its positions from the labels
-    with ``np.flatnonzero``, which returns them in increasing order, so
-    ``subset`` slices them without a sort.
+    is then dropped; each partition is the ``subset`` where the labels
+    equal its own, a boolean mask that keeps storage order, so nothing is
+    sorted and no positions are formed.
     """
     n = tensor.n_entries
     if n == 0:
@@ -442,7 +459,7 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
     for label, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         labels[perm[start:stop]] = label
     del perm
-    return SplitTensor(*(tensor.subset(np.flatnonzero(labels == label))
+    return SplitTensor(*(tensor.subset(labels == label)
                          for label in range(len(PARTITIONS))))
 
 

@@ -1,24 +1,28 @@
 """Coordinate-format storage for sparse third-order QoS tensors.
 
-Observed entries of a ``|I| x |J| x |K|`` tensor are kept as parallel arrays,
-``ids[axis]`` (one int32 index array per mode, in ``MODES`` order) and
-``values``, plus their int64 linear index codes ``(i * |J| + j) * |K| + k``.
-The one index a tensor holds is its invariant: entries are sorted by code
-and each code occurs once.  Input whose codes are strictly increasing
-already (every log ``write_qos_log`` writes) is the sorted fast path of
-``from_arrays``: it keeps the arrays without a sort, and int32 ids and
-float64 values without a copy.  ``subset`` relies on the invariant to
-slice partitions without validating again, and skips its sort for
-strictly increasing positions, which is what ``data_io.split`` passes.
-The partition disjointness checks (``n_shared``) look up the smaller
-tensor's codes in the larger one's.  ``counts[axis][index]`` is the number of
-observed entries in one slice; the update rules form their per-slice sums
-with ``bincount`` over the index arrays.
+Observed entries of a ``|I| x |J| x |K|`` tensor are kept as two parallel
+arrays: their int64 linear index codes ``(i * |J| + j) * |K| + k`` and their
+float64 ``values``, 16 B per entry.  The codes are the one index a tensor
+holds, and its invariant: entries are sorted by code and each code occurs
+once.  ``ravel`` forms codes from ids and ``unravel`` is the one place
+codes become ids again; ``ids`` unravels all of them on each access, so a
+consumer that needs only a slice of the entries unravels that slice.
+Input whose codes are strictly increasing already (every log
+``write_qos_log`` writes) is the sorted fast path of ``from_arrays`` and
+``from_codes``: it keeps the arrays without a sort, and float64 values
+(and, for ``from_codes``, int64 codes) without a copy.  ``subset`` relies
+on the invariant to slice partitions without validating again: it takes a
+boolean mask, as ``data_io.split`` passes, or positions, and skips its sort
+for strictly increasing ones.  The partition disjointness checks
+(``n_shared``) look up the smaller tensor's codes in the larger one's.
+``counts[axis][index]`` is the number of observed entries in one slice,
+formed from the codes ``_CHUNK`` entries (or the largest dim) at a time.
 
 Tensors are immutable after construction and safe to read concurrently.
 """
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -40,22 +44,61 @@ MODES = ("user", "service", "time")
 #: fields of ``SplitTensor``, the split-config keys, the partition files).
 PARTITIONS = ("train", "validation", "test")
 
+#: Entries handled at a time where a pass over all of them would form
+#: entry-sized temporaries: unravelled ids for the slice counts, and the
+#: positions a ``subset`` mask selects.
+_CHUNK = 1 << 14
+
+
+def ravel(ids, dims) -> np.ndarray:
+    """The int64 codes ``(i * |J| + j) * |K| + k`` of in-range integer ``ids``.
+
+    Built in place in one entry-sized array from int32 or int64 ids.
+    """
+    i, j, k = ids
+    codes = np.multiply(i, dims[1], dtype=np.int64)
+    codes += j
+    codes *= dims[2]
+    codes += k
+    return codes
+
+
+def unravel(codes, dims):
+    """The ``(user, service, time)`` ids of int64 ``codes``, as intp arrays.
+
+    The one place where codes become ids.  Remainders are formed by
+    subtraction: numpy divides by a scalar several times faster than it
+    takes ``%`` or ``divmod`` of one.
+    """
+    ij = codes // dims[2]
+    k = ij * dims[2]
+    np.subtract(codes, k, out=k)
+    i = ij // dims[1]
+    j = i * dims[1]
+    np.subtract(ij, j, out=j)
+    return i, j, k
+
 
 class SparseTensor3:
     """An immutable third-order tensor holding only its observed entries."""
 
-    __slots__ = ("dims", "ids", "values", "counts", "_codes")
+    __slots__ = ("dims", "values", "counts", "_codes")
 
-    def __init__(self, dims, ids, values, _codes):
+    def __init__(self, dims, codes, values):
         # Internal constructor: arrays are already validated and sorted by
-        # code, each code once.  Use from_arrays or subset.
+        # code, each code once.  Use from_arrays, from_codes or subset.
         self.dims = dims
-        self.ids = tuple(ids)
+        self._codes = codes
         self.values = values
-        self._codes = _codes
-        self.counts = tuple(np.bincount(idx, minlength=d).astype(np.int64)
-                            for idx, d in zip(self.ids, dims))
-        for arr in (*self.ids, *self.counts, values, _codes):
+        counts = [np.zeros(d, np.int64) for d in dims]
+        # A chunk spans at least the largest dim, so the per-chunk
+        # bincounts cost no more than the entries they count.
+        step = max(_CHUNK, *dims)
+        for lo in range(0, codes.size, step):
+            for total, idx in zip(counts, unravel(codes[lo:lo + step], dims)):
+                total += np.bincount(idx, minlength=total.size)
+        self.counts = tuple(counts)
+        for arr in (*self.counts, values, codes):
             arr.setflags(write=False)
 
     # -- construction ----------------------------------------------------
@@ -64,16 +107,15 @@ class SparseTensor3:
     def from_arrays(cls, dims, user_ids, service_ids, time_ids, values):
         """Build a tensor from parallel index/value arrays.
 
-        Indices are validated against ``dims``, values must be finite and
+        Indices must be integers within ``dims``, values must be finite and
         nonnegative, and entries are sorted lexicographically.  Duplicate
         indices carrying the same value collapse to one entry; duplicates
         with different values raise ``DuplicateIndexError`` because silent
         averaging would mask ingestion bugs.
 
-        Input already in that order, each index once, is neither sorted nor
-        copied: int32 id arrays and float64 value arrays become the
-        tensor's own (as read-only views), so the caller must not write to
-        them afterwards.
+        Input already in that order, each index once, is not sorted, and a
+        float64 value array becomes the tensor's own (as a read-only view),
+        so the caller must not write to it afterwards.
         """
         dims = _validated_dims(dims)
         ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
@@ -82,45 +124,64 @@ class SparseTensor3:
             raise OutOfBoundsError("index and value arrays must be 1-D and equal length")
 
         # Ids are range-checked in the dtype they came in, so an index past
-        # int64 is reported, not wrapped or overflowed.  int32 is the stored
-        # id dtype; other ids are read as int64 before they are narrowed.
+        # int64 is reported, not wrapped or overflowed; int32 and int64 ids
+        # then form the codes as they are, others are read as int64 first.
         for axis, idx in enumerate(ids):
+            _check_integers(idx, f"{MODES[axis]} ids")
             if idx.size and (idx.min() < 0 or idx.max() >= dims[axis]):
                 bad = idx[(idx < 0) | (idx >= dims[axis])][0]
                 raise OutOfBoundsError(
                     f"{MODES[axis]} index {bad} out of range [0, {dims[axis]})")
-        ids = [np.ascontiguousarray(x, dtype=x.dtype if x.dtype == np.int32 else np.int64)
-               for x in ids]
+        codes = ravel([x if x.dtype in (np.int32, np.int64) else x.astype(np.int64)
+                       for x in ids], dims)
+        return cls._from_valid_codes(dims, codes, vals)
+
+    @classmethod
+    def from_codes(cls, dims, codes, values):
+        """Build a tensor from linear codes ``(i * |J| + j) * |K| + k`` and values.
+
+        The rules of ``from_arrays`` apply, with each code in
+        ``[0, |I| * |J| * |K|)``.  Codes in increasing order, each once, are
+        not sorted, and int64 codes and float64 values then become the
+        tensor's own (as read-only views), so the caller must not write to
+        them afterwards.
+        """
+        dims = _validated_dims(dims)
+        codes = np.asarray(codes)
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        if codes.shape != vals.shape or vals.ndim != 1:
+            raise OutOfBoundsError("code and value arrays must be 1-D and equal length")
+        _check_integers(codes, "codes")
+        cells = math.prod(dims)
+        if codes.size and (codes.min() < 0 or codes.max() >= cells):
+            bad = codes[(codes < 0) | (codes >= cells)][0]
+            raise OutOfBoundsError(f"code {bad} out of range [0, {cells})")
+        codes = np.ascontiguousarray(codes, dtype=np.int64).view()
+        return cls._from_valid_codes(dims, codes, vals)
+
+    @classmethod
+    def _from_valid_codes(cls, dims, codes, vals):
+        # In-range int64 codes, owned by the new tensor, and float64 values.
         if vals.size and (not np.isfinite(vals).all() or vals.min() < 0):
             bad = vals[~(np.isfinite(vals) & (vals >= 0))][0]
             raise NegativeValueError(f"QoS values must be finite and >= 0, got {bad}")
-
-        codes = ids[0].astype(np.int64)
-        codes *= dims[1]
-        codes += ids[1]
-        codes *= dims[2]
-        codes += ids[2]
         if _strictly_increasing(codes):
-            return cls(dims, [x.astype(np.int32, copy=False).view() for x in ids],
-                       vals.view(), codes)
+            return cls(dims, codes, vals.view())
 
         order = np.argsort(codes, kind="stable")
         codes, vals = codes[order], vals[order]
-        ids = [x[order] for x in ids]
-
+        del order
         if codes.size > 1:
             dup = np.nonzero(np.diff(codes) == 0)[0]
             if dup.size:
                 if not np.array_equal(vals[dup], vals[dup + 1]):
                     k = dup[vals[dup] != vals[dup + 1]][0]
+                    index = ", ".join(str(x[0]) for x in unravel(codes[k:k + 1], dims))
                     raise DuplicateIndexError(
-                        f"index ({', '.join(str(x[k]) for x in ids)}) appears "
-                        f"with values {vals[k]} and {vals[k + 1]}")
+                        f"index ({index}) appears with values {vals[k]} and {vals[k + 1]}")
                 keep = np.concatenate(([True], np.diff(codes) != 0))
                 codes, vals = codes[keep], vals[keep]
-                ids = [x[keep] for x in ids]
-
-        return cls(dims, [x.astype(np.int32, copy=False) for x in ids], vals, codes)
+        return cls(dims, codes, vals)
 
     # -- access ----------------------------------------------------------
 
@@ -128,29 +189,52 @@ class SparseTensor3:
     def n_entries(self) -> int:
         return int(self.values.size)
 
+    @property
+    def ids(self):
+        """The ``(user, service, time)`` id arrays of all entries, in storage
+        order: intp, unravelled from the codes on each access and never
+        kept, so a loop should hold them in a local."""
+        return unravel(self._codes, self.dims)
+
     def subset(self, positions) -> "SparseTensor3":
-        """New tensor holding the entries at the given storage positions.
+        """New tensor holding the entries at the given storage positions, or
+        the entries where a boolean mask of ``n_entries`` elements is set.
 
         Positions are sorted and repeats dropped (unless they are strictly
         increasing already), so the stored arrays are sliced in code order
         and the result keeps the sorted-unique-code invariant without being
-        validated or sorted again.
+        validated or sorted again.  A mask's positions are formed ``_CHUNK``
+        at a time, so none of entry size exists.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.ndim != 1:
-            raise OutOfBoundsError("positions must be a 1-D sequence")
-        if not _strictly_increasing(pos):
-            pos = np.sort(pos)
-            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
-        if pos.size and (pos[0] < 0 or pos[-1] >= self.n_entries):
-            bad = pos[0] if pos[0] < 0 else pos[-1]
-            raise OutOfBoundsError(
-                f"position {bad} out of range [0, {self.n_entries})")
-        ids = [x[pos] for x in self.ids]
-        values, codes = self.values[pos], self._codes[pos]
+        pos = np.asarray(positions)
+        if pos.dtype == bool:
+            if pos.shape != self.values.shape:
+                raise OutOfBoundsError(
+                    f"a mask must have one element per entry, got shape {pos.shape}")
+            size = np.count_nonzero(pos)
+            codes, values = np.empty(size, np.int64), np.empty(size)
+            stop = 0
+            for lo in range(0, pos.size, _CHUNK):
+                at = np.flatnonzero(pos[lo:lo + _CHUNK])
+                at += lo
+                start, stop = stop, stop + at.size
+                self._codes.take(at, out=codes[start:stop])
+                self.values.take(at, out=values[start:stop])
+        else:
+            pos = pos.astype(np.int64, copy=False)
+            if pos.ndim != 1:
+                raise OutOfBoundsError("positions must be a 1-D sequence")
+            if not _strictly_increasing(pos):
+                pos = np.sort(pos)
+                pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
+            if pos.size and (pos[0] < 0 or pos[-1] >= self.n_entries):
+                bad = pos[0] if pos[0] < 0 else pos[-1]
+                raise OutOfBoundsError(
+                    f"position {bad} out of range [0, {self.n_entries})")
+            codes, values = self._codes[pos], self.values[pos]
         # The positions need not live on while the counts are formed.
         del positions, pos
-        return SparseTensor3(self.dims, ids, values, codes)
+        return SparseTensor3(self.dims, codes, values)
 
     def index_codes(self) -> np.ndarray:
         """Linearized (i, j, k) codes, sorted ascending, each once."""
@@ -177,11 +261,30 @@ def _strictly_increasing(x) -> bool:
     return bool((x[1:] > x[:-1]).all())
 
 
+def _check_integers(x, what):
+    """Raise ``OutOfBoundsError`` unless nonempty ``x`` holds integers.
+
+    Integer dtypes pass, and so do object arrays of Python integers (ids
+    past int64); floats and booleans do not.  An empty array of any dtype
+    passes, as ``np.asarray([])`` is float64.
+    """
+    if not x.size or x.dtype.kind in "iu":
+        return
+    if x.dtype != object or not all(isinstance(v, numbers.Integral)
+                                    and not isinstance(v, bool) for v in x.flat):
+        raise OutOfBoundsError(f"{what} must be integers, got dtype {x.dtype}")
+
+
 def _validated_dims(dims):
-    """``dims`` as three positive ints; a dim that is no integer is an error."""
+    """``dims`` as three positive ints whose product, the number of cells,
+    fits in int64 so that every cell has its own code; a dim that is no
+    integer is an error."""
     dims = tuple(int(check_kind(d, numbers.Integral, "every dim")) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise OutOfBoundsError(f"dims must be three positive integers, got {dims}")
+    if math.prod(dims) > np.iinfo(np.int64).max:
+        raise OutOfBoundsError(
+            f"dims {dims} hold {math.prod(dims)} cells, more than int64 codes can index")
     return dims
 
 

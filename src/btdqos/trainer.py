@@ -200,11 +200,12 @@ class EpochWorkspace:
     """The entry-sized buffers of ``epoch`` for one training tensor and block
     structure, made once and reused by every epoch handed the workspace.
 
-    It holds the tensor's ids cast to ``np.intp`` (so ``bincount`` and
-    ``take`` convert no ids), the gathered factor rows ``rows[axis][r]`` as
-    ``(rank, n_entries)`` arrays, the prediction table ``pred`` (one row per
-    block, then one per mode's gathered bias), the outer-product,
-    contraction and weighted scratch, and the predictions ``yhat``.
+    It holds the tensor's ids, unravelled once from its codes as ``np.intp``
+    (so ``bincount`` and ``take`` convert no ids), the gathered factor rows
+    ``rows[axis][r]`` as ``(rank, n_entries)`` arrays, the prediction table
+    ``pred`` (one row per block, then one per mode's gathered bias), the
+    outer-product, contraction and weighted scratch, and the predictions
+    ``yhat``.
 
     ``model`` is the model the workspace's last epoch returned, or None.
     The rows, the table and ``yhat`` are consistent with it, so an epoch
@@ -217,7 +218,7 @@ class EpochWorkspace:
         blocks = structure.blocks
         self.train = train
         self.structure = structure
-        self.ids = [idx.astype(np.intp) for idx in train.ids]
+        self.ids = train.ids
         self.rows = [[np.empty((b[axis], n_obs)) for b in blocks] for axis in range(3)]
         widest = max(max(l * m, l * n, m * n) for l, m, n in blocks)
         top_rank = max(max(b) for b in blocks)
@@ -367,9 +368,8 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
 # -- training loop --------------------------------------------------------
 
-def _validation_rmse(model, validation):
-    pred = predict_entries(model, *validation.ids)
-    return residual_rmse(validation.values - pred)
+def _validation_rmse(model, ids, values):
+    return residual_rmse(values - predict_entries(model, *ids))
 
 
 def fit(train: SparseTensor3, validation: SparseTensor3, structure,
@@ -408,14 +408,16 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
 
     losses = []
     val_rmses = []
-    prev = (_validation_rmse(model, validation) if use_validation
+    # Unravelled once: every epoch scores the same validation entries.
+    val_ids = validation.ids
+    prev = (_validation_rmse(model, val_ids, validation.values) if use_validation
             else objective(model, train, cfg))
     stop_reason = STOP_MAX_ITER
     workspace = EpochWorkspace(train, model.structure)
     for n in range(cfg.max_iter):
         model = epoch(model, train, cfg, workspace)
         losses.append(objective(model, train, cfg, workspace.yhat))
-        val_rmses.append(_validation_rmse(model, validation)
+        val_rmses.append(_validation_rmse(model, val_ids, validation.values)
                          if validation.n_entries else float("nan"))
         current = val_rmses[-1] if use_validation else losses[-1]
         if n % 100 == 0:

@@ -453,7 +453,7 @@ def ref_tensor_arrays(dims, ii, jj, kk, vals):
         if entries.setdefault((i, j, k), v) != v:
             raise ValueError(f"index {(i, j, k)} has two values")
     keys = sorted(entries)
-    ids = [np.array([key[axis] for key in keys], dtype=np.int32) for axis in range(3)]
+    ids = [np.array([key[axis] for key in keys], dtype=np.intp) for axis in range(3)]
     values = np.array([entries[key] for key in keys], dtype=np.float64)
     codes = np.array([(i * dims[1] + j) * dims[2] + k for i, j, k in keys], dtype=np.int64)
     return ids, values, codes

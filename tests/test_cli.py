@@ -98,6 +98,17 @@ class TestIngest:
     def test_usage_error(self, workdir):
         assert main(["ingest", "--data", "x.txt"]) == 2
 
+    def test_dims_past_int64_codes_are_a_usage_error(self, workdir, caplog):
+        """Dims with more cells than int64 codes can index exit 2 before
+        the log is read."""
+        _toy_log(workdir / "toy.txt")
+        code = main(["ingest", "--data", "toy.txt", "--users", "3000000",
+                     "--services", "3000000", "--slices", "3000000",
+                     "--split", "0.1,0.1,0.8", "--out", "splits"])
+        assert code == 2
+        assert "more than int64 codes can index" in caplog.text
+        assert not (workdir / "splits").exists()
+
     def test_log_not_utf8_is_a_usage_error(self, workdir, caplog):
         (workdir / "bad.txt").write_bytes(b"0 0 0 1.0\n0 1 1 \xff\n")
         code = main(["ingest", "--data", "bad.txt", "--users", "2",

@@ -332,8 +332,8 @@ def test_generated_log_takes_the_fast_path(tmp_path, monkeypatch):
 
 def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
     """Parsing holds little beyond the tensor it returns: a generated log of
-    about 200k records peaks at no more than 1.6 times the tensor's bytes
-    (ids, values, codes and counts), by tracemalloc."""
+    about 200k records peaks at no more than 1.6 times the bytes the tensor
+    stores (values, codes and counts), by tracemalloc."""
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     import gen
 
@@ -346,8 +346,29 @@ def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
         tracemalloc.stop()
     t = result.tensor
     assert result.records == planted.records > 195_000
-    held = sum(x.nbytes for x in (*t.ids, t.values, t.index_codes(), *t.counts))
+    held = sum(x.nbytes for x in (t.values, t.index_codes(), *t.counts))
     assert peak <= 1.6 * held, (peak, held)
+
+
+def test_split_peak_memory_is_bounded():
+    """Splitting a 200k-entry tensor 10/10/80 holds at most 24 B per source
+    entry above the tensor it is handed, by tracemalloc: the 16 B of the
+    partitions plus the labels, with no entry-sized positions or id copies
+    while a partition is built."""
+    dims = (142, 4500, 64)
+    rng = np.random.default_rng(3)
+    n = 200_000
+    codes = np.sort(rng.choice(dims[0] * dims[1] * dims[2], n, replace=False))
+    t = SparseTensor3.from_codes(dims, codes, rng.uniform(0, 5, n))
+    del codes
+    tracemalloc.start()
+    try:
+        parts = split(t, SplitSpec(0.1, 0.1, 0.8, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(part.n_entries for _, part in parts.named()) == n
+    assert peak <= 24 * n, peak / n
 
 
 def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):

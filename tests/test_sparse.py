@@ -11,7 +11,7 @@ from btdqos.errors import (
     NegativeValueError,
     OutOfBoundsError,
 )
-from btdqos.sparse import MODES, SparseTensor3, SplitTensor
+from btdqos.sparse import MODES, SparseTensor3, SplitTensor, unravel
 
 
 def test_build_two_entries():
@@ -36,6 +36,74 @@ def test_build_dims_that_are_no_integers(dims):
     z = np.zeros(1, dtype=np.int64)
     with pytest.raises(ConfigError, match="every dim must be an integer"):
         SparseTensor3.from_arrays(dims, z, z, z, np.ones(1))
+
+
+@pytest.mark.parametrize("dims", [(3_000_000,) * 3, (2 ** 21,) * 3, (2, 2 ** 62, 2)])
+def test_build_dims_whose_cells_overflow_int64(dims):
+    """Dims with more cells than int64 codes can index are an error, where
+    codes would wrap and two cells could share one."""
+    z = np.zeros(1, dtype=np.int64)
+    with pytest.raises(OutOfBoundsError, match="more than int64 codes can index"):
+        SparseTensor3.from_arrays(dims, z, z, z, np.ones(1))
+
+
+def test_build_largest_dims_codes_and_ids_round_trip():
+    """At the most cells int64 codes index, the last cell's code is exact
+    and unravels to its ids."""
+    dims = (2 ** 21, 2 ** 21, 2 ** 21 - 1)
+    last = [np.array([d - 1]) for d in dims]
+    t = SparseTensor3.from_arrays(dims, *last, [1.0])
+    assert t.index_codes().tolist() == [dims[0] * dims[1] * dims[2] - 1]
+    assert [x.tolist() for x in t.ids] == [[d - 1] for d in dims]
+
+
+@pytest.mark.parametrize("bad", [[1.7], [1.0], [True], np.array([1], dtype=np.float32)])
+def test_build_ids_that_are_no_integers(bad):
+    """Fractional, float and boolean ids are rejected, not truncated."""
+    z = [0]
+    for axis in range(3):
+        ids = [z, z, z]
+        ids[axis] = bad
+        with pytest.raises(OutOfBoundsError, match=f"{MODES[axis]} ids must be integers"):
+            SparseTensor3.from_arrays((2, 2, 2), *ids, [1.0])
+
+
+def test_build_empty_ids_of_any_dtype():
+    """Empty arrays are accepted whatever their dtype (``np.asarray([])``
+    is float64)."""
+    t = SparseTensor3.from_arrays((2, 2, 2), [], np.array([], dtype=bool),
+                                  np.array([], dtype=np.float32), [])
+    assert t.n_entries == 0
+
+
+def test_from_codes_matches_from_arrays():
+    """Codes build what their ids build; sorted unique int64 codes and
+    float64 values are kept without a copy."""
+    t = _random_tensor(7)
+    codes, values = t.index_codes().copy(), t.values.copy()
+    kept = SparseTensor3.from_codes(t.dims, codes, values)
+    _assert_same_tensor(kept, t)
+    assert np.shares_memory(kept.index_codes(), codes)
+    assert np.shares_memory(kept.values, values)
+    assert codes.flags.writeable and values.flags.writeable
+    order = np.random.default_rng(3).permutation(codes.size)
+    _assert_same_tensor(SparseTensor3.from_codes(t.dims, codes[order], values[order]), t)
+
+
+@pytest.mark.parametrize("codes, message", [
+    ([-1], "code -1 out of range"), ([120], "code 120 out of range"),
+    ([1.0], "codes must be integers"), ([False], "codes must be integers")])
+def test_from_codes_rejects_bad_codes(codes, message):
+    with pytest.raises(OutOfBoundsError, match=message):
+        SparseTensor3.from_codes((6, 5, 4), codes, [1.0])
+
+
+def test_unravel_inverts_codes():
+    dims = (6, 5, 4)
+    codes = np.arange(120)
+    assert [x.tolist() for x in unravel(codes, dims)] == [
+        x.tolist() for x in np.unravel_index(codes, dims)]
+    assert all(x.dtype == np.intp for x in unravel(codes, dims))
 
 
 def test_build_negative_value():
@@ -110,9 +178,9 @@ def _random_tensor(seed, dims=(6, 5, 4), n=60):
 
 
 def _assert_same_tensor(got, want):
-    """Same stored arrays (ids, values, codes, counts) and dtypes, read-only."""
-    for g, w in zip((*got.ids, got.values, got.index_codes(), *got.counts),
-                    (*want.ids, want.values, want.index_codes(), *want.counts)):
+    """Same stored arrays (values, codes, counts) and dtypes, read-only."""
+    for g, w in zip((got.values, got.index_codes(), *got.counts),
+                    (want.values, want.index_codes(), *want.counts)):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
         assert not g.flags.writeable
@@ -137,9 +205,9 @@ def test_subset_matches_from_arrays(kind):
 @pytest.mark.parametrize("id_dtype", [np.int32, np.int64])
 def test_sorted_input_equals_shuffled_input(id_dtype, repeats):
     """Entries in code order build the tensor the same entries shuffled
-    build, which is what the reference stores.  Unique int32 ids and
-    float64 values in code order are kept without a copy, and the caller's
-    arrays stay writable."""
+    build, which is what the reference stores.  Float64 values of unique
+    entries in code order are kept without a copy, the tensor stores the
+    codes it formed, and the caller's arrays stay writable."""
     rng = np.random.default_rng(5)
     dims = (7, 9, 5)
     codes = np.sort(rng.choice(7 * 9 * 5, 120, replace=False))
@@ -158,8 +226,8 @@ def test_sorted_input_equals_shuffled_input(id_dtype, repeats):
         np.testing.assert_array_equal(got, want)
     kept = not repeats
     assert np.shares_memory(in_order.values, vals) == kept
-    for got, given in zip(in_order.ids, ids):
-        assert np.shares_memory(got, given) == (kept and id_dtype == np.int32)
+    assert in_order.index_codes() is in_order.index_codes()
+    assert not any(np.shares_memory(in_order.index_codes(), x) for x in ids)
     assert vals.flags.writeable and all(x.flags.writeable for x in ids)
 
 
@@ -209,6 +277,15 @@ def test_subset_of_increasing_positions_equals_sorting_path():
                             t.subset(np.concatenate((shuffled, shuffled[:1]))))
 
 
+@pytest.mark.parametrize("size", [0, 1, 17, 60])
+def test_subset_of_a_mask_equals_its_positions(size):
+    """A boolean mask selects what its set positions select."""
+    t = _random_tensor(23)
+    mask = np.zeros(t.n_entries, bool)
+    mask[np.random.default_rng(size).choice(t.n_entries, size, replace=False)] = True
+    _assert_same_tensor(t.subset(mask), t.subset(np.flatnonzero(mask)))
+
+
 def test_n_shared_counts_common_entries():
     """``n_shared`` equals a set intersection of the two index sets, in
     either order, with an empty tensor and past the larger one's codes."""
@@ -224,21 +301,29 @@ def test_n_shared_counts_common_entries():
     assert top.n_shared(low) == low.n_shared(top) == 0
 
 
-@pytest.mark.parametrize("positions", [[-1], [0, 60], [3, -60, 5], [[0, 1]]])
+@pytest.mark.parametrize("positions", [[-1], [0, 60], [3, -60, 5], [[0, 1]],
+                                       [True, False], np.ones(61, bool)])
 def test_subset_rejects_bad_positions(positions):
-    """Positions outside [0, n_entries), or not a 1-D sequence, raise."""
+    """Positions outside [0, n_entries), not a 1-D sequence, or a mask of
+    another length than the entries, raise."""
     t = _random_tensor(23)
     with pytest.raises(OutOfBoundsError):
         t.subset(positions)
 
 
 def test_arrays_are_immutable():
+    """The stored arrays are read-only, and writing to the ids derived from
+    them leaves the tensor unchanged."""
     t = from_entries((2, 2, 2), [((0, 0, 0), 1.0)])
     with pytest.raises(ValueError):
         t.values[0] = 5.0
-    for arr in (*t.ids, *t.counts):
+    for arr in (t.index_codes(), *t.counts):
         with pytest.raises(ValueError):
             arr[0] = 1
+    ids = t.ids
+    for arr in ids:
+        arr[0] = 1
+    assert entry_list(t) == [((0, 0, 0), 1.0)]
     with pytest.raises(TypeError):
         t.ids[0] = t.ids[1]
 
