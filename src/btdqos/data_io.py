@@ -310,7 +310,7 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
     ``_WRITE_CHUNK`` at a time (``_render_lines``) and each chunk is one
     ``write``; only that chunk's codes are unravelled to ids.
     """
-    codes = tensor.index_codes()
+    codes = tensor.codes
     tables = []
     for d in tensor.dims:
         names = np.array([f"{x} " for x in range(d)], dtype=bytes)

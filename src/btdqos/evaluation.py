@@ -17,30 +17,20 @@ import numpy as np
 
 from .data_io import SplitSpec, split, write_csv
 from .errors import ConfigError, EmptyTestSetError
-from .model import PREDICT_CHUNK, BlockStructure, BnbtModel, check_dims, predict_entries
+from .model import BlockStructure, BnbtModel
 from .rng import derive_seed
-from .sparse import SparseTensor3, unravel
-from .trainer import TrainConfig, grid_search, residual_rmse
+from .sparse import SparseTensor3
+from .trainer import TrainConfig, grid_search, residual_rmse, residuals
 
 logger = logging.getLogger(__name__)
 
 
 def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
-    """``(rmse, mae)`` from one prediction pass over the test entries.
-
-    The entries go through ``PREDICT_CHUNK`` at a time, so only one chunk's
-    codes are unravelled to ids at once.
-    """
-    check_dims(model, test.dims)
-    if test.n_entries == 0:
+    """``(rmse, mae)`` from one prediction pass over the test entries, by
+    ``trainer.residuals``."""
+    resid = residuals(model, test)
+    if not resid.size:
         raise EmptyTestSetError("metrics need at least one test entry")
-    codes, values = test.index_codes(), test.values
-    resid = np.empty(test.n_entries)
-    for lo in range(0, resid.size, PREDICT_CHUNK):
-        hi = lo + PREDICT_CHUNK
-        np.subtract(values[lo:hi],
-                    predict_entries(model, *unravel(codes[lo:hi], test.dims)),
-                    out=resid[lo:hi])
     return residual_rmse(resid), float(np.abs(resid).mean())
 
 

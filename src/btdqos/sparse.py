@@ -1,22 +1,23 @@
 """Coordinate-format storage for sparse third-order QoS tensors.
 
 Observed entries of a ``|I| x |J| x |K|`` tensor are kept as two parallel
-arrays: their int64 linear index codes ``(i * |J| + j) * |K| + k`` and their
-float64 ``values``, 16 B per entry.  The codes are the one index a tensor
-holds, and its invariant: entries are sorted by code and each code occurs
-once.  ``ravel`` forms codes from ids and ``unravel`` is the one place
-codes become ids again; ``ids`` unravels all of them on each access, so a
-consumer that needs only a slice of the entries unravels that slice.
-Input whose codes are strictly increasing already (every log
-``write_qos_log`` writes) is the sorted fast path of ``from_arrays`` and
-``from_codes``: it keeps the arrays without a sort, and float64 values
-(and, for ``from_codes``, int64 codes) without a copy.  ``subset`` relies
-on the invariant to slice partitions without validating again: it takes a
-boolean mask, as ``data_io.split`` passes, or positions, and skips its sort
-for strictly increasing ones.  The partition disjointness checks
-(``n_shared``) look up the smaller tensor's codes in the larger one's.
-``counts[axis][index]`` is the number of observed entries in one slice,
-formed from the codes ``_CHUNK`` entries (or the largest dim) at a time.
+arrays and nothing else: their int64 linear index ``codes``
+``(i * |J| + j) * |K| + k`` and their float64 ``values``, 16 B per entry.
+The codes are the one index a tensor holds, and its invariant: entries are
+sorted by code and each code occurs once.  A tensor keeps no state derived
+from them; per-slice counts, for one, are formed by the training code that
+reads them.  ``ravel`` forms codes from ids and ``unravel`` is the one
+place codes become ids again; ``ids`` unravels all of them on each access,
+so a consumer that needs only a slice of the entries unravels that slice.
+``from_codes`` validates, sorts and deduplicates; ``from_arrays`` is its
+id front end, which range-checks and ravels ids first.  Input whose codes
+are strictly increasing already (every log ``write_qos_log`` writes) is
+kept without a sort, and float64 values (and, for ``from_codes``, int64
+codes) without a copy.  ``subset`` relies on the invariant to slice
+partitions without validating again: it selects by a boolean mask, as
+``data_io.split`` passes, and turns positions into such a mask.  The
+partition disjointness checks (``n_shared``) look up the smaller tensor's
+codes in the larger one's.
 
 Tensors are immutable after construction and safe to read concurrently.
 """
@@ -44,9 +45,8 @@ MODES = ("user", "service", "time")
 #: fields of ``SplitTensor``, the split-config keys, the partition files).
 PARTITIONS = ("train", "validation", "test")
 
-#: Entries handled at a time where a pass over all of them would form
-#: entry-sized temporaries: unravelled ids for the slice counts, and the
-#: positions a ``subset`` mask selects.
+#: Mask elements ``subset`` handles at a time, so the positions it selects
+#: never form an entry-sized array.
 _CHUNK = 1 << 14
 
 
@@ -82,36 +82,26 @@ def unravel(codes, dims):
 class SparseTensor3:
     """An immutable third-order tensor holding only its observed entries."""
 
-    __slots__ = ("dims", "values", "counts", "_codes")
+    __slots__ = ("dims", "codes", "values")
 
     def __init__(self, dims, codes, values):
         # Internal constructor: arrays are already validated and sorted by
         # code, each code once.  Use from_arrays, from_codes or subset.
-        self.dims = dims
-        self._codes = codes
-        self.values = values
-        counts = [np.zeros(d, np.int64) for d in dims]
-        # A chunk spans at least the largest dim, so the per-chunk
-        # bincounts cost no more than the entries they count.
-        step = max(_CHUNK, *dims)
-        for lo in range(0, codes.size, step):
-            for total, idx in zip(counts, unravel(codes[lo:lo + step], dims)):
-                total += np.bincount(idx, minlength=total.size)
-        self.counts = tuple(counts)
-        for arr in (*self.counts, values, codes):
-            arr.setflags(write=False)
+        codes.setflags(write=False)
+        values.setflags(write=False)
+        self.dims, self.codes, self.values = dims, codes, values
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def from_arrays(cls, dims, user_ids, service_ids, time_ids, values):
-        """Build a tensor from parallel index/value arrays.
+        """Build a tensor from parallel index/value arrays: the id front end
+        of ``from_codes``.
 
-        Indices must be integers within ``dims``, values must be finite and
-        nonnegative, and entries are sorted lexicographically.  Duplicate
-        indices carrying the same value collapse to one entry; duplicates
-        with different values raise ``DuplicateIndexError`` because silent
-        averaging would mask ingestion bugs.
+        Indices must be integers within ``dims``.  They are range-checked
+        and ravelled to codes, to which, with the values, the rules of
+        ``from_codes`` apply: entries come out in lexicographic index
+        order, and a duplicate index is a repeated code.
 
         Input already in that order, each index once, is not sorted, and a
         float64 value array becomes the tensor's own (as a read-only view),
@@ -127,41 +117,31 @@ class SparseTensor3:
         # int64 is reported, not wrapped or overflowed; int32 and int64 ids
         # then form the codes as they are, others are read as int64 first.
         for axis, idx in enumerate(ids):
-            _check_integers(idx, f"{MODES[axis]} ids")
-            if idx.size and (idx.min() < 0 or idx.max() >= dims[axis]):
-                bad = idx[(idx < 0) | (idx >= dims[axis])][0]
-                raise OutOfBoundsError(
-                    f"{MODES[axis]} index {bad} out of range [0, {dims[axis]})")
+            _check_in_range(idx, dims[axis], f"{MODES[axis]} ids", f"{MODES[axis]} index")
         codes = ravel([x if x.dtype in (np.int32, np.int64) else x.astype(np.int64)
                        for x in ids], dims)
-        return cls._from_valid_codes(dims, codes, vals)
+        return cls.from_codes(dims, codes, vals)
 
     @classmethod
     def from_codes(cls, dims, codes, values):
         """Build a tensor from linear codes ``(i * |J| + j) * |K| + k`` and values.
 
-        The rules of ``from_arrays`` apply, with each code in
-        ``[0, |I| * |J| * |K|)``.  Codes in increasing order, each once, are
-        not sorted, and int64 codes and float64 values then become the
-        tensor's own (as read-only views), so the caller must not write to
-        them afterwards.
+        Each code must be an integer in ``[0, |I| * |J| * |K|)``, values
+        must be finite and nonnegative, and entries are sorted by code.
+        Repeated codes carrying the same value collapse to one entry;
+        repeats with different values raise ``DuplicateIndexError``
+        because silent averaging would mask ingestion bugs.  Codes in
+        increasing order, each once, are not sorted, and int64 codes and
+        float64 values then become the tensor's own (as read-only views),
+        so the caller must not write to them afterwards.
         """
         dims = _validated_dims(dims)
         codes = np.asarray(codes)
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if codes.shape != vals.shape or vals.ndim != 1:
             raise OutOfBoundsError("code and value arrays must be 1-D and equal length")
-        _check_integers(codes, "codes")
-        cells = math.prod(dims)
-        if codes.size and (codes.min() < 0 or codes.max() >= cells):
-            bad = codes[(codes < 0) | (codes >= cells)][0]
-            raise OutOfBoundsError(f"code {bad} out of range [0, {cells})")
+        _check_in_range(codes, math.prod(dims), "codes", "code")
         codes = np.ascontiguousarray(codes, dtype=np.int64).view()
-        return cls._from_valid_codes(dims, codes, vals)
-
-    @classmethod
-    def _from_valid_codes(cls, dims, codes, vals):
-        # In-range int64 codes, owned by the new tensor, and float64 values.
         if vals.size and (not np.isfinite(vals).all() or vals.min() < 0):
             bad = vals[~(np.isfinite(vals) & (vals >= 0))][0]
             raise NegativeValueError(f"QoS values must be finite and >= 0, got {bad}")
@@ -194,51 +174,41 @@ class SparseTensor3:
         """The ``(user, service, time)`` id arrays of all entries, in storage
         order: intp, unravelled from the codes on each access and never
         kept, so a loop should hold them in a local."""
-        return unravel(self._codes, self.dims)
+        return unravel(self.codes, self.dims)
 
     def subset(self, positions) -> "SparseTensor3":
-        """New tensor holding the entries at the given storage positions, or
-        the entries where a boolean mask of ``n_entries`` elements is set.
+        """New tensor holding the entries where a boolean mask of
+        ``n_entries`` elements is set, or those at the given storage
+        positions.
 
-        Positions are sorted and repeats dropped (unless they are strictly
-        increasing already), so the stored arrays are sliced in code order
-        and the result keeps the sorted-unique-code invariant without being
-        validated or sorted again.  A mask's positions are formed ``_CHUNK``
-        at a time, so none of entry size exists.
+        Positions must be integers in ``[0, n_entries)``; they set a mask,
+        so an entry selected more than once is kept once.  The stored
+        arrays are sliced in code order, so the result keeps the
+        sorted-unique-code invariant without being validated or sorted
+        again.  The mask's set positions are formed ``_CHUNK`` at a time,
+        so none of entry size exists.
         """
-        pos = np.asarray(positions)
-        if pos.dtype == bool:
-            if pos.shape != self.values.shape:
-                raise OutOfBoundsError(
-                    f"a mask must have one element per entry, got shape {pos.shape}")
-            size = np.count_nonzero(pos)
-            codes, values = np.empty(size, np.int64), np.empty(size)
-            stop = 0
-            for lo in range(0, pos.size, _CHUNK):
-                at = np.flatnonzero(pos[lo:lo + _CHUNK])
-                at += lo
-                start, stop = stop, stop + at.size
-                self._codes.take(at, out=codes[start:stop])
-                self.values.take(at, out=values[start:stop])
-        else:
-            pos = pos.astype(np.int64, copy=False)
-            if pos.ndim != 1:
+        mask = np.asarray(positions)
+        if mask.dtype != bool:
+            if mask.ndim != 1:
                 raise OutOfBoundsError("positions must be a 1-D sequence")
-            if not _strictly_increasing(pos):
-                pos = np.sort(pos)
-                pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
-            if pos.size and (pos[0] < 0 or pos[-1] >= self.n_entries):
-                bad = pos[0] if pos[0] < 0 else pos[-1]
-                raise OutOfBoundsError(
-                    f"position {bad} out of range [0, {self.n_entries})")
-            codes, values = self._codes[pos], self.values[pos]
-        # The positions need not live on while the counts are formed.
-        del positions, pos
+            _check_in_range(mask, self.n_entries, "positions", "position")
+            at = mask.astype(np.intp, copy=False)
+            mask = np.zeros(self.n_entries, bool)
+            mask[at] = True
+        if mask.shape != self.values.shape:
+            raise OutOfBoundsError(
+                f"a mask must have one element per entry, got shape {mask.shape}")
+        size = np.count_nonzero(mask)
+        codes, values = np.empty(size, np.int64), np.empty(size)
+        stop = 0
+        for lo in range(0, mask.size, _CHUNK):
+            at = np.flatnonzero(mask[lo:lo + _CHUNK])
+            at += lo
+            start, stop = stop, stop + at.size
+            self.codes.take(at, out=codes[start:stop])
+            self.values.take(at, out=values[start:stop])
         return SparseTensor3(self.dims, codes, values)
-
-    def index_codes(self) -> np.ndarray:
-        """Linearized (i, j, k) codes, sorted ascending, each once."""
-        return self._codes
 
     def n_shared(self, other: "SparseTensor3") -> int:
         """How many entries, by index, this tensor and ``other`` both hold.
@@ -246,7 +216,7 @@ class SparseTensor3:
         Each code of the smaller tensor is looked up in the larger one's
         sorted codes, so no array of both tensors' codes is formed.
         """
-        small, large = sorted((self._codes, other.index_codes()), key=len)
+        small, large = sorted((self.codes, other.codes), key=len)
         if not small.size:
             return 0
         found = large.take(np.searchsorted(large, small), mode="clip")
@@ -261,18 +231,24 @@ def _strictly_increasing(x) -> bool:
     return bool((x[1:] > x[:-1]).all())
 
 
-def _check_integers(x, what):
-    """Raise ``OutOfBoundsError`` unless nonempty ``x`` holds integers.
+def _check_in_range(x, stop, what, name):
+    """Raise ``OutOfBoundsError`` unless ``x`` holds integers in ``[0, stop)``.
 
-    Integer dtypes pass, and so do object arrays of Python integers (ids
-    past int64); floats and booleans do not.  An empty array of any dtype
-    passes, as ``np.asarray([])`` is float64.
+    Integer dtypes pass the integer check, and so do object arrays of
+    Python integers (ids past int64); floats and booleans do not.  An empty
+    array of any dtype passes, as ``np.asarray([])`` is float64.  The range
+    is checked in ``x``'s own dtype, so a value past int64 is reported as it
+    is, not wrapped.  ``what`` names the array, ``name`` one element.
     """
-    if not x.size or x.dtype.kind in "iu":
+    if not x.size:
         return
-    if x.dtype != object or not all(isinstance(v, numbers.Integral)
-                                    and not isinstance(v, bool) for v in x.flat):
+    if x.dtype.kind not in "iu" and (
+            x.dtype != object or not all(isinstance(v, numbers.Integral)
+                                         and not isinstance(v, bool) for v in x.flat)):
         raise OutOfBoundsError(f"{what} must be integers, got dtype {x.dtype}")
+    if x.min() < 0 or x.max() >= stop:
+        bad = x[(x < 0) | (x >= stop)][0]
+        raise OutOfBoundsError(f"{name} {bad} out of range [0, {stop})")
 
 
 def _validated_dims(dims):

@@ -23,11 +23,12 @@ with g the core/factor contraction for that entry, and for a user bias::
 Ratios of nonnegative sums keep every parameter nonnegative without any
 projection step.  ``penalty_weights`` is the one table of the lambda * count
 weights, one entry per pass: the MU denominators and ``objective`` both read
-it.  The prediction cache is refreshed after each of the seven update
-passes (cores, A, B, C, d, e, f), not after every coordinate, and never by
-a full prediction pass: the epoch keeps a prediction table with one row per
-block and one per mode's gathered bias, and the predictions are its column
-sums.
+it.  The slice counts ``|obs(i)|`` are formed from the training ids in this
+module and nowhere else, once per fit.  The prediction cache is refreshed
+after each of the seven update passes (cores, A, B, C, d, e, f), not after
+every coordinate, and never by a full prediction pass: the epoch keeps a
+prediction table with one row per block and one per mode's gathered bias,
+and the predictions are its column sums.
 
 All seven passes run one step, which applies the ratio above and
 refreshes the updated parameters' table rows; a pass differs from another
@@ -37,16 +38,19 @@ fill is the same row refresh.  Every denominator gets the additive guard
 parameters of slices with no observations are left untouched.
 
 Every entry-sized buffer of an epoch lives in an ``EpochWorkspace``: the
-training ids cast to ``np.intp``, the gathered factor rows, the prediction
+training ids as ``np.intp``, the gathered factor rows, the prediction
 table, the outer-product, contraction and weighted scratch, and the
-predictions.  ``fit`` makes one workspace when it starts and hands it to
-every epoch, so an epoch allocates no entry-sized buffer.  An epoch whose
-input model is the one the same workspace's last epoch returned is warm:
-it skips the gathers and the table's first fill, whose results the last
-epoch left in the workspace, bitwise.  ``fit`` scores the training
-objective from the predictions the epoch left there, so a training
+predictions.  The workspace also holds the slice counts of the training
+ids.  ``fit`` makes one workspace when it starts and hands it to every
+epoch, so an epoch allocates no entry-sized buffer.  An epoch whose input
+model is the one the same workspace's last epoch returned is warm: it
+skips the gathers and the table's first fill, whose results the last epoch
+left in the workspace, bitwise.  ``fit`` scores the training objective
+from the predictions and counts the workspace holds, so a training
 iteration predicts the training set only inside the epoch.  A standalone
-``epoch`` call makes a fresh workspace.
+``epoch`` call makes a fresh workspace.  ``residuals`` is the one scoring
+loop of held-out entries: ``fit``'s validation RMSE and
+``evaluation.rmse_and_mae`` both read it.
 ``grid_search`` trains one model per regularization triple and returns the
 winner's model and report, so the winning fit is never trained twice;
 without a grid, the config's own triple is the one candidate.
@@ -70,13 +74,14 @@ from .errors import (
     check_kind,
 )
 from .model import (
+    PREDICT_CHUNK,
     BnbtModel,
     check_dims,
     init_random,
     predict_entries,
     row_outer,
 )
-from .sparse import SparseTensor3
+from .sparse import SparseTensor3, unravel
 
 logger = logging.getLogger(__name__)
 
@@ -151,35 +156,68 @@ def residual_rmse(resid: np.ndarray) -> float:
     return float(np.sqrt(_dot(resid, resid) / resid.size))
 
 
-def penalty_weights(train: SparseTensor3, cfg: TrainConfig):
+def residuals(model: BnbtModel, tensor: SparseTensor3) -> np.ndarray:
+    """The values of ``tensor`` minus the model's predictions of them.
+
+    The entries go through ``PREDICT_CHUNK`` at a time, so only one chunk's
+    codes are unravelled to ids at once.
+    """
+    check_dims(model, tensor.dims)
+    codes, values = tensor.codes, tensor.values
+    resid = np.empty(tensor.n_entries)
+    for lo in range(0, resid.size, PREDICT_CHUNK):
+        hi = lo + PREDICT_CHUNK
+        np.subtract(values[lo:hi],
+                    predict_entries(model, *unravel(codes[lo:hi], tensor.dims)),
+                    out=resid[lo:hi])
+    return resid
+
+
+def _slice_counts(ids, dims):
+    """``|obs(i)|`` of every slice: per axis, how many of the entries with
+    the given intp ``ids`` lie in each of its ``dims[axis]`` slices."""
+    return tuple(np.bincount(idx, minlength=dim) for idx, dim in zip(ids, dims))
+
+
+def penalty_weights(train: SparseTensor3, counts, cfg: TrainConfig):
     """Each update pass's penalty weight, in pass order: the cores, each
     mode's factors, then each mode's bias.
 
     A parameter's penalty is its lambda times the number of observed
     entries it touches: every entry for a core, the entries of its slice
-    for a factor row or a bias.  The weights of a per-slice pass are
-    ``(dim, 1)`` columns, one per slice, so a bias pairs with them as the
-    one-column factor ``bias[:, None]``.
+    (``counts[axis]``, the ``_slice_counts`` of ``train``) for a factor row
+    or a bias.  The weights of a per-slice pass are ``(dim, 1)`` columns,
+    one per slice, so a bias pairs with them as the one-column factor
+    ``bias[:, None]``.
     """
     return [cfg.lambda1 * train.n_entries,
-            *(cfg.lambda2 * cnt[:, None] for cnt in train.counts),
-            *(cfg.lambda3 * cnt[:, None] for cnt in train.counts)]
+            *(cfg.lambda2 * cnt[:, None] for cnt in counts),
+            *(cfg.lambda3 * cnt[:, None] for cnt in counts)]
 
 
 def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
-              yhat=None) -> float:
+              workspace=None) -> float:
     """Regularized training loss over the observed entries.
 
-    ``yhat``, when given, holds the model's predictions of the entries of
-    ``train`` (as ``epoch`` leaves them) and replaces a prediction pass.
+    ``workspace``, when given, is an ``EpochWorkspace`` of ``train``: its
+    ids and slice counts are used instead of unravelling and counting, and
+    if its last epoch returned ``model``, its predictions replace a
+    prediction pass.
     """
     check_dims(model, train.dims)
-    if yhat is None:
-        yhat = predict_entries(model, *train.ids)
+    if workspace is None:
+        ids = train.ids
+        counts, yhat = _slice_counts(ids, train.dims), predict_entries(model, *ids)
+    elif workspace.train is not train:
+        raise ValueError("the workspace was made for another tensor")
+    else:
+        counts = workspace.counts
+        yhat = (workspace.yhat if workspace.model is model
+                else predict_entries(model, *workspace.ids))
     resid = train.values - yhat
     loss = _dot(resid, resid)
     passes = [model.cores, *model.factors, *([b[:, None]] for b in model.biases)]
-    for weight, params in zip(penalty_weights(train, cfg), passes):
+    for weight, params in zip(penalty_weights(train, counts, cfg), passes):
         loss += sum(float((weight * x * x).sum()) for x in params)
     return loss
 
@@ -201,7 +239,8 @@ class EpochWorkspace:
     structure, made once and reused by every epoch handed the workspace.
 
     It holds the tensor's ids, unravelled once from its codes as ``np.intp``
-    (so ``bincount`` and ``take`` convert no ids), the gathered factor rows
+    (so ``bincount`` and ``take`` convert no ids), their ``_slice_counts``
+    ``counts[axis]``, formed once here, the gathered factor rows
     ``rows[axis][r]`` as ``(rank, n_entries)`` arrays, the prediction table
     ``pred`` (one row per block, then one per mode's gathered bias), the
     outer-product, contraction and weighted scratch, and the predictions
@@ -219,6 +258,7 @@ class EpochWorkspace:
         self.train = train
         self.structure = structure
         self.ids = train.ids
+        self.counts = _slice_counts(self.ids, train.dims)
         self.rows = [[np.empty((b[axis], n_obs)) for b in blocks] for axis in range(3)]
         widest = max(max(l * m, l * n, m * n) for l, m, n in blocks)
         top_rank = max(max(b) for b in blocks)
@@ -261,7 +301,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     The table's first fill is the same row refresh over the core and bias
     terms, with no update.  Parameters whose slice has no observations keep
     their current values.  Every MU denominator reads its penalty weight
-    from ``penalty_weights``.
+    from ``penalty_weights`` over the workspace's slice counts.
 
     The rows, the table, the scratch and the predictions live in
     ``workspace``, an ``EpochWorkspace`` made for ``train`` and the model's
@@ -303,7 +343,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         idx = ids[axis]
         return (x, contr, k, lambda w: _segment_sums(idx, w, x.shape[0]),
                 lambda new: take_into(new.T, idx, gathered),
-                train.counts[axis][:, None] > 0)
+                ws.counts[axis][:, None] > 0)
 
     def core_terms():
         for r, (l, mm, n) in enumerate(blocks):
@@ -356,7 +396,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     passes = [core_terms(), *map(factor_terms, range(3))]
     if cfg.bias_enabled:
         passes += map(bias_terms, range(3))
-    for terms, weight in zip(passes, penalty_weights(train, cfg)):
+    for terms, weight in zip(passes, penalty_weights(train, ws.counts, cfg)):
         pass_step(terms, weight)
 
     for arr in m.parameter_arrays():
@@ -367,10 +407,6 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
 
 # -- training loop --------------------------------------------------------
-
-def _validation_rmse(model, ids, values):
-    return residual_rmse(values - predict_entries(model, *ids))
-
 
 def fit(train: SparseTensor3, validation: SparseTensor3, structure,
         cfg: TrainConfig):
@@ -384,7 +420,8 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     to the training objective.  The fit makes one ``EpochWorkspace`` and
     hands it to every epoch, so every epoch after the first is warm (see
     ``epoch``); each epoch leaves its training predictions in the
-    workspace's ``yhat``, from which the epoch's objective is scored.
+    workspace, whose predictions and slice counts score the epoch's
+    objective.  The validation RMSE is scored through ``residuals``.
 
     Returns ``(model, TrainReport)``.
     """
@@ -408,16 +445,14 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
 
     losses = []
     val_rmses = []
-    # Unravelled once: every epoch scores the same validation entries.
-    val_ids = validation.ids
-    prev = (_validation_rmse(model, val_ids, validation.values) if use_validation
-            else objective(model, train, cfg))
-    stop_reason = STOP_MAX_ITER
     workspace = EpochWorkspace(train, model.structure)
+    prev = (residual_rmse(residuals(model, validation)) if use_validation
+            else objective(model, train, cfg, workspace))
+    stop_reason = STOP_MAX_ITER
     for n in range(cfg.max_iter):
         model = epoch(model, train, cfg, workspace)
-        losses.append(objective(model, train, cfg, workspace.yhat))
-        val_rmses.append(_validation_rmse(model, val_ids, validation.values)
+        losses.append(objective(model, train, cfg, workspace))
+        val_rmses.append(residual_rmse(residuals(model, validation))
                          if validation.n_entries else float("nan"))
         current = val_rmses[-1] if use_validation else losses[-1]
         if n % 100 == 0:

@@ -333,7 +333,7 @@ def test_generated_log_takes_the_fast_path(tmp_path, monkeypatch):
 def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
     """Parsing holds little beyond the tensor it returns: a generated log of
     about 200k records peaks at no more than 1.6 times the bytes the tensor
-    stores (values, codes and counts), by tracemalloc."""
+    stores (values and codes), by tracemalloc."""
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     import gen
 
@@ -346,7 +346,7 @@ def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
         tracemalloc.stop()
     t = result.tensor
     assert result.records == planted.records > 195_000
-    held = sum(x.nbytes for x in (t.values, t.index_codes(), *t.counts))
+    held = t.values.nbytes + t.codes.nbytes
     assert peak <= 1.6 * held, (peak, held)
 
 
@@ -533,8 +533,7 @@ class TestSplit:
             spec = SplitSpec(*ratios, seed=seed)
             for (_, part), positions in zip(split(t, spec).named(),
                                             ref_split_positions(t.n_entries, spec)):
-                np.testing.assert_array_equal(part.index_codes(),
-                                              t.index_codes()[positions])
+                np.testing.assert_array_equal(part.codes, t.codes[positions])
                 np.testing.assert_array_equal(part.values, t.values[positions])
 
     def test_empty_input(self):

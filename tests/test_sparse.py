@@ -11,7 +11,9 @@ from btdqos.errors import (
     NegativeValueError,
     OutOfBoundsError,
 )
+from btdqos.model import BlockStructure
 from btdqos.sparse import MODES, SparseTensor3, SplitTensor, unravel
+from btdqos.trainer import EpochWorkspace
 
 
 def test_build_two_entries():
@@ -53,7 +55,7 @@ def test_build_largest_dims_codes_and_ids_round_trip():
     dims = (2 ** 21, 2 ** 21, 2 ** 21 - 1)
     last = [np.array([d - 1]) for d in dims]
     t = SparseTensor3.from_arrays(dims, *last, [1.0])
-    assert t.index_codes().tolist() == [dims[0] * dims[1] * dims[2] - 1]
+    assert t.codes.tolist() == [dims[0] * dims[1] * dims[2] - 1]
     assert [x.tolist() for x in t.ids] == [[d - 1] for d in dims]
 
 
@@ -80,10 +82,10 @@ def test_from_codes_matches_from_arrays():
     """Codes build what their ids build; sorted unique int64 codes and
     float64 values are kept without a copy."""
     t = _random_tensor(7)
-    codes, values = t.index_codes().copy(), t.values.copy()
+    codes, values = t.codes.copy(), t.values.copy()
     kept = SparseTensor3.from_codes(t.dims, codes, values)
     _assert_same_tensor(kept, t)
-    assert np.shares_memory(kept.index_codes(), codes)
+    assert np.shares_memory(kept.codes, codes)
     assert np.shares_memory(kept.values, values)
     assert codes.flags.writeable and values.flags.writeable
     order = np.random.default_rng(3).permutation(codes.size)
@@ -146,17 +148,28 @@ def test_round_trip_preserves_multiset():
     assert entry_list(t) == entry_list(t2)
 
 
+def _slice_counts(t):
+    """The per-slice observation counts a fit forms for a training tensor."""
+    return EpochWorkspace(t, BlockStructure(((1, 1, 1),))).counts
+
+
 def test_slice_count_matches_brute_force():
-    """Counts on a random 10x10x10 tensor equal a full scan."""
+    """Slice counts of a random 10x10x10 tensor equal a full scan, also
+    with the last user slice left empty."""
     rng = np.random.default_rng(17)
     dims = (10, 10, 10)
     sel = rng.choice(1000, size=200, replace=False)
     ii, jj, kk = np.unravel_index(sel, dims)
     t = SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 1, 200))
-    for axis in range(3):
-        for index in range(dims[axis]):
-            brute = sum(1 for idx, _ in entry_list(t) if idx[axis] == index)
-            assert t.counts[axis][index] == brute
+    no_last_user = t.subset(t.ids[0] < dims[0] - 1)
+    for tensor in (t, no_last_user):
+        counts = _slice_counts(tensor)
+        for axis in range(3):
+            assert counts[axis].shape == (dims[axis],)
+            for index in range(dims[axis]):
+                brute = sum(1 for idx, _ in entry_list(tensor) if idx[axis] == index)
+                assert counts[axis][index] == brute
+    assert _slice_counts(no_last_user)[0][-1] == 0
 
 
 def test_slice_counts_sum_to_entry_count():
@@ -165,9 +178,10 @@ def test_slice_counts_sum_to_entry_count():
     sel = rng.choice(7 * 9 * 5, size=100, replace=False)
     ii, jj, kk = np.unravel_index(sel, dims)
     t = SparseTensor3.from_arrays(dims, ii, jj, kk, rng.uniform(0, 1, 100))
-    assert len(t.counts) == len(MODES)
-    for counts in t.counts:
-        assert int(counts.sum()) == t.n_entries
+    counts = _slice_counts(t)
+    assert len(counts) == len(MODES)
+    for per_slice in counts:
+        assert int(per_slice.sum()) == t.n_entries
 
 
 def _random_tensor(seed, dims=(6, 5, 4), n=60):
@@ -178,9 +192,8 @@ def _random_tensor(seed, dims=(6, 5, 4), n=60):
 
 
 def _assert_same_tensor(got, want):
-    """Same stored arrays (values, codes, counts) and dtypes, read-only."""
-    for g, w in zip((got.values, got.index_codes(), *got.counts),
-                    (want.values, want.index_codes(), *want.counts)):
+    """Same stored arrays (values, codes) and dtypes, read-only."""
+    for g, w in zip((got.values, got.codes), (want.values, want.codes)):
         assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
         assert not g.flags.writeable
@@ -220,14 +233,13 @@ def test_sorted_input_equals_shuffled_input(id_dtype, repeats):
     shuffled = SparseTensor3.from_arrays(dims, *(x[order] for x in ids), vals[order])
     _assert_same_tensor(in_order, shuffled)
     want_ids, want_values, want_codes = ref_tensor_arrays(dims, *ids, vals)
-    for got, want in zip((*in_order.ids, in_order.values, in_order.index_codes()),
+    for got, want in zip((*in_order.ids, in_order.values, in_order.codes),
                          (*want_ids, want_values, want_codes)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     kept = not repeats
     assert np.shares_memory(in_order.values, vals) == kept
-    assert in_order.index_codes() is in_order.index_codes()
-    assert not any(np.shares_memory(in_order.index_codes(), x) for x in ids)
+    assert not any(np.shares_memory(in_order.codes, x) for x in ids)
     assert vals.flags.writeable and all(x.flags.writeable for x in ids)
 
 
@@ -266,8 +278,8 @@ def test_sorted_and_shuffled_input_raise_alike(case, error):
 
 
 def test_subset_of_increasing_positions_equals_sorting_path():
-    """Strictly increasing positions, which skip the sort, select what the
-    same positions shuffled and repeated select."""
+    """Strictly increasing positions select what the same positions
+    shuffled and repeated select."""
     t = _random_tensor(23)
     rng = np.random.default_rng(31)
     for size in (1, 2, 17, t.n_entries):
@@ -294,7 +306,7 @@ def test_n_shared_counts_common_entries():
     for n_a, n_b in ((0, 0), (0, 9), (30, 5), (60, 60), (120, 1), (1, 120)):
         a = _random_tensor(int(rng.integers(1 << 30)), dims, n_a)
         b = _random_tensor(int(rng.integers(1 << 30)), dims, n_b)
-        want = len(set(a.index_codes().tolist()) & set(b.index_codes().tolist()))
+        want = len(set(a.codes.tolist()) & set(b.codes.tolist()))
         assert a.n_shared(b) == b.n_shared(a) == want
     top = from_entries(dims, [((5, 4, 3), 1.0)])
     low = from_entries(dims, [((0, 0, 0), 1.0), ((1, 0, 0), 1.0)])
@@ -311,15 +323,27 @@ def test_subset_rejects_bad_positions(positions):
         t.subset(positions)
 
 
+@pytest.mark.parametrize("positions, message", [
+    ([1.9], "positions must be integers, got dtype float64"),
+    (np.array([3.0]), "positions must be integers"),
+    (np.array([2, 2 ** 63], dtype=np.uint64), "position 9223372036854775808 out of range"),
+    ([2 ** 64], "position 18446744073709551616 out of range")])
+def test_subset_rejects_positions_that_are_no_integers_in_range(positions, message):
+    """A fractional position is an error, not truncated, and a position
+    past int64 is reported as it is, not wrapped."""
+    t = _random_tensor(23)
+    with pytest.raises(OutOfBoundsError, match=message):
+        t.subset(positions)
+
+
 def test_arrays_are_immutable():
     """The stored arrays are read-only, and writing to the ids derived from
     them leaves the tensor unchanged."""
     t = from_entries((2, 2, 2), [((0, 0, 0), 1.0)])
     with pytest.raises(ValueError):
         t.values[0] = 5.0
-    for arr in (t.index_codes(), *t.counts):
-        with pytest.raises(ValueError):
-            arr[0] = 1
+    with pytest.raises(ValueError):
+        t.codes[0] = 1
     ids = t.ids
     for arr in ids:
         arr[0] = 1
@@ -331,7 +355,7 @@ def test_arrays_are_immutable():
 def test_empty_tensor_is_valid():
     t = from_entries((3, 3, 3), [])
     assert t.n_entries == 0
-    assert all(not counts.any() for counts in t.counts)
+    assert t.codes.size == t.values.size == 0
 
 
 class TestSplitTensor:

@@ -90,6 +90,23 @@ class TestObjective:
         with pytest.raises(DimMismatchError):
             objective(m, t, ZERO_REG)
 
+    def test_workspace_scores_like_the_bare_tensor(self):
+        """A workspace's counts give the loss the tensor's own counts give,
+        and its predictions stand in only for the model its last epoch
+        returned: a workspace without an epoch, or one scored for another
+        model, predicts.  A workspace of another tensor is rejected."""
+        cfg = TrainConfig(0.01, 0.02, 0.005, stop_on="train_loss")
+        dims, structure, tensor, model = random_instance(45, max_dim=6)
+        workspace = EpochWorkspace(tensor, structure)
+        assert objective(model, tensor, cfg, workspace) == objective(model, tensor, cfg)
+        new = epoch(model, tensor, cfg, workspace)
+        assert objective(model, tensor, cfg, workspace) == objective(model, tensor, cfg)
+        assert objective(new, tensor, cfg, workspace) == pytest.approx(
+            objective(new, tensor, cfg), rel=1e-12)
+        other = tensor.subset(np.arange(tensor.n_entries - 1))
+        with pytest.raises(ValueError, match="another tensor"):
+            objective(model, other, cfg, workspace)
+
 
 class TestGradient:
     def test_zero_at_perfect_fit(self):
