@@ -112,12 +112,14 @@ def _load_dataset(doc, config_dir):
 
 
 def _write_partitions(parts, out_dir, name):
-    """Write each partition to ``<out_dir>/<partition>.txt`` under a
-    ``# <name> <partition> partition`` header; ``{partition: file name}``."""
+    """Write each partition of a split to ``<out_dir>/<partition>.txt``
+    under a ``# <name> <partition> partition`` header, straight from the
+    source through the partition's label mask; ``{partition: file name}``."""
     files = {}
-    for part_name, part in parts.named():
+    for part_name in PARTITIONS:
         file_path = Path(out_dir) / f"{part_name}.txt"
-        write_qos_log(part, file_path, header=f"{name} {part_name} partition")
+        write_qos_log(parts.source, file_path, header=f"{name} {part_name} partition",
+                      where=parts.mask(part_name))
         files[part_name] = file_path.name
     return files
 
@@ -200,7 +202,6 @@ def cmd_ingest(args) -> int:
                 data_path, result.records, result.kept, result.dropped)
     counts = {key: getattr(result, key) for key in ("records", "kept", "dropped")}
     parts = split(result.tensor, spec)
-    del result  # the partition writes need the partitions only
 
     out_dir = Path(args.out)
     files = _write_partitions(parts, out_dir, name)
@@ -248,20 +249,22 @@ def cmd_train(args) -> int:
 
     name, result = _load_dataset(doc, config_dir)
     parts = split(result.tensor, spec)
-    del result  # the fit and the partition writes need the partitions only
+    del result
+    train, validation = parts.train, parts.validation
     logger.info("training on %d entries (validation %d, test %d held out)",
-                parts.train.n_entries, parts.validation.n_entries,
-                parts.test.n_entries)
+                *parts.counts.values())
+    # Written before the fit, so the source can go: a failed fit leaves them.
+    if splits_dir:
+        _write_partitions(parts, splits_dir, name)
+    del parts  # the fit needs train and validation only
 
-    _, model, report = grid_search(parts.train, parts.validation, structure,
+    _, model, report = grid_search(train, validation, structure,
                                    _grids_from_config(doc), cfg)
 
     save_model(model, checkpoint_path)
     write_csv(trajectory_path, ("epoch", "objective", "validation_rmse"),
               zip(range(1, report.epochs_run + 1), report.loss_trajectory,
                   report.validation_rmse_trajectory))
-    if splits_dir:
-        _write_partitions(parts, splits_dir, name)
     logger.info("stopped on %s after %d epochs; checkpoint %s, trajectory %s",
                 report.stop_reason, report.epochs_run, checkpoint_path,
                 trajectory_path)

@@ -28,15 +28,17 @@ for non-canonical or invalid input, and it raises every error with the
 line number of the file.  The file is decoded with ``surrogateescape``, so
 a byte that is not UTF-8 reaches the parsers as a lone surrogate: the
 screen sends its chunk to ``_parse_lines``, which names the line.
-``split`` labels each entry with its partition (one byte per entry) and
-picks each partition in storage order with a boolean mask, so it sorts
-nothing either.  ``write_qos_log`` renders a chunk of entries at a time
-with whole-array numpy operations: ids, unravelled from the chunk's codes,
-come from per-mode tables of id bytes, and each
-value's shortest round-trip digits, the ones ``repr`` prints, are found
-on a grid of 15 significant digits (``_repr_digits``).  A value that needs
-more digits, or that ``repr`` prints in exponent form, is left to
-``repr`` itself, row by row, so the file is always what
+``split`` labels each entry with its partition, one byte per entry, and
+copies no entry: a partition is formed from the labels only where it is
+read as a tensor.  ``write_qos_log`` renders a window of entries at a time
+with whole-array numpy operations, and with a mask (``where``) renders
+only the entries the mask selects, so the partition files are written
+straight from the source tensor through its label masks.  Ids,
+unravelled from the window's codes, come from per-mode tables of id
+bytes, and each value's shortest round-trip digits, the ones ``repr``
+prints, are found on a grid of 15 significant digits (``_repr_digits``).
+A value that needs more digits, or that ``repr`` prints in exponent form,
+is left to ``repr`` itself, row by row, so the file is always what
 ``f"{i} {j} {k} {v!r}"`` would write.
 """
 
@@ -158,8 +160,13 @@ class IngestResult:
 #: 42.0-42.2 / 42.0-42.1 / 45.3-45.5 MiB; parsing the 1M-record log took a
 #: median 0.42 / 0.43 / 0.46 s.
 _PARSE_CHUNK = 1 << 16
-#: Entries formatted per ``write`` by ``write_qos_log``.
-_WRITE_CHUNK = 1 << 16
+#: Source entries read per window, and most entries rendered per ``write``,
+#: by ``write_qos_log``.  ``btdqos ingest`` of a 1M-record log split
+#: 0.1/0.1/0.8, with 8k / 16k / 32k / 64k (2 vCPUs): peak RSS 56.1 / 56.6
+#: / 59.3 / 64.6 MiB, where the split alone reaches 56.0; the split and
+#: the three partition writes took 0.27-0.31 / 0.22-0.26 / 0.25-0.27 /
+#: 0.33-0.35 s (medians of 7, two or more runs each).
+_WRITE_CHUNK = 1 << 14
 _RECORD_DTYPE = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
 #: What ``surrogateescape`` decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -302,15 +309,23 @@ def _ingest_result(tensor, kept, records) -> IngestResult:
                         dropped=records - kept)
 
 
-def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
+def write_qos_log(tensor: SparseTensor3, path, header: str | None = None, where=None):
     """Serialize a tensor in the log format, losslessly.
 
     Every line is ``f"{i} {j} {k} {v!r}\\n"``, after one ``# `` comment line
-    per line of ``header`` (split by ``str.splitlines``).  Entries are rendered
-    ``_WRITE_CHUNK`` at a time (``_render_lines``) and each chunk is one
-    ``write``; only that chunk's codes are unravelled to ids.
+    per line of ``header`` (split by ``str.splitlines``).  With a boolean
+    ``where`` of one element per entry, only the entries it selects are
+    written, the bytes ``write_qos_log(tensor.subset(where), path, header)``
+    writes.  Entries are read in windows of ``_WRITE_CHUNK``, and the
+    entries that consecutive windows select are rendered together
+    (``_render_lines``), at most ``_WRITE_CHUNK`` per ``write``: a sparse
+    mask then renders full batches, not a small one per window.  Only a
+    batch's codes are unravelled to ids.
     """
-    codes = tensor.codes
+    codes, values = tensor.codes, tensor.values
+    if where is not None and np.shape(where) != codes.shape:
+        raise OutOfBoundsError(
+            f"a mask must have one element per entry, got shape {np.shape(where)}")
     tables = []
     for d in tensor.dims:
         names = np.array([f"{x} " for x in range(d)], dtype=bytes)
@@ -318,10 +333,26 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None):
     with atomic_write(path) as fh:
         if header:
             fh.write("".join(f"# {line}\n" for line in header.splitlines()))
-        for start in range(0, tensor.n_entries, _WRITE_CHUNK):
-            stop = start + _WRITE_CHUNK
-            fh.write(_render_lines(tables, unravel(codes[start:stop], tensor.dims),
-                                   tensor.values[start:stop]))
+        batch, size = [], 0
+        for start in range(0, codes.size, _WRITE_CHUNK):
+            window = slice(start, start + _WRITE_CHUNK)
+            keep = slice(None) if where is None else where[window]
+            piece = codes[window][keep], values[window][keep]
+            if size + piece[1].size > _WRITE_CHUNK:
+                _write_batch(fh, tables, tensor.dims, batch)
+                batch, size = [], 0
+            batch.append(piece)
+            size += piece[1].size
+        _write_batch(fh, tables, tensor.dims, batch)
+
+
+def _write_batch(fh, tables, dims, pieces):
+    """Render the ``(codes, values)`` pieces as one ``write``; nothing if
+    they hold no entry, as ``_render_lines`` needs one."""
+    if pieces:
+        codes, values = (np.concatenate(x) for x in zip(*pieces))
+        if values.size:
+            fh.write(_render_lines(tables, unravel(codes, dims), values))
 
 
 #: Exact powers of ten, 10**0 ... 10**18, as float64 and as int64.
@@ -440,15 +471,17 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
     summing below one leave the surplus entries unassigned.
 
     The shuffled order assigns each entry a one-byte partition label and
-    is then dropped; each partition is the ``subset`` where the labels
-    equal its own, a boolean mask that keeps storage order, so nothing is
-    sorted and no positions are formed.
+    is then dropped; the split is the tensor plus those labels, and copies
+    no entry.  The order is ``Generator.permutation(n)``, which is
+    ``arange(n)`` shuffled, drawn as an int32 ``arange`` (int64 past
+    2**31 entries): ``shuffle`` makes the same swaps whatever the item
+    size, so that costs 4 B per entry, not 8.
     """
     n = tensor.n_entries
     if n == 0:
         raise EmptyInputError("cannot split a tensor with no observed entries")
-    rng = np.random.default_rng(int(spec.seed) % (2 ** 64))
-    perm = rng.permutation(n)
+    perm = np.arange(n, dtype=np.int32 if n - 1 <= np.iinfo(np.int32).max else np.int64)
+    np.random.default_rng(int(spec.seed) % (2 ** 64)).shuffle(perm)
     n_train = math.floor(spec.train_ratio * n + 1e-9)
     n_val = math.floor(spec.validation_ratio * n + 1e-9)
     total = math.floor(
@@ -458,28 +491,27 @@ def split(tensor: SparseTensor3, spec: SplitSpec) -> SplitTensor:
     bounds = (0, n_train, n_train + n_val, total)
     for label, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         labels[perm[start:stop]] = label
-    del perm
-    return SplitTensor(*(tensor.subset(labels == label)
-                         for label in range(len(PARTITIONS))))
+    return SplitTensor(tensor, labels)
 
 
 def write_split_manifest(parts: SplitTensor, path, extra: dict | None = None,
                          include_indices: bool = False):
     """Write a JSON audit manifest for one split.
 
-    The JSON is compact, as in ``save_model``: with ``indent``, the
+    The counts come from the split's labels; ``include_indices`` unravels
+    each partition's codes, picked from the source by its label mask.  The
+    JSON is compact, as in ``save_model``: with ``indent``, the
     ``(i, j, k)`` triples of ``include_indices`` would go through
     ``json.dumps``'s pure-Python encoder.
     """
-    doc = {
-        "dims": list(parts.dims),
-        "counts": {name: part.n_entries for name, part in parts.named()},
-    }
+    doc = {"dims": list(parts.dims), "counts": parts.counts}
     if extra:
         doc.update(extra)
     if include_indices:
-        doc["partitions"] = {name: np.stack(part.ids, axis=1).tolist()
-                             for name, part in parts.named()}
+        codes = parts.source.codes
+        doc["partitions"] = {
+            name: np.stack(unravel(codes[parts.mask(name)], parts.dims), axis=1).tolist()
+            for name in PARTITIONS}
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
 

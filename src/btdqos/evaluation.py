@@ -8,6 +8,11 @@ scoring each on the held-out test partition:
 Detail rows and per-model aggregates are exported as CSV with the columns
 ``dataset,model,seed,lambda1,lambda2,lambda3,epochs,rmse,mae,wall_time_s``
 and ``dataset,model,rmse_mean,rmse_std,mae_mean,mae_std``.
+
+The harness keeps each (sub-dataset, repeat) split as the source tensor's
+partition labels, 1 B per source entry, and a cell forms its partitions
+itself: train and validation for the fit, and the test partition only
+once they are dropped.  So no partition outlives the cell that reads it.
 """
 
 import logging
@@ -31,7 +36,8 @@ def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
     resid = residuals(model, test)
     if not resid.size:
         raise EmptyTestSetError("metrics need at least one test entry")
-    return residual_rmse(resid), float(np.abs(resid).mean())
+    rmse = residual_rmse(resid)
+    return rmse, float(np.abs(resid, out=resid).mean())
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,9 @@ def _run_cell(task, shared=None):
     label, model_label, structure, run_seed = task
     parts = splits[(label, run_seed)]
     cell_cfg = replace(cfg, seed=derive_seed(run_seed, label, model_label, "train"))
-    cell_cfg, model, report = grid_search(parts.train, parts.validation,
-                                          structure, grids, cell_cfg)
+    train, validation = parts.train, parts.validation
+    cell_cfg, model, report = grid_search(train, validation, structure, grids, cell_cfg)
+    del train, validation  # the test partition is formed once they are gone
     test_rmse, test_mae = rmse_and_mae(model, parts.test)
     cell = BenchmarkCell(
         dataset=label,
@@ -149,7 +156,9 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
     ``(label, BlockStructure)``.  ``repeats`` is either a run count or an
     explicit list of per-run seeds; all per-cell randomness (the split
     shuffle and the model init) is derived from the run seed and the cell
-    labels, so the same seed always reproduces the same cell.  Each cell
+    labels, so the same seed always reproduces the same cell.  Each split
+    is drawn once and kept as its labels; each cell forms its own
+    partitions from them and drops them when it is done.  Each cell
     trains through ``grid_search`` with ``grids`` (a lambda-grid triple,
     or None for ``cfg``'s own lambdas alone), and the winning fit is the
     cell's model: its lambdas, epochs, test metrics and wall time fill the
@@ -185,7 +194,7 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
-        # Forked workers inherit `shared` (the split tensors) instead of
+        # Forked workers inherit `shared` (the source and its split labels) instead of
         # unpickling a copy each; elsewhere each worker gets one copy.
         context = (multiprocessing.get_context("fork")
                    if "fork" in multiprocessing.get_all_start_methods() else None)

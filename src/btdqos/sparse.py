@@ -14,23 +14,27 @@ id front end, which range-checks and ravels ids first.  Input whose codes
 are strictly increasing already (every log ``write_qos_log`` writes) is
 kept without a sort, and float64 values (and, for ``from_codes``, int64
 codes) without a copy.  ``subset`` relies on the invariant to slice
-partitions without validating again: it selects by a boolean mask, as
-``data_io.split`` passes, and turns positions into such a mask.  The
-partition disjointness checks (``n_shared``) look up the smaller tensor's
-codes in the larger one's.
+partitions without validating again: it selects by a boolean mask and
+turns positions into such a mask.  ``n_shared``, the train/validation
+disjointness check of a fit, looks up the smaller tensor's codes in the
+larger one's.
 
-Tensors are immutable after construction and safe to read concurrently.
+A ``SplitTensor`` is a split as ``data_io.split`` draws it: the source
+tensor plus one uint8 partition label per entry, 1 B per entry.  A
+partition is formed from them, as the ``subset`` where the labels equal
+its own, only where it is read as a tensor and on each access; the
+partition writes and the manifest read the source through the label
+masks instead.
+
+Tensors and splits are immutable after construction and safe to read
+concurrently.
 """
 
-import itertools
 import math
 import numbers
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
-    DimMismatchError,
     DuplicateIndexError,
     NegativeValueError,
     OutOfBoundsError,
@@ -264,31 +268,54 @@ def _validated_dims(dims):
     return dims
 
 
-@dataclass(frozen=True)
 class SplitTensor:
-    """Train/validation/test partition of one observed tensor.
+    """Train/validation/test split of one observed tensor, as a label per entry.
 
-    The three partitions must share dims and be pairwise disjoint by index.
+    ``labels`` holds one uint8 per entry of ``source``: the ``PARTITIONS``
+    index of the partition the entry belongs to, or ``len(PARTITIONS)``
+    for an entry left unassigned.  One label per entry makes the
+    partitions disjoint, and of the source's dims, by construction.  The
+    partitions (``train``, ``validation``, ``test``) are formed from the
+    source on each access and never kept, so hold one in a local.
     """
 
-    train: SparseTensor3
-    validation: SparseTensor3
-    test: SparseTensor3
+    __slots__ = ("source", "labels")
 
-    def __post_init__(self):
-        dims = self.train.dims
-        if self.validation.dims != dims or self.test.dims != dims:
-            raise DimMismatchError(
-                f"partition dims differ: {dims}, {self.validation.dims}, {self.test.dims}")
-        for (a, x), (b, y) in itertools.combinations(self.named(), 2):
-            shared = x.n_shared(y)
-            if shared:
-                raise DuplicateIndexError(f"{a} and {b} partitions share {shared} entries")
+    def __init__(self, source: SparseTensor3, labels):
+        labels = np.asarray(labels, dtype=np.uint8)
+        if labels.shape != source.values.shape:
+            raise OutOfBoundsError(
+                f"a split needs one label per entry ({source.n_entries}), "
+                f"got shape {labels.shape}")
+        labels.setflags(write=False)
+        self.source, self.labels = source, labels
 
     @property
     def dims(self):
-        return self.train.dims
+        return self.source.dims
 
-    def named(self):
-        """``(name, tensor)`` of each partition, in ``PARTITIONS`` order."""
-        return tuple((name, getattr(self, name)) for name in PARTITIONS)
+    def mask(self, name) -> np.ndarray:
+        """Boolean mask of the source entries in partition ``name``."""
+        return self.labels == PARTITIONS.index(name)
+
+    @property
+    def counts(self) -> dict:
+        """``{partition: entries}`` in ``PARTITIONS`` order, counted on the
+        masks without forming a partition (``np.bincount`` would first copy
+        the labels to intp, 8 B per entry)."""
+        return {name: int(np.count_nonzero(self.mask(name))) for name in PARTITIONS}
+
+    @property
+    def train(self) -> SparseTensor3:
+        return self.source.subset(self.mask("train"))
+
+    @property
+    def validation(self) -> SparseTensor3:
+        return self.source.subset(self.mask("validation"))
+
+    @property
+    def test(self) -> SparseTensor3:
+        return self.source.subset(self.mask("test"))
+
+    def __repr__(self):
+        return f"SplitTensor(source={self.source!r}, counts={self.counts})"

@@ -37,7 +37,7 @@ from btdqos.errors import (
     ParseError,
 )
 from btdqos.model import BlockStructure, init_random
-from btdqos.sparse import SparseTensor3
+from btdqos.sparse import PARTITIONS, SparseTensor3
 
 DIMS = (4, 4, 4)
 REPO = Path(__file__).resolve().parent.parent
@@ -352,9 +352,9 @@ def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
 
 def test_split_peak_memory_is_bounded():
     """Splitting a 200k-entry tensor 10/10/80 holds at most 24 B per source
-    entry above the tensor it is handed, by tracemalloc: the 16 B of the
-    partitions plus the labels, with no entry-sized positions or id copies
-    while a partition is built."""
+    entry above the tensor it is handed, by tracemalloc: room for the 16 B
+    of partitions plus the labels, with no entry-sized positions or id
+    copies."""
     dims = (142, 4500, 64)
     rng = np.random.default_rng(3)
     n = 200_000
@@ -367,8 +367,28 @@ def test_split_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(part.n_entries for _, part in parts.named()) == n
+    assert sum(parts.counts.values()) == n
     assert peak <= 24 * n, peak / n
+
+
+def test_split_copies_no_entry():
+    """A split holds its shuffled order (4 B per entry, int32) and its labels
+    (1 B) at most, by tracemalloc: no partition is formed and the order is
+    not int64."""
+    dims = (142, 4500, 64)
+    rng = np.random.default_rng(4)
+    n = 200_000
+    codes = np.sort(rng.choice(dims[0] * dims[1] * dims[2], n, replace=False))
+    t = SparseTensor3.from_codes(dims, codes, rng.uniform(0, 5, n))
+    del codes
+    tracemalloc.start()
+    try:
+        parts = split(t, SplitSpec(0.1, 0.1, 0.8, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n, peak / n
+    assert parts.source is t and parts.labels.nbytes == n
 
 
 def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
@@ -420,6 +440,39 @@ class TestWriteBytes:
         ii, jj, kk = np.unravel_index(rng.choice(np.prod(dims), n, replace=False), dims)
         self._check(tmp_path, SparseTensor3.from_arrays(dims, ii, jj, kk,
                                                         rng.uniform(0, 5, n)))
+
+    def test_mask_writes_the_subset(self, tmp_path, monkeypatch):
+        """``where`` writes the bytes of the masked subset: random masks, an
+        all-false one (a header only), a window selecting nothing, and runs
+        that straddle windows of 16 entries.  No write renders more than a
+        window's worth of entries."""
+        monkeypatch.setattr(data_io, "_WRITE_CHUNK", 16)
+        render = data_io._render_lines
+        sizes = []
+
+        def counted(tables, ids, values):
+            sizes.append(values.size)
+            return render(tables, ids, values)
+
+        monkeypatch.setattr(data_io, "_render_lines", counted)
+        rng = np.random.default_rng(8)
+        t = self._tensor(rng.uniform(0, 5, 100))
+        n = t.n_entries
+        skip_window = np.ones(n, bool)
+        skip_window[16:32] = False
+        straddling = np.zeros(n, bool)
+        straddling[[15, 16, 31, 32, 33, 63, 64, 99]] = True
+        masks = [rng.random(n) < p for p in (0.05, 0.5, 0.95)]
+        masks += [np.zeros(n, bool), np.ones(n, bool), skip_window, straddling]
+        for mask in masks:
+            write_qos_log(t, tmp_path / "masked.txt", header="part", where=mask)
+            write_qos_log(t.subset(mask), tmp_path / "subset.txt", header="part")
+            assert ((tmp_path / "masked.txt").read_bytes()
+                    == (tmp_path / "subset.txt").read_bytes())
+        assert (tmp_path / "masked.txt").read_text().count("\n") == 9
+        assert 0 < min(sizes) and max(sizes) <= 16
+        with pytest.raises(OutOfBoundsError, match="one element per entry"):
+            write_qos_log(t, tmp_path / "bad.txt", where=np.ones(n - 1, bool))
 
     def test_extreme_values_and_largest_ids(self, tmp_path):
         dims = (142, 4500, 64)
@@ -531,8 +584,9 @@ class TestSplit:
         t = self._tensor(101)
         for seed in (0, 1, 7, 2 ** 40):
             spec = SplitSpec(*ratios, seed=seed)
-            for (_, part), positions in zip(split(t, spec).named(),
-                                            ref_split_positions(t.n_entries, spec)):
+            parts = split(t, spec)
+            for name, positions in zip(PARTITIONS, ref_split_positions(t.n_entries, spec)):
+                part = getattr(parts, name)
                 np.testing.assert_array_equal(part.codes, t.codes[positions])
                 np.testing.assert_array_equal(part.values, t.values[positions])
 

@@ -6,13 +6,12 @@ import pytest
 from _reference import entry_list, from_entries, ref_tensor_arrays, value_at
 from btdqos.errors import (
     ConfigError,
-    DimMismatchError,
     DuplicateIndexError,
     NegativeValueError,
     OutOfBoundsError,
 )
 from btdqos.model import BlockStructure
-from btdqos.sparse import MODES, SparseTensor3, SplitTensor, unravel
+from btdqos.sparse import MODES, PARTITIONS, SparseTensor3, SplitTensor, unravel
 from btdqos.trainer import EpochWorkspace
 
 
@@ -359,37 +358,22 @@ def test_empty_tensor_is_valid():
 
 
 class TestSplitTensor:
-    def _tensor(self, entries):
-        return from_entries((3, 3, 3), entries)
+    SOURCE = [((0, 0, 0), 1.0), ((1, 1, 1), 2.0), ((1, 2, 0), 4.0), ((2, 2, 2), 3.0)]
 
     def test_valid_partition(self):
-        parts = SplitTensor(
-            train=self._tensor([((0, 0, 0), 1.0)]),
-            validation=self._tensor([((1, 1, 1), 2.0)]),
-            test=self._tensor([((2, 2, 2), 3.0)]),
-        )
+        """Each partition is the source's entries under its label, in storage
+        order; an entry labelled ``len(PARTITIONS)`` is in none."""
+        parts = SplitTensor(from_entries((3, 3, 3), self.SOURCE), np.array([2, 0, 3, 1]))
         assert parts.dims == (3, 3, 3)
+        assert entry_list(parts.train) == [((1, 1, 1), 2.0)]
+        assert entry_list(parts.validation) == [((2, 2, 2), 3.0)]
+        assert entry_list(parts.test) == [((0, 0, 0), 1.0)]
+        assert parts.counts == {"train": 1, "validation": 1, "test": 1}
+        assert list(parts.counts) == list(PARTITIONS)
+        with pytest.raises(ValueError):
+            parts.labels[0] = 0
 
-    def test_overlap_rejected(self):
-        with pytest.raises(DuplicateIndexError):
-            SplitTensor(
-                train=self._tensor([((0, 0, 0), 1.0)]),
-                validation=self._tensor([((0, 0, 0), 1.0)]),
-                test=self._tensor([((2, 2, 2), 3.0)]),
-            )
-        shared = [((0, 0, 0), 1.0), ((1, 2, 0), 2.0), ((2, 1, 2), 3.0)]
-        with pytest.raises(DuplicateIndexError,
-                           match="train and test partitions share 3 entries"):
-            SplitTensor(
-                train=self._tensor(shared + [((0, 1, 1), 1.0)]),
-                validation=self._tensor([((1, 1, 1), 2.0)]),
-                test=self._tensor([((2, 2, 2), 3.0)] + shared),
-            )
-
-    def test_dims_must_match(self):
-        with pytest.raises(DimMismatchError):
-            SplitTensor(
-                train=self._tensor([((0, 0, 0), 1.0)]),
-                validation=from_entries((2, 2, 2), []),
-                test=self._tensor([((2, 2, 2), 3.0)]),
-            )
+    @pytest.mark.parametrize("labels", [[], [0, 1, 2], [0, 1, 2, 0, 1], [[0, 1], [2, 0]]])
+    def test_labels_must_match_the_entries(self, labels):
+        with pytest.raises(OutOfBoundsError, match="one label per entry"):
+            SplitTensor(from_entries((3, 3, 3), self.SOURCE), labels)
