@@ -350,14 +350,11 @@ def test_parse_peak_memory_is_bounded(tmp_path, monkeypatch):
     assert peak <= 1.6 * held, (peak, held)
 
 
-def test_split_peak_memory_is_bounded():
-    """Splitting a 200k-entry tensor 10/10/80 holds at most 24 B per source
-    entry above the tensor it is handed, by tracemalloc: room for the 16 B
-    of partitions plus the labels, with no entry-sized positions or id
-    copies."""
+def _traced_split(seed, n=200_000):
+    """``(tensor, split, tracemalloc peak)`` of splitting a random ``n``-entry
+    tensor 10/10/80, counting only what the split allocates."""
     dims = (142, 4500, 64)
-    rng = np.random.default_rng(3)
-    n = 200_000
+    rng = np.random.default_rng(seed)
     codes = np.sort(rng.choice(dims[0] * dims[1] * dims[2], n, replace=False))
     t = SparseTensor3.from_codes(dims, codes, rng.uniform(0, 5, n))
     del codes
@@ -367,6 +364,16 @@ def test_split_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return t, parts, peak
+
+
+def test_split_peak_memory_is_bounded():
+    """Splitting a 200k-entry tensor 10/10/80 holds at most 24 B per source
+    entry above the tensor it is handed, by tracemalloc: room for the 16 B
+    of partitions plus the labels, with no entry-sized positions or id
+    copies."""
+    n = 200_000
+    _, parts, peak = _traced_split(3, n)
     assert sum(parts.counts.values()) == n
     assert peak <= 24 * n, peak / n
 
@@ -375,18 +382,8 @@ def test_split_copies_no_entry():
     """A split holds its shuffled order (4 B per entry, int32) and its labels
     (1 B) at most, by tracemalloc: no partition is formed and the order is
     not int64."""
-    dims = (142, 4500, 64)
-    rng = np.random.default_rng(4)
     n = 200_000
-    codes = np.sort(rng.choice(dims[0] * dims[1] * dims[2], n, replace=False))
-    t = SparseTensor3.from_codes(dims, codes, rng.uniform(0, 5, n))
-    del codes
-    tracemalloc.start()
-    try:
-        parts = split(t, SplitSpec(0.1, 0.1, 0.8, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    t, parts, peak = _traced_split(4, n)
     assert peak <= 6 * n, peak / n
     assert parts.source is t and parts.labels.nbytes == n
 
