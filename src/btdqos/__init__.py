@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteError,
     OutOfBoundsError,
     ParseError,
+    ValidationError,
 )
 from .evaluation import (
     BenchmarkCell,

@@ -24,7 +24,7 @@ from .data_io import (
     write_qos_log,
     write_split_manifest,
 )
-from .errors import VALIDATION_ERRORS, BtdqosError, ConfigError, check_kind
+from .errors import BtdqosError, ConfigError, ValidationError, check_kind
 from .evaluation import rmse_and_mae, run_benchmark
 from .model import BlockStructure, cp_structure, predict_entries
 from .rng import derive_seed
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         format="%(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (*VALIDATION_ERRORS, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         logger.error("error: %s", exc)
         return 2
     except BtdqosError as exc:

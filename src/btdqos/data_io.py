@@ -14,20 +14,22 @@ and a write that fails part-way leaves the previous file in place.
 (every id must lie within them) in chunks of about 64 KiB of whole lines,
 each converted to rows by numpy's C tokenizer (``np.loadtxt``) and its
 kept records written straight into the tensor's final columns (int64
-codes, float64 values), which are sized from the file.  A log in (user,
-service, time) order without repeats, as the partition files are, then
-becomes the tensor without a sort or another copy
-(``SparseTensor3.from_codes``), so ingest holds about 16 B per entry for
-the tensor plus one chunk.  A chunk is first screened for
-the two spellings ``loadtxt`` reads otherwise than ``int``/``float`` do (a
-``#`` after data, a ``_`` digit separator).  A failed screen, a
-``loadtxt`` error or warning (other than the one for a chunk without
-data), or an id out of range makes it parse the whole file again with
-``_parse_lines``, one line at a time.  So that path runs only
-for non-canonical or invalid input, and it raises every error with the
-line number of the file.  The file is decoded with ``surrogateescape``, so
-a byte that is not UTF-8 reaches the parsers as a lone surrogate: the
-screen sends its chunk to ``_parse_lines``, which names the line.
+codes from ``np.ravel_multi_index``, float64 values), which are sized from
+the file.  A log in (user, service, time) order without repeats, as the
+partition files are, then becomes the tensor without a sort or another
+copy (``SparseTensor3.from_codes``), so ingest holds about 16 B per entry
+for the tensor plus one chunk.  A chunk is first screened for what
+``loadtxt`` would read without an error where ``_parse_lines`` reads
+otherwise: a ``#`` after data, and bytes that are not UTF-8.  A failed
+screen, or a ``loadtxt`` or ``np.ravel_multi_index`` error or warning
+(other than the one for a chunk without data), makes it parse the whole
+file again with ``_parse_lines``, one line at a time: a ``ValueError``
+from numpy covers a digit separator (``1_000``) and an id out of range.
+So that path runs only for non-canonical or invalid input, and it raises
+every error with the line number of the file.  The file is decoded with
+``surrogateescape``, so a byte that is not UTF-8 reaches the parsers as a
+lone surrogate: the screen sends its chunk to ``_parse_lines``, which
+names the line.  A comment line may hold any other text.
 ``split`` labels each entry with its partition, one byte per entry, and
 copies no entry: a partition is formed from the labels only where it is
 read as a tensor.  ``write_qos_log`` renders a window of entries at a time
@@ -70,7 +72,6 @@ from .sparse import (
     SparseTensor3,
     SplitTensor,
     _validated_dims,
-    ravel,
     unravel,
 )
 
@@ -141,16 +142,19 @@ class SplitSpec:
 class IngestResult:
     """A parsed tensor plus the ingest bookkeeping counts.
 
-    ``records`` counts the data lines seen, ``dropped`` the sentinel
-    (negative-valued) records among them, and ``kept = records - dropped``.
-    The tensor may hold fewer than ``kept`` entries if exact duplicates
-    were collapsed.
+    ``records`` counts the data lines seen, ``kept`` the records among them
+    that are not sentinels (negative-valued), and ``dropped`` the
+    sentinels, ``records - kept``.  The tensor may hold fewer than ``kept``
+    entries if exact duplicates were collapsed.
     """
 
     tensor: SparseTensor3
     records: int
     kept: int
-    dropped: int
+
+    @property
+    def dropped(self) -> int:
+        return self.records - self.kept
 
 
 #: Characters of log text handed to ``np.loadtxt`` at a time.  Peak RSS of
@@ -190,21 +194,23 @@ def parse_qos_log(path, dims, one_based: bool = False) -> IngestResult:
         except (_NotCanonical, ValueError, Warning):
             fh.seek(0)
             return _parse_lines(fh, dims, shift)
-    return _ingest_result(SparseTensor3.from_codes(dims, codes, values), values.size,
-                          records)
+    return IngestResult(SparseTensor3.from_codes(dims, codes, values), records,
+                        values.size)
 
 
 def _parse_chunks(fh, dims, shift):
     """Kept codes and values plus the record count, through numpy's C tokenizer.
 
-    Each chunk's kept records are range-checked and written straight into
-    the returned columns (int64 codes, float64 values).  Whenever a chunk
-    does not fit, ``ndarray.resize`` sizes them for the records the rest of
-    the file would hold at the density read so far, plus a 1/64 margin;
-    they are cut to size at the end, so no chunk's rows outlive it.  Raises
-    ``_NotCanonical``, or whatever ``np.loadtxt`` raises, for input it
-    might read otherwise than ``_parse_lines``.  Its warnings are raised
-    too: numpy before 2.0 reads an id of ``1.0`` as 1 with a
+    Each chunk's kept records are written straight into the returned
+    columns (int64 codes from ``np.ravel_multi_index``, float64 values).
+    Whenever a chunk does not fit, ``ndarray.resize`` sizes them for the
+    records the rest of the file would hold at the density read so far,
+    plus a 1/64 margin; they are cut to size at the end, so no chunk's rows
+    outlive it.  Raises ``_NotCanonical``, or whatever ``np.loadtxt`` raises,
+    for input it might read otherwise than ``_parse_lines``: ``loadtxt``
+    raises ``ValueError`` on a digit separator (``1_000``), and
+    ``np.ravel_multi_index`` on an id out of range.  ``loadtxt``'s warnings
+    are raised too: numpy before 2.0 reads an id of ``1.0`` as 1 with a
     DeprecationWarning.  A chunk of comment and blank lines only is no
     such input: it holds no records either way.
     """
@@ -234,10 +240,7 @@ def _parse_chunks(fh, dims, shift):
                     # No view of a column is alive here.
                     column.resize(max(stop, expected + expected // 64), refcheck=False)
             ids = [rows[name] - shift for name in _RECORD_DTYPE.names[:3]]
-            for x, d in zip(ids, dims):
-                if x.size and (x.min() < 0 or x.max() >= d):
-                    raise _NotCanonical("an id is out of range")
-            codes[size:stop] = ravel(ids, dims)
+            codes[size:stop] = np.ravel_multi_index(ids, dims)
             values[size:stop] = rows["v"]
             size = stop
     for column in (codes, values):
@@ -246,15 +249,16 @@ def _parse_chunks(fh, dims, shift):
 
 
 def _screen(text):
-    """Raise ``_NotCanonical`` where ``np.loadtxt`` and ``int``/``float`` differ.
+    """Raise ``_NotCanonical`` where ``np.loadtxt`` would read text that
+    ``_parse_lines`` reads otherwise, without an error of its own.
 
     ``loadtxt`` ends a record at any ``#``, but a ``#`` starts a comment
-    only as the first non-blank character of its line; and ``int`` and
-    ``float`` accept digit separators (``1_000``) that ``loadtxt`` does not.
-    Text that was not UTF-8 is an error only ``_parse_lines`` can place.
+    only as the first non-blank character of its line.  Text that was not
+    UTF-8 is an error only ``_parse_lines`` can place.  Nothing else needs
+    screening: what else ``int``/``float`` and ``loadtxt`` read
+    differently, such as digit separators, ``loadtxt`` rejects with a
+    ``ValueError``.  So a comment line may hold any text.
     """
-    if "_" in text:
-        raise _NotCanonical("digit separator")
     if not text.isascii() and _UNDECODABLE.search(text):
         raise _NotCanonical("not UTF-8")
     at = text.find("#")
@@ -300,32 +304,31 @@ def _parse_lines(lines, dims, shift) -> IngestResult:
                     f"line {line_no}: {MODES[axis]} index {x} out of range [0, {d})")
             columns[axis].append(x)
         values.append(v)
-    return _ingest_result(SparseTensor3.from_arrays(dims, *columns, values),
-                          len(values), records)
-
-
-def _ingest_result(tensor, kept, records) -> IngestResult:
-    return IngestResult(tensor=tensor, records=records, kept=kept,
-                        dropped=records - kept)
+    return IngestResult(SparseTensor3.from_arrays(dims, *columns, values), records,
+                        len(values))
 
 
 def write_qos_log(tensor: SparseTensor3, path, header: str | None = None, where=None):
     """Serialize a tensor in the log format, losslessly.
 
     Every line is ``f"{i} {j} {k} {v!r}\\n"``, after one ``# `` comment line
-    per line of ``header`` (split by ``str.splitlines``).  With a boolean
-    ``where`` of one element per entry, only the entries it selects are
-    written, the bytes ``write_qos_log(tensor.subset(where), path, header)``
-    writes.  Entries are read in windows of ``_WRITE_CHUNK``, and the
+    per line of ``header`` (split by ``str.splitlines``).  With ``where``, a
+    boolean mask of one element per entry (anything else is an
+    ``OutOfBoundsError``), only the entries it selects are written, the
+    bytes ``write_qos_log(tensor.subset(where), path, header)`` writes.
+    Entries are read in windows of ``_WRITE_CHUNK``, and the
     entries that consecutive windows select are rendered together
     (``_render_lines``), at most ``_WRITE_CHUNK`` per ``write``: a sparse
     mask then renders full batches, not a small one per window.  Only a
     batch's codes are unravelled to ids.
     """
     codes, values = tensor.codes, tensor.values
-    if where is not None and np.shape(where) != codes.shape:
-        raise OutOfBoundsError(
-            f"a mask must have one element per entry, got shape {np.shape(where)}")
+    if where is not None:
+        where = np.asarray(where)
+        if where.dtype != bool or where.shape != codes.shape:
+            raise OutOfBoundsError(
+                f"a mask must be boolean with one element per entry, got {where.dtype} "
+                f"of shape {where.shape}")
     tables = []
     for d in tensor.dims:
         names = np.array([f"{x} " for x in range(d)], dtype=bytes)

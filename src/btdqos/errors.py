@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error's class decides how the CLI exits: a ``ValidationError`` (bad
+input or configuration) exits 2, any other ``BtdqosError`` (a runtime or
+numerical failure) exits 3.  So a new error's exit code is chosen where it
+is declared, by the class it derives from.
+"""
 
 import numbers
 
@@ -7,24 +13,28 @@ class BtdqosError(Exception):
     """Base class for all btdqos errors."""
 
 
-class OutOfBoundsError(BtdqosError):
+class ValidationError(BtdqosError):
+    """Bad input rather than a runtime failure: the CLI exits 2."""
+
+
+class OutOfBoundsError(ValidationError):
     """An (i, j, k) index lies outside the declared tensor dimensions."""
 
 
-class NegativeValueError(BtdqosError):
+class NegativeValueError(ValidationError):
     """A QoS observation or model parameter is negative or not finite."""
 
 
-class DuplicateIndexError(BtdqosError):
+class DuplicateIndexError(ValidationError):
     """Conflicting entries share an index, or entry sets that must be
     disjoint overlap."""
 
 
-class InvalidStructureError(BtdqosError):
+class InvalidStructureError(ValidationError):
     """A block structure or dimension tuple contains a non-positive size."""
 
 
-class DimMismatchError(BtdqosError):
+class DimMismatchError(ValidationError):
     """Model dimensions and tensor dimensions disagree."""
 
 
@@ -32,7 +42,7 @@ class NonFiniteError(BtdqosError):
     """A training update produced NaN or Inf."""
 
 
-class ParseError(BtdqosError):
+class ParseError(ValidationError):
     """Malformed record in a QoS log file."""
 
     def __init__(self, message: str, line_no: int | None = None,
@@ -46,19 +56,19 @@ class ParseError(BtdqosError):
         self.content = content
 
 
-class EmptyInputError(BtdqosError):
+class EmptyInputError(ValidationError):
     """An operation that needs at least one entry received none."""
 
 
-class EmptyTestSetError(BtdqosError):
+class EmptyTestSetError(ValidationError):
     """Metrics requested over an empty test set."""
 
 
-class CorruptCheckpointError(BtdqosError):
+class CorruptCheckpointError(ValidationError):
     """A checkpoint file failed structural or invariant validation."""
 
 
-class ConfigError(BtdqosError):
+class ConfigError(ValidationError):
     """A configuration value violates its invariants."""
 
 
@@ -77,19 +87,3 @@ def check_kind(value, kind, what):
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{what} must be {_KIND_NOUNS[kind]}, got {value!r:.40}")
     return value
-
-
-#: Errors that signal bad input rather than a runtime failure.  The CLI maps
-#: these to exit code 2; everything else maps to 3.
-VALIDATION_ERRORS = (
-    OutOfBoundsError,
-    NegativeValueError,
-    DuplicateIndexError,
-    InvalidStructureError,
-    DimMismatchError,
-    ParseError,
-    EmptyInputError,
-    EmptyTestSetError,
-    CorruptCheckpointError,
-    ConfigError,
-)

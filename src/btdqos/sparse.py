@@ -6,16 +6,17 @@ arrays and nothing else: their int64 linear index ``codes``
 The codes are the one index a tensor holds, and its invariant: entries are
 sorted by code and each code occurs once.  A tensor keeps no state derived
 from them; per-slice counts, for one, are formed by the training code that
-reads them.  ``ravel`` forms codes from ids and ``unravel`` is the one
-place codes become ids again; ``ids`` unravels all of them on each access,
-so a consumer that needs only a slice of the entries unravels that slice.
-``from_codes`` validates, sorts and deduplicates; ``from_arrays`` is its
-id front end, which range-checks and ravels ids first.  Input whose codes
-are strictly increasing already (every log ``write_qos_log`` writes) is
-kept without a sort, and float64 values (and, for ``from_codes``, int64
-codes) without a copy.  ``subset`` relies on the invariant to slice
-partitions without validating again: it selects by a boolean mask and
-turns positions into such a mask.  ``n_shared``, the train/validation
+reads them.  Codes are formed from ids by ``np.ravel_multi_index``, and
+``unravel`` is the one place codes become ids again; ``ids`` unravels all
+of them on each access, so a consumer that needs only a slice of the
+entries unravels that slice.  ``from_codes`` validates, sorts and
+deduplicates; ``from_arrays`` is its id front end, which range-checks ids,
+naming the mode of one out of range, and forms their codes first.  Input
+whose codes are strictly increasing already (every log ``write_qos_log``
+writes) is kept without a sort, and float64 values (and, for
+``from_codes``, int64 codes) without a copy.  ``subset`` relies on the
+invariant to slice partitions without validating again: it selects by a
+boolean mask and turns positions into such a mask.  ``n_shared``, the train/validation
 disjointness check of a fit, looks up the smaller tensor's codes in the
 larger one's.
 
@@ -52,19 +53,6 @@ PARTITIONS = ("train", "validation", "test")
 #: Mask elements ``subset`` handles at a time, so the positions it selects
 #: never form an entry-sized array.
 _CHUNK = 1 << 14
-
-
-def ravel(ids, dims) -> np.ndarray:
-    """The int64 codes ``(i * |J| + j) * |K| + k`` of in-range integer ``ids``.
-
-    Built in place in one entry-sized array from int32 or int64 ids.
-    """
-    i, j, k = ids
-    codes = np.multiply(i, dims[1], dtype=np.int64)
-    codes += j
-    codes *= dims[2]
-    codes += k
-    return codes
 
 
 def unravel(codes, dims):
@@ -118,12 +106,13 @@ class SparseTensor3:
             raise OutOfBoundsError("index and value arrays must be 1-D and equal length")
 
         # Ids are range-checked in the dtype they came in, so an index past
-        # int64 is reported, not wrapped or overflowed; int32 and int64 ids
-        # then form the codes as they are, others are read as int64 first.
+        # int64 is reported, not wrapped or overflowed; integer ids then
+        # form the codes as they are, others (an empty float array, Python
+        # integers in an object array) are read as int64 first.
         for axis, idx in enumerate(ids):
             _check_in_range(idx, dims[axis], f"{MODES[axis]} ids", f"{MODES[axis]} index")
-        codes = ravel([x if x.dtype in (np.int32, np.int64) else x.astype(np.int64)
-                       for x in ids], dims)
+        codes = np.ravel_multi_index(
+            [x if x.dtype.kind in "iu" else x.astype(np.int64) for x in ids], dims)
         return cls.from_codes(dims, codes, vals)
 
     @classmethod
@@ -271,22 +260,27 @@ def _validated_dims(dims):
 class SplitTensor:
     """Train/validation/test split of one observed tensor, as a label per entry.
 
-    ``labels`` holds one uint8 per entry of ``source``: the ``PARTITIONS``
-    index of the partition the entry belongs to, or ``len(PARTITIONS)``
-    for an entry left unassigned.  One label per entry makes the
-    partitions disjoint, and of the source's dims, by construction.  The
-    partitions (``train``, ``validation``, ``test``) are formed from the
-    source on each access and never kept, so hold one in a local.
+    ``labels`` holds one integer per entry of ``source``: the
+    ``PARTITIONS`` index of the partition the entry belongs to, or
+    ``len(PARTITIONS)`` for an entry left unassigned; any other label is an
+    ``OutOfBoundsError``.  They are kept as uint8, and uint8 labels (as
+    ``data_io.split`` draws them) without a copy.  One label per entry
+    makes the partitions disjoint, and of the source's dims, by
+    construction.  The partitions (``train``, ``validation``, ``test``) are
+    formed from the source on each access and never kept, so hold one in a
+    local.
     """
 
     __slots__ = ("source", "labels")
 
     def __init__(self, source: SparseTensor3, labels):
-        labels = np.asarray(labels, dtype=np.uint8)
+        labels = np.asarray(labels)
         if labels.shape != source.values.shape:
             raise OutOfBoundsError(
                 f"a split needs one label per entry ({source.n_entries}), "
                 f"got shape {labels.shape}")
+        _check_in_range(labels, len(PARTITIONS) + 1, "labels", "label")
+        labels = labels.astype(np.uint8, copy=False)
         labels.setflags(write=False)
         self.source, self.labels = source, labels
 

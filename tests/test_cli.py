@@ -12,6 +12,7 @@ import pytest
 
 from _reference import predict_entry
 import btdqos
+from btdqos import cli, errors
 from btdqos.cli import main
 from btdqos.data_io import load_model, parse_qos_log, save_model
 from btdqos.model import BlockStructure, init_random
@@ -570,3 +571,24 @@ def test_flag_the_command_does_not_read_is_rejected(workdir, capsys, argv):
     """--threads belongs to benchmark; --seed to ingest, train and benchmark."""
     assert main(argv) == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+#: Every error class the package raises.
+_ERRORS = [c for c in vars(errors).values() if isinstance(c, type)
+           and issubclass(c, errors.BtdqosError)
+           and c not in (errors.BtdqosError, errors.ValidationError)]
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_type(workdir, monkeypatch, caplog, error):
+    """Every error but NonFiniteError is a ValidationError, which exits 2
+    when a command raises it; NonFiniteError exits 3."""
+    def command(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_predict", command)
+    runtime = error is errors.NonFiniteError
+    assert issubclass(error, errors.ValidationError) is not runtime
+    assert main(["predict", "--checkpoint", "ck.json",
+                 "-i", "0", "-j", "0", "-k", "0"]) == (3 if runtime else 2)
+    assert "planted" in caplog.text

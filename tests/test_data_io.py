@@ -257,7 +257,7 @@ class TestParseAsPerLine:
 
 
 #: Text the differential test inserts into valid logs.
-_INSERTS = ("#", "# x", "_", "\r", "\n", " ", " 7", "\t", "\xa0", "\x0c", "\x00",
+_INSERTS = ("#", "# x", "# a_b", "_", "\r", "\n", " ", " 7", "\t", "\xa0", "\x0c", "\x00",
             "\ufeff", "\u0663", "\uff13", "-", "+", ".", "1.0", "e3", "9", "nan",
             "inf", "-1", "x")
 
@@ -388,6 +388,19 @@ def test_split_copies_no_entry():
     assert parts.source is t and parts.labels.nbytes == n
 
 
+def test_underscore_in_a_comment_takes_the_fast_path(tmp_path, monkeypatch):
+    """A partition file headed by a dataset name holding ``_`` is read by
+    numpy, not line by line."""
+    rng = np.random.default_rng(5)
+    t = SparseTensor3.from_codes((8, 9, 10), rng.choice(720, 300, replace=False),
+                                 rng.uniform(0, 5, 300))
+    write_qos_log(t, tmp_path / "part.txt", header="ws_dream test partition")
+    monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
+    monkeypatch.setattr(data_io, "_PARSE_CHUNK", 1024)
+    back = parse_qos_log(tmp_path / "part.txt", t.dims).tensor
+    assert np.array_equal(back.codes, t.codes) and np.array_equal(back.values, t.values)
+
+
 def test_chunk_without_data_takes_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(data_io, "_parse_lines", _no_fallback)
     monkeypatch.setattr(data_io, "_PARSE_CHUNK", 16)
@@ -442,7 +455,8 @@ class TestWriteBytes:
         """``where`` writes the bytes of the masked subset: random masks, an
         all-false one (a header only), a window selecting nothing, and runs
         that straddle windows of 16 entries.  No write renders more than a
-        window's worth of entries."""
+        window's worth of entries.  A mask of another length, or not
+        boolean, is rejected: an integer one is no list of positions."""
         monkeypatch.setattr(data_io, "_WRITE_CHUNK", 16)
         render = data_io._render_lines
         sizes = []
@@ -468,8 +482,9 @@ class TestWriteBytes:
                     == (tmp_path / "subset.txt").read_bytes())
         assert (tmp_path / "masked.txt").read_text().count("\n") == 9
         assert 0 < min(sizes) and max(sizes) <= 16
-        with pytest.raises(OutOfBoundsError, match="one element per entry"):
-            write_qos_log(t, tmp_path / "bad.txt", where=np.ones(n - 1, bool))
+        for bad in (np.ones(n - 1, bool), np.arange(n) % 2, np.ones(n)):
+            with pytest.raises(OutOfBoundsError, match="boolean with one element per entry"):
+                write_qos_log(t, tmp_path / "bad.txt", where=bad)
 
     def test_extreme_values_and_largest_ids(self, tmp_path):
         dims = (142, 4500, 64)

@@ -373,7 +373,24 @@ class TestSplitTensor:
         with pytest.raises(ValueError):
             parts.labels[0] = 0
 
-    @pytest.mark.parametrize("labels", [[], [0, 1, 2], [0, 1, 2, 0, 1], [[0, 1], [2, 0]]])
+    @pytest.mark.parametrize("labels", [
+        [], [0, 1, 2], [0, 1, 2, 0, 1], [[0, 1], [2, 0]], [0, 1, 2, -1], [0, 1, 2, 7],
+        np.array([0, 1, 2, 255], np.uint8), [0, 1, 2, 0.7], [True, False, True, False]])
     def test_labels_must_match_the_entries(self, labels):
-        with pytest.raises(OutOfBoundsError, match="one label per entry"):
+        """One integer label in ``[0, len(PARTITIONS)]`` per entry: another
+        count, or a label outside that range or no integer, is rejected, not
+        cast into the range."""
+        shown = np.asarray(labels)
+        if shown.shape != (len(self.SOURCE),):
+            message = "one label per entry"
+        elif shown.dtype.kind in "iu":
+            message = rf"^label {shown[-1]} out of range \[0, 4\)$"
+        else:
+            message = f"^labels must be integers, got dtype {shown.dtype}$"
+        with pytest.raises(OutOfBoundsError, match=message):
             SplitTensor(from_entries((3, 3, 3), self.SOURCE), labels)
+
+    def test_uint8_labels_are_not_copied(self):
+        labels = np.array([2, 0, 3, 1], np.uint8)
+        parts = SplitTensor(from_entries((3, 3, 3), self.SOURCE), labels)
+        assert parts.labels is labels
