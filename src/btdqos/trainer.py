@@ -39,10 +39,18 @@ parameters of slices with no observations are left untouched.
 
 Every entry-sized buffer of an epoch lives in an ``EpochWorkspace``: the
 training ids as ``np.intp``, the gathered factor rows, the prediction
-table, the outer-product, contraction and weighted scratch, and the
-predictions.  The workspace also holds the slice counts of the training
-ids.  ``fit`` makes one workspace when it starts and hands it to every
-epoch, so an epoch allocates no entry-sized buffer.  An epoch whose input
+table, the contraction and weighted scratch, and the predictions.  In
+8 B rows, that is 168 B per training entry for cp3 (3 x (1,1,1)), 184 B
+for tucker333 ((3,3,3)) and 256 B for btd3x222 (3 x (2,2,2)); the
+``EpochWorkspace`` docstring lists the rows.  No outer product of two
+gathered families is entry-sized: every product with one runs over
+chunks of ``model.ENTRY_CHUNK`` entries, each formed in a chunk-sized
+scratch, so the contraction reads cache-sized blocks.  The workspace
+also holds the slice counts of the training ids and each user's run of
+entries (the entries are sorted user-major), over which the user-mode
+sums are one ``np.add.reduceat``.  ``fit`` makes one workspace when it
+starts and hands it to every epoch, so an epoch allocates no
+entry-sized buffer.  An epoch whose input
 model is the one the same workspace's last epoch returned is warm: it
 skips the gathers and the table's first fill, whose results the last epoch
 left in the workspace, bitwise.  ``fit`` scores the training objective
@@ -70,16 +78,19 @@ from .errors import (
     DimMismatchError,
     DuplicateIndexError,
     EmptyInputError,
+    InvalidStructureError,
     NonFiniteError,
     check_kind,
 )
 from .model import (
-    PREDICT_CHUNK,
+    ENTRY_CHUNK,
+    BlockStructure,
     BnbtModel,
     check_dims,
     init_random,
     predict_entries,
     row_outer,
+    validate_model,
 )
 from .sparse import SparseTensor3, unravel
 
@@ -159,14 +170,14 @@ def residual_rmse(resid: np.ndarray) -> float:
 def residuals(model: BnbtModel, tensor: SparseTensor3) -> np.ndarray:
     """The values of ``tensor`` minus the model's predictions of them.
 
-    The entries go through ``PREDICT_CHUNK`` at a time, so only one chunk's
+    The entries go through ``ENTRY_CHUNK`` at a time, so only one chunk's
     codes are unravelled to ids at once.
     """
     check_dims(model, tensor.dims)
     codes, values = tensor.codes, tensor.values
     resid = np.empty(tensor.n_entries)
-    for lo in range(0, resid.size, PREDICT_CHUNK):
-        hi = lo + PREDICT_CHUNK
+    for lo in range(0, resid.size, ENTRY_CHUNK):
+        hi = lo + ENTRY_CHUNK
         np.subtract(values[lo:hi],
                     predict_entries(model, *unravel(codes[lo:hi], tensor.dims)),
                     out=resid[lo:hi])
@@ -224,16 +235,6 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
 # -- one training epoch ---------------------------------------------------
 
-def _segment_sums(idx, weights, dim):
-    # Segment-sum each row of `weights` (one rank component per row) by
-    # `idx` into a (dim, rank) array.  bincount accumulates in entry order,
-    # so the sums follow the tensor's lexicographic order.
-    out = np.empty((dim, weights.shape[0]), dtype=np.float64)
-    for k, row in enumerate(weights):
-        out[:, k] = np.bincount(idx, weights=row, minlength=dim)
-    return out
-
-
 class EpochWorkspace:
     """The entry-sized buffers of ``epoch`` for one training tensor and block
     structure, made once and reused by every epoch handed the workspace.
@@ -243,8 +244,22 @@ class EpochWorkspace:
     ``counts[axis]``, formed once here, the gathered factor rows
     ``rows[axis][r]`` as ``(rank, n_entries)`` arrays, the prediction table
     ``pred`` (one row per block, then one per mode's gathered bias), the
-    outer-product, contraction and weighted scratch, and the predictions
-    ``yhat``.
+    contraction and weighted scratch, and the predictions ``yhat``.  The
+    outer-product scratch ``outer`` holds one chunk of ``chunk`` entries,
+    not all of them: the entries split into as many chunks as
+    ``model.ENTRY_CHUNK`` (read when the workspace is made) fits whole,
+    at least one, all but the last of width ``chunk``, which lies between
+    ``ENTRY_CHUNK`` and twice that.
+    The entries are sorted user-major, so each user's entries are one run;
+    ``run_users`` are the users with entries and ``run_starts`` where their
+    runs begin, formed from the counts.
+
+    Entry-sized buffers, in float64 or intp rows of 8 B per entry: the ids
+    (3), the rows (sum of L + M + N over the blocks), the table
+    (blocks + 3), the contraction and weighted scratch (the largest rank,
+    each) and ``yhat`` (1).  That is 21 rows, 168 B per entry, for cp3
+    (3 x (1,1,1)); 23 rows, 184 B, for tucker333 ((3,3,3)); and 32 rows,
+    256 B, for btd3x222 (3 x (2,2,2)), beside the tensor's own 16 B.
 
     ``model`` is the model the workspace's last epoch returned, or None.
     The rows, the table and ``yhat`` are consistent with it, so an epoch
@@ -259,15 +274,45 @@ class EpochWorkspace:
         self.structure = structure
         self.ids = train.ids
         self.counts = _slice_counts(self.ids, train.dims)
+        per_user = self.counts[0]
+        self.run_users = np.flatnonzero(per_user)
+        self.run_starts = (np.cumsum(per_user) - per_user)[self.run_users]
+        # As many chunks as ENTRY_CHUNK fits whole, of one width: a tensor a
+        # little over a chunk is not split into a full and a tiny chunk.
+        self.chunk = -(-n_obs // max(1, n_obs // ENTRY_CHUNK))
         self.rows = [[np.empty((b[axis], n_obs)) for b in blocks] for axis in range(3)]
         widest = max(max(l * m, l * n, m * n) for l, m, n in blocks)
         top_rank = max(max(b) for b in blocks)
-        self.outer = np.empty(widest * n_obs)
+        self.outer = np.empty(widest * self.chunk)
         self.contr = np.empty(top_rank * n_obs)
         self.weighted = np.empty(top_rank * n_obs)
         self.pred = np.empty((len(blocks) + 3, n_obs))
         self.yhat = np.empty(n_obs)
         self.model = None
+
+    def slice_sums(self, axis, weights):
+        """Per-slice sums of each row of ``weights`` (one rank component per
+        row, one column per entry) as a ``(dims[axis], rank)`` array; a
+        slice without entries sums to 0.
+
+        The user sums add each user's run with one ``np.add.reduceat``.  The
+        service and time sums ``bincount`` each row by the mode's ids, which
+        accumulates in entry order.
+        """
+        dim = self.train.dims[axis]
+        if axis == 0:
+            out = np.zeros((dim, weights.shape[0]))
+            out[self.run_users] = np.add.reduceat(weights, self.run_starts, axis=1).T
+            return out
+        out = np.empty((dim, weights.shape[0]))
+        for k, row in enumerate(weights):
+            out[:, k] = np.bincount(self.ids[axis], weights=row, minlength=dim)
+        return out
+
+
+def _check_finite(model: BnbtModel, what: str):
+    if not all(np.isfinite(arr).all() for arr in model.parameter_arrays()):
+        raise NonFiniteError(what)
 
 
 def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
@@ -283,20 +328,27 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
     All seven passes run one step over their terms.  A term is a parameter
     matrix x, its contraction ``contr`` (a row per column of x, a column per
-    entry), its table row, a ``scatter`` of entry-wise rows onto x's shape
-    and a ``gather`` of x back onto the entries.  The step multiplies x by
-    the SLF-NMUT ratio of ``scatter(contr * y)`` over
-    ``scatter(contr * yhat)`` plus the penalty weight times x, sets the
-    term's table row to the per-entry dot of ``gather(x)`` with ``contr``,
-    and after the pass re-sums the predictions.
+    entry), its table row, its MU ``sums`` (the scatters of ``contr * y``
+    and ``contr * yhat`` onto x's shape) and a ``gather`` of x back onto
+    the entries.  The step multiplies x by the SLF-NMUT ratio of the first
+    sum over the second plus the penalty weight times x, sets the term's
+    table row to the per-entry dot of ``gather(x)`` with ``contr``, and
+    after the pass re-sums the predictions.
 
     - A factor's contraction is its block's core with the outer product of
       the two other gathered families; it scatters by per-slice sums over
-      the mode's ids and gathers by taking its updated rows.
+      the mode's entries (``EpochWorkspace.slice_sums``) and gathers by
+      taking its updated rows.
     - A bias is a one-column factor whose contraction is a row of ones.
     - A core is an ``(L*M, N)`` matrix whose contraction is its block's
       time rows.  With ``ab`` the outer product of the user and service
       rows, it scatters by ``ab @ w.T`` and gathers by ``x.T @ ab``.
+
+    Every product with an outer product of two gathered families runs over
+    chunks of ``workspace.chunk`` entries, each forming the chunk's outer
+    product in a chunk-sized scratch: a factor's contraction and a core's
+    gather chunk by chunk, and a core's two scatters as sums over the
+    chunks, both from each chunk's one outer product.
 
     The table's first fill is the same row refresh over the core and bias
     terms, with no update.  Parameters whose slice has no observations keep
@@ -309,10 +361,11 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     ``model`` is the model the workspace's last epoch returned: the rows and
     the table it left are then the ones a fresh gather and first fill would
     give (the time pass refreshes a block row with the first fill's
-    contraction), so the epoch skips both and its result is bitwise the
-    same.  ``workspace.yhat`` ends holding the returned model's predictions
-    of the entries of ``train``; they match ``predict_entries`` up to
-    rounding in the last bits.
+    chunked contraction), so the epoch skips both and its result is
+    bitwise the same.  ``workspace.yhat`` ends holding the returned model's
+    predictions of the entries of ``train``; they match ``predict_entries``
+    up to rounding in the last bits.  A model with a non-finite parameter
+    raises ``NonFiniteError`` before any arithmetic on it.
     """
     check_dims(model, train.dims)
     m = model.copy()
@@ -329,64 +382,96 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     n_obs = train.n_entries
     blocks = m.structure.blocks
 
-    def scratch(buf, n_rows):
-        return buf[:n_rows * n_obs].reshape(n_rows, n_obs)
+    def scratch(buf, n_rows, n_cols=n_obs):
+        return buf[:n_rows * n_cols].reshape(n_rows, n_cols)
 
     def take_into(values, idx, out):
         # The tensor's indices are in range, so "clip" never clips; the
         # default mode="raise" would stage the result in a fresh array.
         return values.take(idx, axis=values.ndim - 1, out=out, mode="clip")
 
+    def outers(x, z):
+        # row_outer of two gathered families one chunk of entries at a time,
+        # in the chunk scratch: yields each chunk's entries and product.
+        for lo in range(0, n_obs, ws.chunk):
+            part = slice(lo, lo + ws.chunk)
+            x_part, z_part = x[:, part], z[:, part]
+            yield part, row_outer(x_part, z_part, out=scratch(
+                ws.outer, len(x_part) * len(z_part), x_part.shape[1]))
+
+    def contract(left, x, z, out):
+        # out = left @ row_outer(x, z), chunk by chunk.  A one-column left
+        # (two rank-1 families) makes the product a broadcast multiply,
+        # which runs several times faster than numpy's matmul of that shape.
+        product = np.multiply if left.shape[1] == 1 else np.matmul
+        for part, xz in outers(x, z):
+            product(left, xz, out=out[:, part])
+        return out
+
+    def factor_sums(axis, contr):
+        # Per-slice sums of contr * y and contr * yhat.
+        weighted = scratch(ws.weighted, len(contr))
+        return [ws.slice_sums(axis, np.multiply(contr, v, out=weighted))
+                for v in (y, yhat)]
+
+    def core_sums(a, b, c):
+        # ab @ (c * y).T and ab @ (c * yhat).T, summed over the chunks, so
+        # each chunk's outer product serves both.
+        num = den = 0
+        for part, ab in outers(a, b):
+            weighted = scratch(ws.weighted, len(c), ab.shape[1])
+            num = num + ab @ np.multiply(c[:, part], y[part], out=weighted).T
+            den = den + ab @ np.multiply(c[:, part], yhat[part], out=weighted).T
+        return num, den
+
     def slice_term(axis, x, contr, k, gathered):
-        # A factor or bias term: per-slice sums over the mode's ids, and the
-        # take of the updated rows into `gathered`.
-        idx = ids[axis]
-        return (x, contr, k, lambda w: _segment_sums(idx, w, x.shape[0]),
-                lambda new: take_into(new.T, idx, gathered),
+        # A factor or bias term: per-slice sums over the mode's entries, and
+        # the take of the updated rows into `gathered`.
+        return (x, contr, k, lambda: factor_sums(axis, contr),
+                lambda new: take_into(new.T, ids[axis], gathered),
                 ws.counts[axis][:, None] > 0)
 
     def core_terms():
         for r, (l, mm, n) in enumerate(blocks):
-            ab = row_outer(rows[0][r], rows[1][r], out=scratch(ws.outer, l * mm))
+            a, b, c = (family[r] for family in rows)
             # The reshape is a view, so the step writes the core in place:
             # BnbtModel.copy() returns C-contiguous arrays.
-            yield (m.cores[r].reshape(l * mm, n), rows[2][r], r,
-                   lambda w: ab @ w.T,
-                   lambda new: np.matmul(new.T, ab, out=scratch(ws.contr, n)),
+            yield (m.cores[r].reshape(l * mm, n), c, r, lambda: core_sums(a, b, c),
+                   lambda new: contract(new.T, a, b, scratch(ws.contr, n)),
                    True)
 
     def factor_terms(axis):
         others = [k for k in range(3) if k != axis]
         for r, core in enumerate(m.cores):
             rank = core.shape[axis]
-            x, z = (rows[k][r] for k in others)
-            xz = row_outer(x, z, out=scratch(ws.outer, x.shape[0] * z.shape[0]))
-            # Mode `axis` first, the other two in order, matching row_outer(x, z).
+            # Mode `axis` first, the other two in order, matching row_outer.
             unfolded = core.transpose(axis, *others).reshape(rank, -1)
-            contr = np.matmul(unfolded, xz, out=scratch(ws.contr, rank))
+            contr = contract(unfolded, *(rows[k][r] for k in others),
+                             scratch(ws.contr, rank))
             yield slice_term(axis, m.factors[axis][r], contr, r, rows[axis][r])
 
     ones = np.broadcast_to(1.0, (1, n_obs))  # a read-only view: no entry-sized buffer
 
     def bias_terms(axis):
         # The bias as a one-column factor, updated in place.  Its gathered
-        # values only feed its prediction row, so they go to free scratch.
+        # values only feed its prediction row, so they go to the weighted
+        # scratch, which the step is done with by then.
         yield slice_term(axis, m.biases[axis][:, None], ones,
-                         len(blocks) + axis, scratch(ws.outer, 1))
+                         len(blocks) + axis, scratch(ws.weighted, 1))
 
     def pass_step(terms, weight=None):
         # Terms are taken one at a time, as they share the scratch buffers.
         # Without a weight the step only refreshes the terms' table rows.
-        for x, contr, k, scatter, gather, observed in terms:
+        for x, contr, k, sums, gather, observed in terms:
             if weight is not None:
-                weighted = scratch(ws.weighted, x.shape[1])
-                num = scatter(np.multiply(contr, y, out=weighted))
-                den = scatter(np.multiply(contr, yhat, out=weighted)) + weight * x
+                num, den = sums()
+                den = den + weight * x
                 x[...] = np.where(observed, x * num / (den + EPSILON_GUARD), x)
             np.einsum("kp,kp->p", gather(x), contr, out=pred[k])
         np.sum(pred, axis=0, out=yhat)
 
     if not warm:
+        _check_finite(m, "the model has a non-finite parameter")
         for family, idx, gathered in zip(m.factors, ids, rows):
             for f, out in zip(family, gathered):
                 take_into(f.T, idx, out)
@@ -399,9 +484,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     for terms, weight in zip(passes, penalty_weights(train, ws.counts, cfg)):
         pass_step(terms, weight)
 
-    for arr in m.parameter_arrays():
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("update produced a non-finite parameter")
+    _check_finite(m, "update produced a non-finite parameter")
     ws.model = m
     return m
 
@@ -409,11 +492,16 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 # -- training loop --------------------------------------------------------
 
 def fit(train: SparseTensor3, validation: SparseTensor3, structure,
-        cfg: TrainConfig):
-    """Train a fresh model until the stop metric settles.
+        cfg: TrainConfig, init: BnbtModel | None = None):
+    """Train a model until the stop metric settles.
 
-    The model starts from ``init_random(train.dims, structure, cfg.seed)`` and
-    runs epochs until the absolute change of the stop metric between two
+    The model starts from ``init``, a valid model of ``train``'s dims and
+    of ``structure``, or without one from ``init_random(train.dims,
+    structure, cfg.seed)``; with ``cfg.bias_enabled`` false its biases start
+    at 0.  ``init`` itself is not changed.  A fit from the model a fit of k
+    epochs returned continues it: its models and losses are bitwise those
+    of the longer fit's later epochs.  The fit runs epochs until the
+    absolute change of the stop metric between two
     consecutive epochs drops below ``cfg.tol`` or ``cfg.max_iter`` is
     reached; ``TrainReport.stop_reason`` says which.  The default metric
     is RMSE on the validation partition; ``stop_on="train_loss"`` switches
@@ -439,7 +527,17 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
             "validation set is empty; use stop_on='train_loss' instead")
 
     started = time.perf_counter()
-    model = init_random(train.dims, structure, cfg.seed)
+    if init is None:
+        model = init_random(train.dims, structure, cfg.seed)
+    else:
+        validate_model(init)
+        check_dims(init, train.dims)
+        if not isinstance(structure, BlockStructure):
+            structure = BlockStructure(tuple(structure))
+        if init.structure != structure:
+            raise InvalidStructureError(
+                f"init has blocks {init.structure.blocks}, the fit {structure.blocks}")
+        model = init.copy()
     if not cfg.bias_enabled:
         model.biases = [np.zeros(dim) for dim in train.dims]
 

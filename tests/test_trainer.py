@@ -17,14 +17,25 @@ from _reference import (
     ref_gradient_fd,
     ref_objective,
 )
+from btdqos import model as model_module
+from btdqos import trainer as trainer_module
 from btdqos.errors import (
     ConfigError,
     DimMismatchError,
     DuplicateIndexError,
     EmptyInputError,
+    InvalidStructureError,
+    NegativeValueError,
     NonFiniteError,
+    ValidationError,
 )
-from btdqos.model import BlockStructure, cp_structure, init_random, predict_entries
+from btdqos.model import (
+    ENTRY_CHUNK,
+    BlockStructure,
+    cp_structure,
+    init_random,
+    predict_entries,
+)
 from btdqos.sparse import SparseTensor3
 from btdqos.trainer import (
     EPSILON_GUARD,
@@ -38,6 +49,16 @@ from btdqos.trainer import (
 from test_model import single_block_model
 
 ZERO_REG = TrainConfig(stop_on="train_loss")
+
+#: Three blocks of differing ranks, two of them with distinct L, M and N.
+THREE_BLOCKS = BlockStructure(((1, 2, 3), (2, 2, 2), (3, 1, 2)))
+
+
+def set_chunk(monkeypatch, chunk):
+    """Run the epoch's contractions and ``predict_entries`` over ``chunk``
+    entries at a time (workspaces made from now on)."""
+    for module in (model_module, trainer_module):
+        monkeypatch.setattr(module, "ENTRY_CHUNK", chunk)
 
 
 class TestTrainConfig:
@@ -224,11 +245,18 @@ class TestEpoch:
         np.testing.assert_array_equal(model_params_vector(after),
                                       model_params_vector(model))
 
-    def test_non_finite_model_raises(self):
-        tensor, model = exact_fit_instance(3)
-        model.cores[0][0, 0, 0] = np.inf
-        with pytest.raises(NonFiniteError):
-            epoch(model, tensor, ZERO_REG)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_model_raises(self, monkeypatch):
+        """A non-finite parameter is a runtime failure (exit 3), raised
+        before any arithmetic on it, so no RuntimeWarning escapes either:
+        also not from the one-entry-at-a-time products of a tiny chunk."""
+        for chunk in (ENTRY_CHUNK, 7, 1):
+            set_chunk(monkeypatch, chunk)
+            tensor, model = exact_fit_instance(3)
+            model.cores[0][0, 0, 0] = np.inf
+            with pytest.raises(NonFiniteError) as raised:
+                epoch(model, tensor, ZERO_REG)
+            assert not isinstance(raised.value, ValidationError)
 
     @pytest.mark.parametrize("bias_enabled, blocks", [
         pytest.param(False, ((2, 2, 2),), id="no-bias"),
@@ -250,28 +278,33 @@ class TestEpoch:
                                        predict_entries(model, *tensor.ids),
                                        rtol=1e-12)
 
-    def test_warm_epoch_allocates_no_entry_sized_buffer(self):
+    def test_warm_epoch_allocates_no_entry_sized_buffer(self, monkeypatch):
         """An epoch handed the model its workspace's last epoch returned
         allocates less than one entry-sized float64 row: the ids, gathered
-        rows, prediction table and scratch all come from the workspace."""
+        rows, prediction table and scratch all come from the workspace.
+        The tensor spans more than one chunk, at the default chunk and at
+        seven entries."""
         rng = np.random.default_rng(7)
         dims = (40, 40, 40)
         codes = rng.choice(np.prod(dims), size=25_000, replace=False)
         tensor = SparseTensor3.from_arrays(dims, *np.unravel_index(codes, dims),
                                            rng.uniform(0.5, 2.0, codes.size))
         cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005)
-        model = init_random(dims, BlockStructure(((1, 2, 3), (3, 3, 3))), 7)
-        workspace = EpochWorkspace(tensor, model.structure)
-        model = epoch(model, tensor, cfg, workspace)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            epoch(model, tensor, cfg, workspace)
-            growth = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert growth < 8 * tensor.n_entries
+        for chunk in (ENTRY_CHUNK, 7):
+            set_chunk(monkeypatch, chunk)
+            model = init_random(dims, BlockStructure(((1, 2, 3), (3, 3, 3))), 7)
+            workspace = EpochWorkspace(tensor, model.structure)
+            assert tensor.n_entries > workspace.chunk
+            model = epoch(model, tensor, cfg, workspace)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                epoch(model, tensor, cfg, workspace)
+                growth = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert growth < 8 * tensor.n_entries, chunk
 
     def test_workspace_of_another_tensor_rejected(self):
         dims, structure, tensor, model = random_instance(44, max_dim=6)
@@ -318,6 +351,111 @@ class TestEpoch:
                 current = objective(model, tensor, cfg)
                 assert current <= prev * (1 + 1e-9), f"seed {seed}"
                 prev = current
+
+
+class TestChunkedEpoch:
+    """At seven entries per chunk every contraction over an outer product
+    spans many chunks and ends on a partial one."""
+
+    def _instance(self, bias_enabled):
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
+                          bias_enabled=bias_enabled, stop_on="train_loss")
+        dims, _, tensor, _ = random_instance(46, max_dim=6)
+        model = init_random(dims, THREE_BLOCKS, 46)
+        chunk = EpochWorkspace(tensor, THREE_BLOCKS).chunk
+        assert tensor.n_entries > 3 * chunk and tensor.n_entries % chunk
+        if not bias_enabled:
+            model.biases = [np.zeros(dim) for dim in dims]
+        return cfg, tensor, model
+
+    @pytest.mark.parametrize("bias_enabled", [True, False], ids=["bias", "no-bias"])
+    def test_matches_reference_epoch(self, monkeypatch, bias_enabled):
+        set_chunk(monkeypatch, 7)
+        cfg, tensor, model = self._instance(bias_enabled)
+        fast = model_params_vector(epoch(model, tensor, cfg))
+        slow = model_params_vector(ref_epoch(model, tensor, cfg))
+        np.testing.assert_allclose(fast, slow, rtol=1e-10)
+
+    @pytest.mark.parametrize("bias_enabled", [True, False], ids=["bias", "no-bias"])
+    def test_warm_epochs_equal_cold_epochs(self, monkeypatch, bias_enabled):
+        """The time pass refreshes a block's table row with the chunked
+        contraction of the first fill, so a warm epoch ends bitwise where a
+        cold one does, in its model and in its predictions."""
+        set_chunk(monkeypatch, 7)
+        cfg, tensor, model = self._instance(bias_enabled)
+        workspace = EpochWorkspace(tensor, model.structure)
+        warm = cold = model
+        for _ in range(3):
+            fresh = EpochWorkspace(tensor, model.structure)
+            warm = epoch(warm, tensor, cfg, workspace)
+            cold = epoch(cold.copy(), tensor, cfg, fresh)
+            np.testing.assert_array_equal(model_params_vector(warm),
+                                          model_params_vector(cold))
+            np.testing.assert_array_equal(workspace.yhat, fresh.yhat)
+
+    @pytest.mark.parametrize("n_entries, width", [
+        (1, 1), (6, 6), (7, 7), (13, 13), (14, 7), (15, 8), (50, 8)])
+    def test_chunks_split_the_entries_evenly(self, monkeypatch, n_entries, width):
+        """As many chunks as seven entries fit whole, of one width: no
+        tensor ends on a chunk much narrower than the rest."""
+        set_chunk(monkeypatch, 7)
+        zeros = np.zeros(n_entries, dtype=int)
+        tensor = SparseTensor3.from_arrays((n_entries, 1, 1), np.arange(n_entries),
+                                           zeros, zeros, np.ones(n_entries))
+        assert EpochWorkspace(tensor, THREE_BLOCKS).chunk == width
+
+    def test_predictions_do_not_depend_on_the_chunk(self, monkeypatch):
+        dims, _, tensor, _ = random_instance(47, max_dim=6)
+        model = init_random(dims, THREE_BLOCKS, 47)
+        want = predict_entries(model, *tensor.ids)
+        set_chunk(monkeypatch, 7)
+        np.testing.assert_allclose(predict_entries(model, *tensor.ids), want,
+                                   rtol=1e-14)
+
+
+class TestSliceSums:
+    """The user sums add each user's run of entries with one reduceat; they
+    equal per-row ``bincount`` over the ids, as the other modes' sums do."""
+
+    @staticmethod
+    def _tensor(dims, seed, keep_users=None):
+        rng = np.random.default_rng(seed)
+        cells = int(np.prod(dims))
+        codes = rng.choice(cells, size=max(1, cells // 2), replace=False)
+        ids = np.unravel_index(codes, dims)
+        keep = np.isin(ids[0], keep_users) if keep_users is not None else slice(None)
+        return SparseTensor3.from_arrays(dims, *(x[keep] for x in ids),
+                                         rng.uniform(0.5, 2.0, codes.size)[keep])
+
+    @pytest.mark.parametrize("tensor", [
+        pytest.param(lambda: TestSliceSums._tensor((7, 6, 5), 1, keep_users=[1, 2, 5]),
+                     id="users-without-entries"),
+        pytest.param(lambda: TestSliceSums._tensor((1, 6, 5), 2), id="one-user"),
+        pytest.param(lambda: from_entries((3, 4, 2), [((2, 1, 0), 1.5)]),
+                     id="one-entry"),
+    ])
+    def test_equal_per_row_bincount(self, tensor):
+        tensor = tensor()
+        workspace = EpochWorkspace(tensor, THREE_BLOCKS)
+        weights = np.random.default_rng(3).uniform(0.0, 2.0, (3, tensor.n_entries))
+        for axis, (idx, dim) in enumerate(zip(tensor.ids, tensor.dims)):
+            want = np.stack([np.bincount(idx, weights=row, minlength=dim)
+                             for row in weights], axis=1)
+            got = workspace.slice_sums(axis, weights)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_users_without_entries_keep_their_parameters(self):
+        tensor = self._tensor((7, 6, 5), 1, keep_users=[1, 2, 5])
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
+                          stop_on="train_loss")
+        model = init_random(tensor.dims, THREE_BLOCKS, 5)
+        after = epoch(model, tensor, cfg)
+        idle = [0, 3, 4, 6]
+        for before, now in zip(model.factors[0], after.factors[0]):
+            np.testing.assert_array_equal(now[idle], before[idle])
+            assert not np.array_equal(now[[1, 2, 5]], before[[1, 2, 5]])
+        np.testing.assert_array_equal(after.biases[0][idle], model.biases[0][idle])
 
 
 class TestFit:
@@ -391,6 +529,42 @@ class TestFit:
                 assert loss == pytest.approx(objective(model, train, cfg), rel=1e-12)
             np.testing.assert_array_equal(model_params_vector(fitted),
                                           model_params_vector(model))
+
+    @pytest.mark.parametrize("bias_enabled", [True, False], ids=["bias", "no-bias"])
+    def test_fit_from_init_continues_the_fit(self, bias_enabled):
+        """Three epochs, then two more from the model they returned, give
+        bitwise the model and losses of one five-epoch fit; the starting
+        model is left as it was."""
+        train, val, _, _ = self._split_instance(9)
+        structure = BlockStructure(((2, 2, 2), (1, 2, 1)))
+        cfg = TrainConfig(lambda1=0.001, lambda2=0.001, lambda3=0.001, max_iter=5,
+                          tol=1e-300, seed=9, stop_on="train_loss",
+                          bias_enabled=bias_enabled)
+        whole, report = fit(train, val, structure, cfg)
+        first, head = fit(train, val, structure, replace(cfg, max_iter=3))
+        kept = model_params_vector(first)
+        last, tail = fit(train, val, structure, replace(cfg, max_iter=2), init=first)
+        np.testing.assert_array_equal(model_params_vector(first), kept)
+        np.testing.assert_array_equal(model_params_vector(last),
+                                      model_params_vector(whole))
+        assert head.loss_trajectory + tail.loss_trajectory == report.loss_trajectory
+        assert (head.validation_rmse_trajectory + tail.validation_rmse_trajectory
+                == report.validation_rmse_trajectory)
+
+    def test_init_of_another_shape_rejected(self):
+        train, val, _, _ = self._split_instance(10)
+        structure = BlockStructure(((2, 2, 2),))
+        cfg = TrainConfig(max_iter=2)
+        with pytest.raises(InvalidStructureError):
+            fit(train, val, structure, cfg,
+                init=init_random(train.dims, BlockStructure(((1, 2, 2),)), 0))
+        with pytest.raises(DimMismatchError):
+            fit(train, val, structure, cfg,
+                init=init_random((9, 8, 8), structure, 0))
+        negative = init_random(train.dims, structure, 0)
+        negative.biases[0][0] = -1.0
+        with pytest.raises(NegativeValueError):
+            fit(train, val, structure, cfg, init=negative)
 
     def test_noiseless_recovery(self):
         """Planted noiseless data: training RMSE under 1% of data std."""
