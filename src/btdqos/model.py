@@ -28,17 +28,34 @@ from .errors import (
 )
 from .sparse import MODES
 
-#: Entries per chunk of every per-entry contraction.  ``predict_entries``
-#: and the trainer's epoch (its outer-product scratch and the products
-#: over it) go through about this many entries at a time, so their
-#: temporaries stay cache-sized however many entries there are.  Chosen by
-#: measurement on 2 cores: every size from 4096 to 32768 made a 1M-entry
-#: warm epoch faster than whole-tensor products, but a fit's peak memory
-#: grows with the chunk (``predict_entries`` holds about 12 chunk-sized
-#: rows while ``fit`` scores the validation set).  At 4096 a 50k-entry
-#: ``btdqos train`` peaks 1.2 MiB below whole-tensor scratch, at 8192
-#: 0.6 MiB below, at 16384 0.8 MiB above.
+#: Entries per chunk of every per-entry contraction.  ``predict_entries``,
+#: ``trainer.residuals`` and the trainer's epoch (its outer-product scratch
+#: and the products over it) go through the entries in the chunks of
+#: ``entry_chunks``, so their temporaries stay cache-sized however many
+#: entries there are.  Chosen by measurement on 2 cores: every size from
+#: 4096 to 32768 made a 1M-entry warm epoch faster than whole-tensor
+#: products, but a fit's peak memory grows with the chunk
+#: (``predict_entries`` holds about 12 chunk-sized rows while ``fit``
+#: scores the validation set).  At 4096 a 50k-entry ``btdqos train`` peaks
+#: 1.2 MiB below whole-tensor scratch, at 8192 0.6 MiB below, at 16384
+#: 0.8 MiB above.
 ENTRY_CHUNK = 4096
+
+
+def entry_chunks(n: int) -> list[slice]:
+    """The chunks ``n`` entries go through, as slices in entry order.
+
+    There are as many chunks as ``ENTRY_CHUNK`` fits whole, at least one,
+    and their widths differ by at most one entry.  A chunk thus spans
+    ``ENTRY_CHUNK`` to ``2 * ENTRY_CHUNK - 1`` entries, or all of them when
+    there are fewer.  The even split keeps a tensor a little over one chunk
+    from ending on a tiny one: split 4096 + 904, a 5k-entry epoch of
+    (3,3,3) or 3 x (2,2,2) took 1.11 or 1.15 times as long as one
+    whole-tensor pass; as one chunk, 0.99-1.05 or 0.91-0.93 times.
+    """
+    count = max(1, n // ENTRY_CHUNK)
+    bounds = [k * n // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _positive_int(x) -> bool:
@@ -188,16 +205,16 @@ def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.nda
     rows, on top of the three gathered biases: ``core.reshape(L*M, N).T``
     times ``row_outer`` of the user and service rows contracts the core
     with those rows in one matrix product, and its per-entry dot with the
-    time rows is the block term.  Entries go through in chunks of
-    ``ENTRY_CHUNK``, so the temporaries stay small and cache-resident
+    time rows is the block term.  Entries go through in the chunks of
+    ``entry_chunks``, so the temporaries stay small and cache-resident
     however many entries are asked for.
     """
     ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
     (a, b, c), (d, e, f) = model.factors, model.biases
     out = np.empty(ids[0].shape, dtype=np.float64)
-    for lo in range(0, out.size, ENTRY_CHUNK):
-        u, s, t = (x[lo:lo + ENTRY_CHUNK] for x in ids)
-        part = out[lo:lo + ENTRY_CHUNK]
+    for chunk in entry_chunks(out.size):
+        u, s, t = (x[chunk] for x in ids)
+        part = out[chunk]
         np.add(d[u], e[s], out=part)
         part += f[t]
         for r, (l, m, n) in enumerate(model.structure.blocks):

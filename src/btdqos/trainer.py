@@ -44,7 +44,7 @@ table, the contraction and weighted scratch, and the predictions.  In
 for tucker333 ((3,3,3)) and 256 B for btd3x222 (3 x (2,2,2)); the
 ``EpochWorkspace`` docstring lists the rows.  No outer product of two
 gathered families is entry-sized: every product with one runs over
-chunks of ``model.ENTRY_CHUNK`` entries, each formed in a chunk-sized
+the chunks of ``model.entry_chunks``, each formed in a chunk-sized
 scratch, so the contraction reads cache-sized blocks.  The workspace
 also holds the slice counts of the training ids and each user's run of
 entries (the entries are sorted user-major), over which the user-mode
@@ -78,19 +78,16 @@ from .errors import (
     DimMismatchError,
     DuplicateIndexError,
     EmptyInputError,
-    InvalidStructureError,
     NonFiniteError,
     check_kind,
 )
 from .model import (
-    ENTRY_CHUNK,
-    BlockStructure,
     BnbtModel,
     check_dims,
+    entry_chunks,
     init_random,
     predict_entries,
     row_outer,
-    validate_model,
 )
 from .sparse import SparseTensor3, unravel
 
@@ -170,17 +167,16 @@ def residual_rmse(resid: np.ndarray) -> float:
 def residuals(model: BnbtModel, tensor: SparseTensor3) -> np.ndarray:
     """The values of ``tensor`` minus the model's predictions of them.
 
-    The entries go through ``ENTRY_CHUNK`` at a time, so only one chunk's
-    codes are unravelled to ids at once.
+    The entries go through in the chunks of ``entry_chunks``, so only one
+    chunk's codes are unravelled to ids at once.
     """
     check_dims(model, tensor.dims)
     codes, values = tensor.codes, tensor.values
     resid = np.empty(tensor.n_entries)
-    for lo in range(0, resid.size, ENTRY_CHUNK):
-        hi = lo + ENTRY_CHUNK
-        np.subtract(values[lo:hi],
-                    predict_entries(model, *unravel(codes[lo:hi], tensor.dims)),
-                    out=resid[lo:hi])
+    for chunk in entry_chunks(resid.size):
+        np.subtract(values[chunk],
+                    predict_entries(model, *unravel(codes[chunk], tensor.dims)),
+                    out=resid[chunk])
     return resid
 
 
@@ -245,14 +241,11 @@ class EpochWorkspace:
     ``rows[axis][r]`` as ``(rank, n_entries)`` arrays, the prediction table
     ``pred`` (one row per block, then one per mode's gathered bias), the
     contraction and weighted scratch, and the predictions ``yhat``.  The
-    outer-product scratch ``outer`` holds one chunk of ``chunk`` entries,
-    not all of them: the entries split into as many chunks as
-    ``model.ENTRY_CHUNK`` (read when the workspace is made) fits whole,
-    at least one, all but the last of width ``chunk``, which lies between
-    ``ENTRY_CHUNK`` and twice that.
-    The entries are sorted user-major, so each user's entries are one run;
-    ``run_users`` are the users with entries and ``run_starts`` where their
-    runs begin, formed from the counts.
+    outer-product scratch ``outer`` spans the widest of the ``chunks``,
+    the slices of ``model.entry_chunks`` taken when the workspace is made,
+    not all the entries.  The entries are sorted user-major, so each
+    user's entries are one run; ``run_users`` are the users with entries
+    and ``run_starts`` where their runs begin, formed from the counts.
 
     Entry-sized buffers, in float64 or intp rows of 8 B per entry: the ids
     (3), the rows (sum of L + M + N over the blocks), the table
@@ -277,13 +270,12 @@ class EpochWorkspace:
         per_user = self.counts[0]
         self.run_users = np.flatnonzero(per_user)
         self.run_starts = (np.cumsum(per_user) - per_user)[self.run_users]
-        # As many chunks as ENTRY_CHUNK fits whole, of one width: a tensor a
-        # little over a chunk is not split into a full and a tiny chunk.
-        self.chunk = -(-n_obs // max(1, n_obs // ENTRY_CHUNK))
+        self.chunks = entry_chunks(n_obs)
+        width = max((c.stop - c.start for c in self.chunks), default=0)
         self.rows = [[np.empty((b[axis], n_obs)) for b in blocks] for axis in range(3)]
         widest = max(max(l * m, l * n, m * n) for l, m, n in blocks)
         top_rank = max(max(b) for b in blocks)
-        self.outer = np.empty(widest * self.chunk)
+        self.outer = np.empty(widest * width)
         self.contr = np.empty(top_rank * n_obs)
         self.weighted = np.empty(top_rank * n_obs)
         self.pred = np.empty((len(blocks) + 3, n_obs))
@@ -345,7 +337,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
       rows, it scatters by ``ab @ w.T`` and gathers by ``x.T @ ab``.
 
     Every product with an outer product of two gathered families runs over
-    chunks of ``workspace.chunk`` entries, each forming the chunk's outer
+    the workspace's ``chunks`` of entries, each forming the chunk's outer
     product in a chunk-sized scratch: a factor's contraction and a core's
     gather chunk by chunk, and a core's two scatters as sums over the
     chunks, both from each chunk's one outer product.
@@ -393,8 +385,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     def outers(x, z):
         # row_outer of two gathered families one chunk of entries at a time,
         # in the chunk scratch: yields each chunk's entries and product.
-        for lo in range(0, n_obs, ws.chunk):
-            part = slice(lo, lo + ws.chunk)
+        for part in ws.chunks:
             x_part, z_part = x[:, part], z[:, part]
             yield part, row_outer(x_part, z_part, out=scratch(
                 ws.outer, len(x_part) * len(z_part), x_part.shape[1]))
@@ -492,16 +483,11 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 # -- training loop --------------------------------------------------------
 
 def fit(train: SparseTensor3, validation: SparseTensor3, structure,
-        cfg: TrainConfig, init: BnbtModel | None = None):
-    """Train a model until the stop metric settles.
+        cfg: TrainConfig):
+    """Train a fresh model until the stop metric settles.
 
-    The model starts from ``init``, a valid model of ``train``'s dims and
-    of ``structure``, or without one from ``init_random(train.dims,
-    structure, cfg.seed)``; with ``cfg.bias_enabled`` false its biases start
-    at 0.  ``init`` itself is not changed.  A fit from the model a fit of k
-    epochs returned continues it: its models and losses are bitwise those
-    of the longer fit's later epochs.  The fit runs epochs until the
-    absolute change of the stop metric between two
+    The model starts from ``init_random(train.dims, structure, cfg.seed)`` and
+    runs epochs until the absolute change of the stop metric between two
     consecutive epochs drops below ``cfg.tol`` or ``cfg.max_iter`` is
     reached; ``TrainReport.stop_reason`` says which.  The default metric
     is RMSE on the validation partition; ``stop_on="train_loss"`` switches
@@ -527,17 +513,7 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
             "validation set is empty; use stop_on='train_loss' instead")
 
     started = time.perf_counter()
-    if init is None:
-        model = init_random(train.dims, structure, cfg.seed)
-    else:
-        validate_model(init)
-        check_dims(init, train.dims)
-        if not isinstance(structure, BlockStructure):
-            structure = BlockStructure(tuple(structure))
-        if init.structure != structure:
-            raise InvalidStructureError(
-                f"init has blocks {init.structure.blocks}, the fit {structure.blocks}")
-        model = init.copy()
+    model = init_random(train.dims, structure, cfg.seed)
     if not cfg.bias_enabled:
         model.biases = [np.zeros(dim) for dim in train.dims]
 

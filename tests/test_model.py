@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from _reference import model_params_vector, predict_entry, ref_dense
+from btdqos import model as model_module
 from btdqos.errors import ConfigError, InvalidStructureError
 from btdqos.model import (
     BlockStructure,
     BnbtModel,
     cp_structure,
+    entry_chunks,
     init_random,
     predict_entries,
     tucker_structure,
@@ -141,6 +143,19 @@ def test_predict_entries_matches_scalar_path():
     for p in range(50):
         assert batch[p] == pytest.approx(
             predict_entry(m, int(ii[p]), int(jj[p]), int(kk[p])), abs=1e-12)
+
+
+@pytest.mark.parametrize("n_entries, widths", [
+    (0, []), (1, [1]), (6, [6]), (7, [7]), (13, [13]), (14, [7, 7]),
+    (15, [7, 8]), (50, [7, 7, 7, 7, 7, 7, 8])])
+def test_entry_chunks_split_the_entries_evenly(monkeypatch, n_entries, widths):
+    """As many chunks as seven entries fit whole, covering the entries in
+    order, with widths a unit apart at most: no tensor ends on a chunk much
+    narrower than the rest."""
+    monkeypatch.setattr(model_module, "ENTRY_CHUNK", 7)
+    chunks = entry_chunks(n_entries)
+    assert [c.stop - c.start for c in chunks] == widths
+    assert [i for c in chunks for i in range(n_entries)[c]] == list(range(n_entries))
 
 
 def test_cp_degeneration_exact():

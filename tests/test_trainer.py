@@ -18,14 +18,11 @@ from _reference import (
     ref_objective,
 )
 from btdqos import model as model_module
-from btdqos import trainer as trainer_module
 from btdqos.errors import (
     ConfigError,
     DimMismatchError,
     DuplicateIndexError,
     EmptyInputError,
-    InvalidStructureError,
-    NegativeValueError,
     NonFiniteError,
     ValidationError,
 )
@@ -55,10 +52,9 @@ THREE_BLOCKS = BlockStructure(((1, 2, 3), (2, 2, 2), (3, 1, 2)))
 
 
 def set_chunk(monkeypatch, chunk):
-    """Run the epoch's contractions and ``predict_entries`` over ``chunk``
-    entries at a time (workspaces made from now on)."""
-    for module in (model_module, trainer_module):
-        monkeypatch.setattr(module, "ENTRY_CHUNK", chunk)
+    """Run the epoch's contractions and ``predict_entries`` over chunks of
+    about ``chunk`` entries (workspaces made from now on)."""
+    monkeypatch.setattr(model_module, "ENTRY_CHUNK", chunk)
 
 
 class TestTrainConfig:
@@ -294,7 +290,7 @@ class TestEpoch:
             set_chunk(monkeypatch, chunk)
             model = init_random(dims, BlockStructure(((1, 2, 3), (3, 3, 3))), 7)
             workspace = EpochWorkspace(tensor, model.structure)
-            assert tensor.n_entries > workspace.chunk
+            assert len(workspace.chunks) > 1
             model = epoch(model, tensor, cfg, workspace)
             tracemalloc.start()
             try:
@@ -355,15 +351,15 @@ class TestEpoch:
 
 class TestChunkedEpoch:
     """At seven entries per chunk every contraction over an outer product
-    spans many chunks and ends on a partial one."""
+    spans many chunks, of two widths."""
 
     def _instance(self, bias_enabled):
         cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
                           bias_enabled=bias_enabled, stop_on="train_loss")
         dims, _, tensor, _ = random_instance(46, max_dim=6)
         model = init_random(dims, THREE_BLOCKS, 46)
-        chunk = EpochWorkspace(tensor, THREE_BLOCKS).chunk
-        assert tensor.n_entries > 3 * chunk and tensor.n_entries % chunk
+        chunks = EpochWorkspace(tensor, THREE_BLOCKS).chunks
+        assert len(chunks) > 3 and tensor.n_entries % len(chunks)
         if not bias_enabled:
             model.biases = [np.zeros(dim) for dim in dims]
         return cfg, tensor, model
@@ -392,17 +388,6 @@ class TestChunkedEpoch:
             np.testing.assert_array_equal(model_params_vector(warm),
                                           model_params_vector(cold))
             np.testing.assert_array_equal(workspace.yhat, fresh.yhat)
-
-    @pytest.mark.parametrize("n_entries, width", [
-        (1, 1), (6, 6), (7, 7), (13, 13), (14, 7), (15, 8), (50, 8)])
-    def test_chunks_split_the_entries_evenly(self, monkeypatch, n_entries, width):
-        """As many chunks as seven entries fit whole, of one width: no
-        tensor ends on a chunk much narrower than the rest."""
-        set_chunk(monkeypatch, 7)
-        zeros = np.zeros(n_entries, dtype=int)
-        tensor = SparseTensor3.from_arrays((n_entries, 1, 1), np.arange(n_entries),
-                                           zeros, zeros, np.ones(n_entries))
-        assert EpochWorkspace(tensor, THREE_BLOCKS).chunk == width
 
     def test_predictions_do_not_depend_on_the_chunk(self, monkeypatch):
         dims, _, tensor, _ = random_instance(47, max_dim=6)
@@ -529,42 +514,6 @@ class TestFit:
                 assert loss == pytest.approx(objective(model, train, cfg), rel=1e-12)
             np.testing.assert_array_equal(model_params_vector(fitted),
                                           model_params_vector(model))
-
-    @pytest.mark.parametrize("bias_enabled", [True, False], ids=["bias", "no-bias"])
-    def test_fit_from_init_continues_the_fit(self, bias_enabled):
-        """Three epochs, then two more from the model they returned, give
-        bitwise the model and losses of one five-epoch fit; the starting
-        model is left as it was."""
-        train, val, _, _ = self._split_instance(9)
-        structure = BlockStructure(((2, 2, 2), (1, 2, 1)))
-        cfg = TrainConfig(lambda1=0.001, lambda2=0.001, lambda3=0.001, max_iter=5,
-                          tol=1e-300, seed=9, stop_on="train_loss",
-                          bias_enabled=bias_enabled)
-        whole, report = fit(train, val, structure, cfg)
-        first, head = fit(train, val, structure, replace(cfg, max_iter=3))
-        kept = model_params_vector(first)
-        last, tail = fit(train, val, structure, replace(cfg, max_iter=2), init=first)
-        np.testing.assert_array_equal(model_params_vector(first), kept)
-        np.testing.assert_array_equal(model_params_vector(last),
-                                      model_params_vector(whole))
-        assert head.loss_trajectory + tail.loss_trajectory == report.loss_trajectory
-        assert (head.validation_rmse_trajectory + tail.validation_rmse_trajectory
-                == report.validation_rmse_trajectory)
-
-    def test_init_of_another_shape_rejected(self):
-        train, val, _, _ = self._split_instance(10)
-        structure = BlockStructure(((2, 2, 2),))
-        cfg = TrainConfig(max_iter=2)
-        with pytest.raises(InvalidStructureError):
-            fit(train, val, structure, cfg,
-                init=init_random(train.dims, BlockStructure(((1, 2, 2),)), 0))
-        with pytest.raises(DimMismatchError):
-            fit(train, val, structure, cfg,
-                init=init_random((9, 8, 8), structure, 0))
-        negative = init_random(train.dims, structure, 0)
-        negative.biases[0][0] = -1.0
-        with pytest.raises(NegativeValueError):
-            fit(train, val, structure, cfg, init=negative)
 
     def test_noiseless_recovery(self):
         """Planted noiseless data: training RMSE under 1% of data std."""
