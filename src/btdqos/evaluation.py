@@ -16,6 +16,7 @@ once they are dropped.  So no partition outlives the cell that reads it.
 """
 
 import logging
+import math
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -25,19 +26,19 @@ from .errors import ConfigError, EmptyTestSetError
 from .model import BlockStructure, BnbtModel
 from .rng import derive_seed
 from .sparse import SparseTensor3
-from .trainer import TrainConfig, grid_search, residual_rmse, residuals
+from .trainer import TrainConfig, error_sums, grid_search
 
 logger = logging.getLogger(__name__)
 
 
 def rmse_and_mae(model: BnbtModel, test: SparseTensor3) -> tuple:
-    """``(rmse, mae)`` from one prediction pass over the test entries, by
-    ``trainer.residuals``."""
-    resid = residuals(model, test)
-    if not resid.size:
+    """``(rmse, mae)`` from one prediction pass over the test entries: the
+    error sums of ``trainer.error_sums``, which forms no entry-sized
+    residual."""
+    squared, absolute = error_sums(model, test)
+    if not test.n_entries:
         raise EmptyTestSetError("metrics need at least one test entry")
-    rmse = residual_rmse(resid)
-    return rmse, float(np.abs(resid, out=resid).mean())
+    return math.sqrt(squared / test.n_entries), absolute / test.n_entries
 
 
 @dataclass(frozen=True)

@@ -29,21 +29,23 @@ from .errors import (
 from .sparse import MODES
 
 #: Entries per chunk of every per-entry contraction.  ``predict_entries``,
-#: ``trainer.residuals`` and the trainer's epoch (its outer-product scratch
+#: ``trainer.error_sums`` and the trainer's epoch (its outer-product scratch
 #: and the products over it) go through the entries in the chunks of
 #: ``entry_chunks``, so their temporaries stay cache-sized however many
 #: entries there are.  Chosen by measurement on 2 cores: every size from
 #: 4096 to 32768 made a 1M-entry warm epoch faster than whole-tensor
 #: products, but a fit's peak memory grows with the chunk
-#: (``predict_entries`` holds about 12 chunk-sized rows while ``fit``
-#: scores the validation set).  At 4096 a 50k-entry ``btdqos train`` peaks
-#: 1.2 MiB below whole-tensor scratch, at 8192 0.6 MiB below, at 16384
-#: 0.8 MiB above.
+#: (``predict_entries`` holds up to about 18 chunk-sized rows of a (3,3,3)
+#: block while ``fit`` scores the validation set).  At 4096 a 50k-entry
+#: ``btdqos train`` peaked 1.2 MiB below whole-tensor scratch, at 8192
+#: 0.6 MiB below, at 16384 0.8 MiB above (measured when the scoring still
+#: held entry-sized residuals).
 ENTRY_CHUNK = 4096
 
 
-def entry_chunks(n: int) -> list[slice]:
-    """The chunks ``n`` entries go through, as slices in entry order.
+def entry_chunks(n: int):
+    """The chunks ``n`` entries go through, yielded as slices in entry
+    order, so a loop over them holds one chunk's slice at a time.
 
     There are as many chunks as ``ENTRY_CHUNK`` fits whole, at least one,
     and their widths differ by at most one entry.  A chunk thus spans
@@ -54,8 +56,10 @@ def entry_chunks(n: int) -> list[slice]:
     whole-tensor pass; as one chunk, 0.99-1.05 or 0.91-0.93 times.
     """
     count = max(1, n // ENTRY_CHUNK)
-    bounds = [k * n // count for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    for k in range(count):
+        lo, hi = k * n // count, (k + 1) * n // count
+        if hi > lo:
+            yield slice(lo, hi)
 
 
 def _positive_int(x) -> bool:
@@ -207,7 +211,12 @@ def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.nda
     with those rows in one matrix product, and its per-entry dot with the
     time rows is the block term.  Entries go through in the chunks of
     ``entry_chunks``, so the temporaries stay small and cache-resident
-    however many entries are asked for.
+    however many entries are asked for.  A block's temporaries are
+    released as soon as the next step has read them: the gathered user and
+    service rows once their outer product is formed, the outer product
+    once it is contracted, so about the largest of ``L + M + L*M``,
+    ``L*M + N`` and ``2N + 1`` chunk-sized rows are live beside the
+    output.
     """
     ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
     (a, b, c), (d, e, f) = model.factors, model.biases
@@ -215,12 +224,16 @@ def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.nda
     for chunk in entry_chunks(out.size):
         u, s, t = (x[chunk] for x in ids)
         part = out[chunk]
-        np.add(d[u], e[s], out=part)
+        d.take(u, out=part)
+        part += e[s]
         part += f[t]
         for r, (l, m, n) in enumerate(model.structure.blocks):
-            ab = row_outer(gather_rows(a[r], u), gather_rows(b[r], s))
-            contr = model.cores[r].reshape(l * m, n).T @ ab
-            part += np.einsum("np,np->p", contr, gather_rows(c[r], t))
+            # One expression, so no temporary outlives its one use.
+            part += np.einsum(
+                "np,np->p",
+                model.cores[r].reshape(l * m, n).T
+                @ row_outer(gather_rows(a[r], u), gather_rows(b[r], s)),
+                gather_rows(c[r], t))
     return out
 
 

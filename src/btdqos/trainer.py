@@ -24,41 +24,42 @@ Ratios of nonnegative sums keep every parameter nonnegative without any
 projection step.  ``penalty_weights`` is the one table of the lambda * count
 weights, one entry per pass: the MU denominators and ``objective`` both read
 it.  The slice counts ``|obs(i)|`` are formed from the training ids in this
-module and nowhere else, once per fit.  The prediction cache is refreshed
+module and nowhere else, once per fit.  The predictions are refreshed
 after each of the seven update passes (cores, A, B, C, d, e, f), not after
-every coordinate, and never by a full prediction pass: the epoch keeps a
-prediction table with one row per block and one per mode's gathered bias,
-and the predictions are its column sums.
+every coordinate, and never by a full prediction pass: the epoch keeps two
+partial sums of them, the blocks' sum and the biases' sum, and the
+predictions are the sum of the two.
 
 All seven passes run one step, which applies the ratio above and
-refreshes the updated parameters' table rows; a pass differs from another
-only in the terms it hands the step (see ``epoch``).  The table's first
-fill is the same row refresh.  Every denominator gets the additive guard
+refreshes the updated parameters' partial sum; a pass differs from
+another only in the terms it hands the step (see ``epoch``).  The sums'
+first fill is the same refresh.  Every denominator gets the additive guard
 ``EPSILON_GUARD`` so empty or all-zero slices cannot divide by zero;
 parameters of slices with no observations are left untouched.
 
 Every entry-sized buffer of an epoch lives in an ``EpochWorkspace``: the
-training ids as ``np.intp``, the gathered factor rows, the prediction
-table, the contraction and weighted scratch, and the predictions.  In
-8 B rows, that is 168 B per training entry for cp3 (3 x (1,1,1)), 184 B
-for tucker333 ((3,3,3)) and 256 B for btd3x222 (3 x (2,2,2)); the
+training ids as ``np.intp``, the gathered factor rows, the contraction
+scratch, one weighted row, the predictions and their two partial sums.
+In 8 B rows, that is 136 B per training entry for cp3 (3 x (1,1,1)),
+152 B for tucker333 ((3,3,3)) and 216 B for btd3x222 (3 x (2,2,2)); the
 ``EpochWorkspace`` docstring lists the rows.  No outer product of two
 gathered families is entry-sized: every product with one runs over
 the chunks of ``model.entry_chunks``, each formed in a chunk-sized
 scratch, so the contraction reads cache-sized blocks.  The workspace
-also holds the slice counts of the training ids and each user's run of
-entries (the entries are sorted user-major), over which the user-mode
-sums are one ``np.add.reduceat``.  ``fit`` makes one workspace when it
-starts and hands it to every epoch, so an epoch allocates no
-entry-sized buffer.  An epoch whose input
-model is the one the same workspace's last epoch returned is warm: it
-skips the gathers and the table's first fill, whose results the last epoch
-left in the workspace, bitwise.  ``fit`` scores the training objective
-from the predictions and counts the workspace holds, so a training
-iteration predicts the training set only inside the epoch.  A standalone
-``epoch`` call makes a fresh workspace.  ``residuals`` is the one scoring
-loop of held-out entries: ``fit``'s validation RMSE and
-``evaluation.rmse_and_mae`` both read it.
+also holds the slice counts of the training ids, the per-slice sums of
+the values (the bias passes' numerators) and each user's run of entries
+(the entries are sorted user-major), over which the user-mode sums are
+one ``np.add.reduceat``.  ``fit`` makes one workspace when it starts and
+hands it to every epoch, so an epoch allocates no entry-sized buffer.
+An epoch whose input model is the one the same workspace's last epoch
+returned is warm: it skips the gathers and the sums' first fill, whose
+results the last epoch left in the workspace, bitwise.  ``fit`` scores
+the training objective from the predictions and counts the workspace
+holds, so a training iteration predicts the training set only inside the
+epoch.  A standalone ``epoch`` call makes a fresh workspace.
+``error_sums`` is the one scoring loop: ``objective``, ``fit``'s
+validation RMSE and ``evaluation.rmse_and_mae`` all add their errors
+through it, chunk by chunk, so none allocates an entry-sized residual.
 ``grid_search`` trains one model per regularization triple and returns the
 winner's model and report, so the winning fit is never trained twice;
 without a grid, the config's own triple is the one candidate.
@@ -69,7 +70,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -159,25 +160,30 @@ def _dot(a, b) -> float:
     return float(np.einsum("p,p->", a, b))
 
 
-def residual_rmse(resid: np.ndarray) -> float:
-    """Root mean square of a residual vector."""
-    return float(np.sqrt(_dot(resid, resid) / resid.size))
+def error_sums(model: BnbtModel, tensor: SparseTensor3, predictions=None):
+    """``(squared, absolute)``: the sums of the squared and of the absolute
+    errors of the model's predictions of the entries of ``tensor``.
 
-
-def residuals(model: BnbtModel, tensor: SparseTensor3) -> np.ndarray:
-    """The values of ``tensor`` minus the model's predictions of them.
-
-    The entries go through in the chunks of ``entry_chunks``, so only one
-    chunk's codes are unravelled to ids at once.
+    The entries go through in the chunks of ``entry_chunks``, and each
+    chunk's errors are formed and summed in a chunk-sized buffer, so no
+    entry-sized residual is allocated.  ``predictions``, when given, holds
+    the model's predictions of the entries (an ``EpochWorkspace``'s
+    ``yhat``); otherwise each chunk's codes are unravelled and predicted.
     """
     check_dims(model, tensor.dims)
     codes, values = tensor.codes, tensor.values
-    resid = np.empty(tensor.n_entries)
-    for chunk in entry_chunks(resid.size):
-        np.subtract(values[chunk],
-                    predict_entries(model, *unravel(codes[chunk], tensor.dims)),
-                    out=resid[chunk])
-    return resid
+    squared = absolute = 0.0
+    for chunk in entry_chunks(tensor.n_entries):
+        yhat = (predictions[chunk] if predictions is not None
+                else predict_entries(model, *unravel(codes[chunk], tensor.dims)))
+        resid = np.subtract(values[chunk], yhat)
+        squared += _dot(resid, resid)
+        absolute += float(np.abs(resid, out=resid).sum())
+    return squared, absolute
+
+
+def _rmse(model: BnbtModel, tensor: SparseTensor3) -> float:
+    return math.sqrt(error_sums(model, tensor)[0] / tensor.n_entries)
 
 
 def _slice_counts(ids, dims):
@@ -206,23 +212,21 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
               workspace=None) -> float:
     """Regularized training loss over the observed entries.
 
+    The squared errors are summed by ``error_sums``, chunk by chunk.
     ``workspace``, when given, is an ``EpochWorkspace`` of ``train``: its
-    ids and slice counts are used instead of unravelling and counting, and
-    if its last epoch returned ``model``, its predictions replace a
-    prediction pass.
+    slice counts are used instead of unravelling and counting, and if its
+    last epoch returned ``model``, its predictions replace a prediction
+    pass.  Scored so, the objective allocates no entry-sized buffer.
     """
     check_dims(model, train.dims)
     if workspace is None:
-        ids = train.ids
-        counts, yhat = _slice_counts(ids, train.dims), predict_entries(model, *ids)
+        counts, yhat = _slice_counts(train.ids, train.dims), None
     elif workspace.train is not train:
         raise ValueError("the workspace was made for another tensor")
     else:
         counts = workspace.counts
-        yhat = (workspace.yhat if workspace.model is model
-                else predict_entries(model, *workspace.ids))
-    resid = train.values - yhat
-    loss = _dot(resid, resid)
+        yhat = workspace.yhat if workspace.model is model else None
+    loss, _ = error_sums(model, train, yhat)
     passes = [model.cores, *model.factors, *([b[:, None]] for b in model.biases)]
     for weight, params in zip(penalty_weights(train, counts, cfg), passes):
         loss += sum(float((weight * x * x).sum()) for x in params)
@@ -237,27 +241,31 @@ class EpochWorkspace:
 
     It holds the tensor's ids, unravelled once from its codes as ``np.intp``
     (so ``bincount`` and ``take`` convert no ids), their ``_slice_counts``
-    ``counts[axis]``, formed once here, the gathered factor rows
-    ``rows[axis][r]`` as ``(rank, n_entries)`` arrays, the prediction table
-    ``pred`` (one row per block, then one per mode's gathered bias), the
-    contraction and weighted scratch, and the predictions ``yhat``.  The
-    outer-product scratch ``outer`` spans the widest of the ``chunks``,
-    the slices of ``model.entry_chunks`` taken when the workspace is made,
-    not all the entries.  The entries are sorted user-major, so each
-    user's entries are one run; ``run_users`` are the users with entries
-    and ``run_starts`` where their runs begin, formed from the counts.
+    ``counts[axis]`` and the per-slice sums of the values
+    ``value_sums[axis]`` (the bias passes' MU numerators, which no epoch
+    changes), formed once here, the gathered factor rows ``rows[axis][r]``
+    as ``(rank, n_entries)`` arrays, the contraction scratch ``contr``
+    and the one-row ``weighted`` scratch, and three prediction rows: the
+    predictions ``yhat``, the blocks' sum ``block_sum`` and the biases'
+    sum ``bias_sum``.  The outer-product scratch ``outer`` spans the
+    widest of the ``chunks``, the slices of ``model.entry_chunks`` taken
+    when the workspace is made, not all the entries.  The entries are
+    sorted user-major, so each user's entries are one run; ``run_users``
+    are the users with entries and ``run_starts`` where their runs begin,
+    formed from the counts.
 
     Entry-sized buffers, in float64 or intp rows of 8 B per entry: the ids
-    (3), the rows (sum of L + M + N over the blocks), the table
-    (blocks + 3), the contraction and weighted scratch (the largest rank,
-    each) and ``yhat`` (1).  That is 21 rows, 168 B per entry, for cp3
-    (3 x (1,1,1)); 23 rows, 184 B, for tucker333 ((3,3,3)); and 32 rows,
-    256 B, for btd3x222 (3 x (2,2,2)), beside the tensor's own 16 B.
+    (3), the rows (sum of L + M + N over the blocks), the contraction
+    scratch (the largest rank), ``weighted`` (1) and the prediction rows
+    (3).  That is 17 rows, 136 B per entry, for cp3 (3 x (1,1,1)); 19
+    rows, 152 B, for tucker333 ((3,3,3)); and 27 rows, 216 B, for
+    btd3x222 (3 x (2,2,2)), beside the tensor's own 16 B.
 
     ``model`` is the model the workspace's last epoch returned, or None.
-    The rows, the table and ``yhat`` are consistent with it, so an epoch
+    The rows and the prediction rows are consistent with it, so an epoch
     handed that same model object is warm: it skips the gathers and the
-    table's first fill.  The model must not be changed in place in between.
+    first fill of the prediction rows.  The model must not be changed in
+    place in between.
     """
 
     def __init__(self, train: SparseTensor3, structure):
@@ -270,36 +278,34 @@ class EpochWorkspace:
         per_user = self.counts[0]
         self.run_users = np.flatnonzero(per_user)
         self.run_starts = (np.cumsum(per_user) - per_user)[self.run_users]
-        self.chunks = entry_chunks(n_obs)
+        self.value_sums = [self.slice_sums(axis, train.values) for axis in range(3)]
+        self.chunks = list(entry_chunks(n_obs))
         width = max((c.stop - c.start for c in self.chunks), default=0)
         self.rows = [[np.empty((b[axis], n_obs)) for b in blocks] for axis in range(3)]
         widest = max(max(l * m, l * n, m * n) for l, m, n in blocks)
         top_rank = max(max(b) for b in blocks)
         self.outer = np.empty(widest * width)
         self.contr = np.empty(top_rank * n_obs)
-        self.weighted = np.empty(top_rank * n_obs)
-        self.pred = np.empty((len(blocks) + 3, n_obs))
+        self.weighted = np.empty(n_obs)
         self.yhat = np.empty(n_obs)
+        self.block_sum = np.empty(n_obs)
+        self.bias_sum = np.empty(n_obs)
         self.model = None
 
     def slice_sums(self, axis, weights):
-        """Per-slice sums of each row of ``weights`` (one rank component per
-        row, one column per entry) as a ``(dims[axis], rank)`` array; a
-        slice without entries sums to 0.
+        """Per-slice sums of the entry row ``weights`` (one value per entry)
+        as a ``(dims[axis],)`` vector; a slice without entries sums to 0.
 
         The user sums add each user's run with one ``np.add.reduceat``.  The
-        service and time sums ``bincount`` each row by the mode's ids, which
+        service and time sums ``bincount`` the row by the mode's ids, which
         accumulates in entry order.
         """
         dim = self.train.dims[axis]
         if axis == 0:
-            out = np.zeros((dim, weights.shape[0]))
-            out[self.run_users] = np.add.reduceat(weights, self.run_starts, axis=1).T
+            out = np.zeros(dim)
+            out[self.run_users] = np.add.reduceat(weights, self.run_starts)
             return out
-        out = np.empty((dim, weights.shape[0]))
-        for k, row in enumerate(weights):
-            out[:, k] = np.bincount(self.ids[axis], weights=row, minlength=dim)
-        return out
+        return np.bincount(self.ids[axis], weights=weights, minlength=dim)
 
 
 def _check_finite(model: BnbtModel, what: str):
@@ -314,27 +320,34 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     Pass order is cores, user factors, service factors, time factors, then
     the three biases; every pass sees the predictions left by the one
     before.  The epoch gathers each block's factor rows once (re-gathering
-    only the family a pass updates) and keeps a prediction table: one row
-    per block, then one row per mode's gathered bias.  The predictions are
-    the table's column sums, never a full recomputation.
+    only the family a pass updates) and keeps two partial sums of the
+    predictions: the blocks' sum and the biases' sum.  The predictions are
+    their sum, never a full recomputation.
 
     All seven passes run one step over their terms.  A term is a parameter
-    matrix x, its contraction ``contr`` (a row per column of x, a column per
-    entry), its table row, its MU ``sums`` (the scatters of ``contr * y``
-    and ``contr * yhat`` onto x's shape) and a ``gather`` of x back onto
-    the entries.  The step multiplies x by the SLF-NMUT ratio of the first
-    sum over the second plus the penalty weight times x, sets the term's
-    table row to the per-entry dot of ``gather(x)`` with ``contr``, and
-    after the pass re-sums the predictions.
+    matrix x, its MU ``sums`` (the per-slice, or per-core-entry, sums of
+    its contraction times y and times the predictions) and a ``refresh``
+    of its partial sum from the updated x.  The step multiplies x by the
+    SLF-NMUT ratio of the first sum over the second plus the penalty
+    weight times x and refreshes; after the pass it re-forms the
+    predictions as the blocks' sum plus the biases' sum, so every term of
+    a pass reads the same predictions.
 
-    - A factor's contraction is its block's core with the outer product of
-      the two other gathered families; it scatters by per-slice sums over
-      the mode's entries (``EpochWorkspace.slice_sums``) and gathers by
-      taking its updated rows.
-    - A bias is a one-column factor whose contraction is a row of ones.
+    - A factor's contraction ``contr`` is its block's core with the outer
+      product of the two other gathered families (a row per column of x,
+      a column per entry).  It scatters by per-slice sums over the mode's
+      entries (``EpochWorkspace.slice_sums``), one rank component at a
+      time, and gathers by taking its updated rows.  Its block's refreshed
+      row is the per-entry dot of those rows with ``contr``.
     - A core is an ``(L*M, N)`` matrix whose contraction is its block's
       time rows.  With ``ab`` the outer product of the user and service
       rows, it scatters by ``ab @ w.T`` and gathers by ``x.T @ ab``.
+    - Block rows go into the blocks' sum: the first block writes it, and
+      each later block adds its row.
+    - A bias is a one-column factor whose contraction is a row of ones.
+      Its numerator is the workspace's ``value_sums``, formed once per
+      fit, and its denominator sums the predictions.  Its refresh re-forms
+      the biases' sum ``d[u] + e[s] + f[t]`` rather than updating it.
 
     Every product with an outer product of two gathered families runs over
     the workspace's ``chunks`` of entries, each forming the chunk's outer
@@ -342,22 +355,24 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     gather chunk by chunk, and a core's two scatters as sums over the
     chunks, both from each chunk's one outer product.
 
-    The table's first fill is the same row refresh over the core and bias
-    terms, with no update.  Parameters whose slice has no observations keep
-    their current values.  Every MU denominator reads its penalty weight
-    from ``penalty_weights`` over the workspace's slice counts.
+    The first fill of the two sums is the same refresh over the core terms
+    and the biases, with no update.  Parameters whose slice has no
+    observations keep their current values.  Every MU denominator reads
+    its penalty weight from ``penalty_weights`` over the workspace's slice
+    counts.
 
-    The rows, the table, the scratch and the predictions live in
+    The rows, the partial sums, the scratch and the predictions live in
     ``workspace``, an ``EpochWorkspace`` made for ``train`` and the model's
     structure; without one the epoch makes its own.  The epoch is warm when
     ``model`` is the model the workspace's last epoch returned: the rows and
-    the table it left are then the ones a fresh gather and first fill would
+    the sums it left are then the ones a fresh gather and first fill would
     give (the time pass refreshes a block row with the first fill's
-    chunked contraction), so the epoch skips both and its result is
-    bitwise the same.  ``workspace.yhat`` ends holding the returned model's
-    predictions of the entries of ``train``; they match ``predict_entries``
-    up to rounding in the last bits.  A model with a non-finite parameter
-    raises ``NonFiniteError`` before any arithmetic on it.
+    chunked contraction, and the biases' sum is never updated in place),
+    so the epoch skips both and its result is bitwise the same.
+    ``workspace.yhat`` ends holding the returned model's predictions of the
+    entries of ``train``; they match ``predict_entries`` up to rounding in
+    the last bits.  A model with a non-finite parameter raises
+    ``NonFiniteError`` before any arithmetic on it.
     """
     check_dims(model, train.dims)
     m = model.copy()
@@ -369,7 +384,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     # Until this epoch returns, its buffers match no model.
     warm, ws.model = ws.model is model, None
 
-    ids, rows, pred, yhat = ws.ids, ws.rows, ws.pred, ws.yhat
+    ids, rows, yhat, weighted = ws.ids, ws.rows, ws.yhat, ws.weighted
     y = train.values
     n_obs = train.n_entries
     blocks = m.structure.blocks
@@ -400,73 +415,91 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         return out
 
     def factor_sums(axis, contr):
-        # Per-slice sums of contr * y and contr * yhat.
-        weighted = scratch(ws.weighted, len(contr))
-        return [ws.slice_sums(axis, np.multiply(contr, v, out=weighted))
-                for v in (y, yhat)]
+        # Per-slice sums of contr * y and contr * yhat, one rank component
+        # at a time in the weighted row.
+        sums = np.empty((2, train.dims[axis], len(contr)))
+        for k, row in enumerate(contr):
+            for out, v in zip(sums, (y, yhat)):
+                out[:, k] = ws.slice_sums(axis, np.multiply(row, v, out=weighted))
+        return sums
 
     def core_sums(a, b, c):
         # ab @ (c * y).T and ab @ (c * yhat).T, summed over the chunks, so
-        # each chunk's outer product serves both.
+        # each chunk's outer product serves both.  The products go to the
+        # contraction scratch, which a core term only uses in its refresh.
         num = den = 0
         for part, ab in outers(a, b):
-            weighted = scratch(ws.weighted, len(c), ab.shape[1])
-            num = num + ab @ np.multiply(c[:, part], y[part], out=weighted).T
-            den = den + ab @ np.multiply(c[:, part], yhat[part], out=weighted).T
+            cv = scratch(ws.contr, len(c), ab.shape[1])
+            num = num + ab @ np.multiply(c[:, part], y[part], out=cv).T
+            den = den + ab @ np.multiply(c[:, part], yhat[part], out=cv).T
         return num, den
 
-    def slice_term(axis, x, contr, k, gathered):
-        # A factor or bias term: per-slice sums over the mode's entries, and
-        # the take of the updated rows into `gathered`.
-        return (x, contr, k, lambda: factor_sums(axis, contr),
-                lambda new: take_into(new.T, ids[axis], gathered),
-                ws.counts[axis][:, None] > 0)
+    def add_block_row(r, gathered, contr):
+        # Block r's row, the per-entry dot of its gathered rows with their
+        # contraction, into the blocks' sum: the first block writes it, a
+        # later one adds its row, formed in the weighted row.
+        if r == 0:
+            np.einsum("kp,kp->p", gathered, contr, out=ws.block_sum)
+        else:
+            ws.block_sum += np.einsum("kp,kp->p", gathered, contr, out=weighted)
+
+    def sum_biases():
+        # d[u] + e[s] + f[t], formed afresh, not updated in place, so the
+        # sum a warm epoch starts from is bitwise the first fill's.
+        take_into(m.biases[0], ids[0], ws.bias_sum)
+        for bias, idx in zip(m.biases[1:], ids[1:]):
+            ws.bias_sum += take_into(bias, idx, weighted)
 
     def core_terms():
         for r, (l, mm, n) in enumerate(blocks):
             a, b, c = (family[r] for family in rows)
             # The reshape is a view, so the step writes the core in place:
             # BnbtModel.copy() returns C-contiguous arrays.
-            yield (m.cores[r].reshape(l * mm, n), c, r, lambda: core_sums(a, b, c),
-                   lambda new: contract(new.T, a, b, scratch(ws.contr, n)),
+            yield (m.cores[r].reshape(l * mm, n), lambda: core_sums(a, b, c),
+                   lambda new: add_block_row(
+                       r, contract(new.T, a, b, scratch(ws.contr, n)), c),
                    True)
 
     def factor_terms(axis):
         others = [k for k in range(3) if k != axis]
+        observed = ws.counts[axis][:, None] > 0
         for r, core in enumerate(m.cores):
             rank = core.shape[axis]
             # Mode `axis` first, the other two in order, matching row_outer.
             unfolded = core.transpose(axis, *others).reshape(rank, -1)
             contr = contract(unfolded, *(rows[k][r] for k in others),
                              scratch(ws.contr, rank))
-            yield slice_term(axis, m.factors[axis][r], contr, r, rows[axis][r])
-
-    ones = np.broadcast_to(1.0, (1, n_obs))  # a read-only view: no entry-sized buffer
+            yield (m.factors[axis][r], lambda: factor_sums(axis, contr),
+                   lambda new: add_block_row(
+                       r, take_into(new.T, ids[axis], rows[axis][r]), contr),
+                   observed)
 
     def bias_terms(axis):
-        # The bias as a one-column factor, updated in place.  Its gathered
-        # values only feed its prediction row, so they go to the weighted
-        # scratch, which the step is done with by then.
-        yield slice_term(axis, m.biases[axis][:, None], ones,
-                         len(blocks) + axis, scratch(ws.weighted, 1))
+        # The bias as a one-column factor, updated in place.
+        yield (m.biases[axis][:, None],
+               lambda: (ws.value_sums[axis][:, None],
+                        ws.slice_sums(axis, yhat)[:, None]),
+               lambda new: sum_biases(),
+               ws.counts[axis][:, None] > 0)
 
     def pass_step(terms, weight=None):
         # Terms are taken one at a time, as they share the scratch buffers.
-        # Without a weight the step only refreshes the terms' table rows.
-        for x, contr, k, sums, gather, observed in terms:
+        # Without a weight the step only refreshes the terms' partial sums.
+        for x, sums, refresh, observed in terms:
             if weight is not None:
                 num, den = sums()
                 den = den + weight * x
                 x[...] = np.where(observed, x * num / (den + EPSILON_GUARD), x)
-            np.einsum("kp,kp->p", gather(x), contr, out=pred[k])
-        np.sum(pred, axis=0, out=yhat)
+            refresh(x)
+        np.add(ws.block_sum, ws.bias_sum, out=yhat)
 
     if not warm:
         _check_finite(m, "the model has a non-finite parameter")
         for family, idx, gathered in zip(m.factors, ids, rows):
             for f, out in zip(family, gathered):
                 take_into(f.T, idx, out)
-        pass_step(chain(core_terms(), *map(bias_terms, range(3))))
+        sum_biases()
+        pass_step(core_terms())
     if not np.isfinite(yhat).all():
         raise NonFiniteError("model predictions are non-finite before the epoch")
     passes = [core_terms(), *map(factor_terms, range(3))]
@@ -495,7 +528,8 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     hands it to every epoch, so every epoch after the first is warm (see
     ``epoch``); each epoch leaves its training predictions in the
     workspace, whose predictions and slice counts score the epoch's
-    objective.  The validation RMSE is scored through ``residuals``.
+    objective.  The validation RMSE is scored from ``error_sums``, so
+    scoring an epoch allocates no entry-sized buffer.
 
     Returns ``(model, TrainReport)``.
     """
@@ -520,13 +554,13 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     losses = []
     val_rmses = []
     workspace = EpochWorkspace(train, model.structure)
-    prev = (residual_rmse(residuals(model, validation)) if use_validation
+    prev = (_rmse(model, validation) if use_validation
             else objective(model, train, cfg, workspace))
     stop_reason = STOP_MAX_ITER
     for n in range(cfg.max_iter):
         model = epoch(model, train, cfg, workspace)
         losses.append(objective(model, train, cfg, workspace))
-        val_rmses.append(residual_rmse(residuals(model, validation))
+        val_rmses.append(_rmse(model, validation)
                          if validation.n_entries else float("nan"))
         current = val_rmses[-1] if use_validation else losses[-1]
         if n % 100 == 0:

@@ -153,7 +153,7 @@ def test_entry_chunks_split_the_entries_evenly(monkeypatch, n_entries, widths):
     order, with widths a unit apart at most: no tensor ends on a chunk much
     narrower than the rest."""
     monkeypatch.setattr(model_module, "ENTRY_CHUNK", 7)
-    chunks = entry_chunks(n_entries)
+    chunks = list(entry_chunks(n_entries))
     assert [c.stop - c.start for c in chunks] == widths
     assert [i for c in chunks for i in range(n_entries)[c]] == list(range(n_entries))
 

@@ -18,6 +18,7 @@ from _reference import (
     ref_objective,
 )
 from btdqos import model as model_module
+from btdqos.evaluation import rmse_and_mae
 from btdqos.errors import (
     ConfigError,
     DimMismatchError,
@@ -39,6 +40,7 @@ from btdqos.trainer import (
     EpochWorkspace,
     TrainConfig,
     epoch,
+    error_sums,
     fit,
     grid_search,
     objective,
@@ -55,6 +57,15 @@ def set_chunk(monkeypatch, chunk):
     """Run the epoch's contractions and ``predict_entries`` over chunks of
     about ``chunk`` entries (workspaces made from now on)."""
     monkeypatch.setattr(model_module, "ENTRY_CHUNK", chunk)
+
+
+def _arrays(items):
+    """The numpy arrays among ``items``, looking into lists and tuples."""
+    for item in items:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, (list, tuple)):
+            yield from _arrays(item)
 
 
 class TestTrainConfig:
@@ -302,6 +313,64 @@ class TestEpoch:
                 tracemalloc.stop()
             assert growth < 8 * tensor.n_entries, chunk
 
+    @pytest.mark.parametrize("structure, budget", [
+        pytest.param(cp_structure(3), 136, id="cp3"),
+        pytest.param(BlockStructure(((3, 3, 3),)), 152, id="tucker333"),
+        pytest.param(BlockStructure(((2, 2, 2),) * 3), 216, id="btd3x222"),
+    ])
+    def test_entry_sized_bytes_per_entry(self, structure, budget):
+        """The workspace arrays that scale with the training entries hold at
+        most ``budget`` bytes per entry: the ids, the gathered rows, one
+        contraction scratch, one weighted row and three prediction rows.
+        Both tensors span whole chunks of the same width, so the chunk
+        scratch does not grow between them."""
+        def workspace_bytes(n_entries):
+            rng = np.random.default_rng(n_entries)
+            dims = (40, 40, 64)
+            codes = rng.choice(np.prod(dims), size=n_entries, replace=False)
+            tensor = SparseTensor3.from_arrays(
+                dims, *np.unravel_index(codes, dims), rng.uniform(0.5, 2.0, n_entries))
+            workspace = EpochWorkspace(tensor, structure)
+            held = {k: v for k, v in vars(workspace).items() if k not in ("train", "model")}
+            return sum(a.nbytes for a in _arrays(held.values()))
+
+        n_entries = 8 * ENTRY_CHUNK
+        growth = workspace_bytes(2 * n_entries) - workspace_bytes(n_entries)
+        assert growth <= budget * n_entries
+
+    @pytest.mark.parametrize("chunk, n_entries", [
+        pytest.param(ENTRY_CHUNK, 150_000, id="default-chunk"),
+        pytest.param(7, 20_000, id="chunk-7"),
+    ])
+    def test_scoring_allocates_no_entry_sized_buffer(self, monkeypatch, chunk,
+                                                     n_entries):
+        """After an epoch, the validation RMSE's error sums, the workspace's
+        objective and ``rmse_and_mae`` together allocate less than one
+        float64 row of the tensor they score: errors are summed chunk by
+        chunk, so what they hold is chunk-sized."""
+        set_chunk(monkeypatch, chunk)
+        rng = np.random.default_rng(8)
+        dims = (60, 60, 64)
+        codes = rng.choice(np.prod(dims), size=n_entries, replace=False)
+        tensor = SparseTensor3.from_arrays(dims, *np.unravel_index(codes, dims),
+                                           rng.uniform(0.5, 2.0, n_entries))
+        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005)
+        model = init_random(dims, BlockStructure(((1, 2, 3), (3, 3, 3))), 8)
+        workspace = EpochWorkspace(tensor, model.structure)
+        assert len(workspace.chunks) > 1
+        model = epoch(model, tensor, cfg, workspace)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            error_sums(model, tensor)
+            objective(model, tensor, cfg, workspace)
+            rmse_and_mae(model, tensor)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 8 * tensor.n_entries
+
     def test_workspace_of_another_tensor_rejected(self):
         dims, structure, tensor, model = random_instance(44, max_dim=6)
         other = tensor.subset(np.arange(tensor.n_entries - 1))
@@ -426,7 +495,8 @@ class TestSliceSums:
         for axis, (idx, dim) in enumerate(zip(tensor.ids, tensor.dims)):
             want = np.stack([np.bincount(idx, weights=row, minlength=dim)
                              for row in weights], axis=1)
-            got = workspace.slice_sums(axis, weights)
+            got = np.stack([workspace.slice_sums(axis, row) for row in weights],
+                           axis=1)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
