@@ -32,11 +32,11 @@ lone surrogate: the screen sends its chunk to ``_parse_lines``, which
 names the line.  A comment line may hold any other text.
 ``split`` labels each entry with its partition, one byte per entry, and
 copies no entry: a partition is formed from the labels only where it is
-read as a tensor.  ``write_qos_log`` renders a window of entries at a time
-with whole-array numpy operations, and with a mask (``where``) renders
-only the entries the mask selects, so the partition files are written
+read as a tensor.  ``write_qos_log`` renders the entries a mask
+(``where``) selects, a batch of ``SparseTensor3.selected`` at a time,
+with whole-array numpy operations, so the partition files are written
 straight from the source tensor through its label masks.  Ids,
-unravelled from the window's codes, come from per-mode tables of id
+unravelled from the batch's codes, come from per-mode tables of id
 bytes, and each value's shortest round-trip digits, the ones ``repr``
 prints, are found on a grid of 15 significant digits (``_repr_digits``).
 A value that needs more digits, or that ``repr`` prints in exponent form,
@@ -158,19 +158,13 @@ class IngestResult:
 
 
 #: Characters of log text handed to ``np.loadtxt`` at a time.  Peak RSS of
-#: the CLI with 64 KiB / 256 KiB / 1 MiB chunks (3 runs each, 2 vCPUs):
+#: the CLI at commit 2e87241, before the split and the fit were made
+#: smaller, with 64 KiB / 256 KiB / 1 MiB chunks (3 runs each, 2 vCPUs):
 #: ingest of 1M records 98.9-99.0 / 99.8 / 100.5-100.6 MiB, train of 0.5M
 #: 67.5-67.6 / 68.0-68.2 / 69.7-69.9 MiB, the 100k-record benchmark
 #: 42.0-42.2 / 42.0-42.1 / 45.3-45.5 MiB; parsing the 1M-record log took a
 #: median 0.42 / 0.43 / 0.46 s.
 _PARSE_CHUNK = 1 << 16
-#: Source entries read per window, and most entries rendered per ``write``,
-#: by ``write_qos_log``.  ``btdqos ingest`` of a 1M-record log split
-#: 0.1/0.1/0.8, with 8k / 16k / 32k / 64k (2 vCPUs): peak RSS 56.1 / 56.6
-#: / 59.3 / 64.6 MiB, where the split alone reaches 56.0; the split and
-#: the three partition writes took 0.27-0.31 / 0.22-0.26 / 0.25-0.27 /
-#: 0.33-0.35 s (medians of 7, two or more runs each).
-_WRITE_CHUNK = 1 << 14
 _RECORD_DTYPE = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
 #: What ``surrogateescape`` decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -313,22 +307,15 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None, where=
 
     Every line is ``f"{i} {j} {k} {v!r}\\n"``, after one ``# `` comment line
     per line of ``header`` (split by ``str.splitlines``).  With ``where``, a
-    boolean mask of one element per entry (anything else is an
-    ``OutOfBoundsError``), only the entries it selects are written, the
-    bytes ``write_qos_log(tensor.subset(where), path, header)`` writes.
-    Entries are read in windows of ``_WRITE_CHUNK``, and the
-    entries that consecutive windows select are rendered together
-    (``_render_lines``), at most ``_WRITE_CHUNK`` per ``write``: a sparse
-    mask then renders full batches, not a small one per window.  Only a
+    boolean mask of one element per entry, only the entries it selects are
+    written, the bytes ``write_qos_log(tensor.subset(where), path, header)``
+    writes; without it, every entry is.  The entries are read through
+    ``tensor.selected``, which checks the mask, and each batch of positions
+    it yields is rendered as one ``write`` (``_render_lines``).  Only a
     batch's codes are unravelled to ids.
     """
     codes, values = tensor.codes, tensor.values
-    if where is not None:
-        where = np.asarray(where)
-        if where.dtype != bool or where.shape != codes.shape:
-            raise OutOfBoundsError(
-                f"a mask must be boolean with one element per entry, got {where.dtype} "
-                f"of shape {where.shape}")
+    batches = tensor.selected(np.ones(codes.size, bool) if where is None else where)
     tables = []
     for d in tensor.dims:
         names = np.array([f"{x} " for x in range(d)], dtype=bytes)
@@ -336,26 +323,8 @@ def write_qos_log(tensor: SparseTensor3, path, header: str | None = None, where=
     with atomic_write(path) as fh:
         if header:
             fh.write("".join(f"# {line}\n" for line in header.splitlines()))
-        batch, size = [], 0
-        for start in range(0, codes.size, _WRITE_CHUNK):
-            window = slice(start, start + _WRITE_CHUNK)
-            keep = slice(None) if where is None else where[window]
-            piece = codes[window][keep], values[window][keep]
-            if size + piece[1].size > _WRITE_CHUNK:
-                _write_batch(fh, tables, tensor.dims, batch)
-                batch, size = [], 0
-            batch.append(piece)
-            size += piece[1].size
-        _write_batch(fh, tables, tensor.dims, batch)
-
-
-def _write_batch(fh, tables, dims, pieces):
-    """Render the ``(codes, values)`` pieces as one ``write``; nothing if
-    they hold no entry, as ``_render_lines`` needs one."""
-    if pieces:
-        codes, values = (np.concatenate(x) for x in zip(*pieces))
-        if values.size:
-            fh.write(_render_lines(tables, unravel(codes, dims), values))
+        for at in batches:
+            fh.write(_render_lines(tables, unravel(codes[at], tensor.dims), values[at]))
 
 
 #: Exact powers of ten, 10**0 ... 10**18, as float64 and as int64.

@@ -29,8 +29,8 @@ from .errors import (
 from .sparse import MODES
 
 #: Entries per chunk of every per-entry contraction.  ``predict_entries``,
-#: ``trainer.error_sums`` and the trainer's epoch (its outer-product scratch
-#: and the products over it) go through the entries in the chunks of
+#: ``trainer.error_sums``, the trainer's slice counts and its epoch (its
+#: outer-product scratch and the products over it) go through the entries in the chunks of
 #: ``entry_chunks``, so their temporaries stay cache-sized however many
 #: entries there are.  Chosen by measurement on 2 cores: every size from
 #: 4096 to 32768 made a 1M-entry warm epoch faster than whole-tensor
@@ -38,8 +38,7 @@ from .sparse import MODES
 #: (``predict_entries`` holds up to about 18 chunk-sized rows of a (3,3,3)
 #: block while ``fit`` scores the validation set).  At 4096 a 50k-entry
 #: ``btdqos train`` peaked 1.2 MiB below whole-tensor scratch, at 8192
-#: 0.6 MiB below, at 16384 0.8 MiB above (measured when the scoring still
-#: held entry-sized residuals).
+#: 0.6 MiB below, at 16384 0.8 MiB above (at commit f5d8634).
 ENTRY_CHUNK = 4096
 
 
@@ -163,8 +162,6 @@ def init_random(dims, structure: BlockStructure, seed: int) -> BnbtModel:
     if len(dims) != 3 or not all(map(_positive_int, dims)):
         raise InvalidStructureError(f"dims must be three positive integers, got {dims}")
     dims = tuple(map(int, dims))
-    if not isinstance(structure, BlockStructure):
-        structure = BlockStructure(tuple(structure))
     rng = np.random.default_rng(int(seed) % (2 ** 64))
     u = lambda *shape: rng.uniform(0.0, 0.05, shape)
     return BnbtModel(

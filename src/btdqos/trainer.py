@@ -23,12 +23,12 @@ with g the core/factor contraction for that entry, and for a user bias::
 Ratios of nonnegative sums keep every parameter nonnegative without any
 projection step.  ``penalty_weights`` is the one table of the lambda * count
 weights, one entry per pass: the MU denominators and ``objective`` both read
-it.  The slice counts ``|obs(i)|`` are formed from the training ids in this
-module and nowhere else, once per fit.  The predictions are refreshed
-after each of the seven update passes (cores, A, B, C, d, e, f), not after
-every coordinate, and never by a full prediction pass: the epoch keeps two
-partial sums of them, the blocks' sum and the biases' sum, and the
-predictions are the sum of the two.
+it.  The slice counts ``|obs(i)|`` are formed from the training codes by
+``_slice_counts``, in this module and nowhere else, once per fit.  The
+predictions are refreshed after each of the seven update passes (cores,
+A, B, C, d, e, f), not after every coordinate, and never by a full
+prediction pass: the epoch keeps two partial sums of them, the blocks'
+sum and the biases' sum, and the predictions are the sum of the two.
 
 All seven passes run one step, which applies the ratio above and
 refreshes the updated parameters' partial sum; a pass differs from
@@ -186,10 +186,18 @@ def _rmse(model: BnbtModel, tensor: SparseTensor3) -> float:
     return math.sqrt(error_sums(model, tensor)[0] / tensor.n_entries)
 
 
-def _slice_counts(ids, dims):
-    """``|obs(i)|`` of every slice: per axis, how many of the entries with
-    the given intp ``ids`` lie in each of its ``dims[axis]`` slices."""
-    return tuple(np.bincount(idx, minlength=dim) for idx, dim in zip(ids, dims))
+def _slice_counts(tensor: SparseTensor3):
+    """``|obs(i)|`` of every slice: per axis, how many entries of ``tensor``
+    lie in each of its ``dims[axis]`` slices.
+
+    The codes are unravelled and counted over the chunks of
+    ``entry_chunks``, so no entry-sized id array is formed.
+    """
+    counts = [np.zeros(dim, np.intp) for dim in tensor.dims]
+    for chunk in entry_chunks(tensor.n_entries):
+        for cnt, idx in zip(counts, unravel(tensor.codes[chunk], tensor.dims)):
+            cnt += np.bincount(idx, minlength=cnt.size)
+    return tuple(counts)
 
 
 def penalty_weights(train: SparseTensor3, counts, cfg: TrainConfig):
@@ -214,13 +222,14 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
 
     The squared errors are summed by ``error_sums``, chunk by chunk.
     ``workspace``, when given, is an ``EpochWorkspace`` of ``train``: its
-    slice counts are used instead of unravelling and counting, and if its
-    last epoch returned ``model``, its predictions replace a prediction
-    pass.  Scored so, the objective allocates no entry-sized buffer.
+    slice counts are used instead of counting, and if its last epoch
+    returned ``model``, its predictions replace a prediction pass.
+    Counting and predicting run chunk by chunk too, so the objective
+    allocates no entry-sized buffer, with a workspace or without.
     """
     check_dims(model, train.dims)
     if workspace is None:
-        counts, yhat = _slice_counts(train.ids, train.dims), None
+        counts, yhat = _slice_counts(train), None
     elif workspace.train is not train:
         raise ValueError("the workspace was made for another tensor")
     else:
@@ -240,8 +249,8 @@ class EpochWorkspace:
     structure, made once and reused by every epoch handed the workspace.
 
     It holds the tensor's ids, unravelled once from its codes as ``np.intp``
-    (so ``bincount`` and ``take`` convert no ids), their ``_slice_counts``
-    ``counts[axis]`` and the per-slice sums of the values
+    (so ``bincount`` and ``take`` convert no ids), the tensor's
+    ``_slice_counts`` ``counts[axis]`` and the per-slice sums of the values
     ``value_sums[axis]`` (the bias passes' MU numerators, which no epoch
     changes), formed once here, the gathered factor rows ``rows[axis][r]``
     as ``(rank, n_entries)`` arrays, the contraction scratch ``contr``
@@ -274,7 +283,7 @@ class EpochWorkspace:
         self.train = train
         self.structure = structure
         self.ids = train.ids
-        self.counts = _slice_counts(self.ids, train.dims)
+        self.counts = _slice_counts(train)
         per_user = self.counts[0]
         self.run_users = np.flatnonzero(per_user)
         self.run_starts = (np.cumsum(per_user) - per_user)[self.run_users]

@@ -17,7 +17,7 @@ from _reference import (
     ref_write_qos_log,
     value_at,
 )
-from btdqos import data_io
+from btdqos import data_io, sparse
 from btdqos.data_io import (
     SplitSpec,
     atomic_write,
@@ -445,7 +445,7 @@ class TestWriteBytes:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundary(self, tmp_path, offset):
         dims = (64, 64, 32)
-        n = data_io._WRITE_CHUNK + offset
+        n = sparse._CHUNK + offset
         rng = np.random.default_rng(n)
         ii, jj, kk = np.unravel_index(rng.choice(np.prod(dims), n, replace=False), dims)
         self._check(tmp_path, SparseTensor3.from_arrays(dims, ii, jj, kk,
@@ -454,10 +454,12 @@ class TestWriteBytes:
     def test_mask_writes_the_subset(self, tmp_path, monkeypatch):
         """``where`` writes the bytes of the masked subset: random masks, an
         all-false one (a header only), a window selecting nothing, and runs
-        that straddle windows of 16 entries.  No write renders more than a
-        window's worth of entries.  A mask of another length, or not
-        boolean, is rejected: an integer one is no list of positions."""
-        monkeypatch.setattr(data_io, "_WRITE_CHUNK", 16)
+        that straddle windows of 16 entries.  ``selected`` yields the mask's
+        set positions in order, in nonempty batches of at most a window's
+        worth, and no write renders more.  A mask of another length, or not
+        boolean, is rejected when ``selected`` is called: an integer one is
+        no list of positions."""
+        monkeypatch.setattr(sparse, "_CHUNK", 16)
         render = data_io._render_lines
         sizes = []
 
@@ -476,6 +478,10 @@ class TestWriteBytes:
         masks = [rng.random(n) < p for p in (0.05, 0.5, 0.95)]
         masks += [np.zeros(n, bool), np.ones(n, bool), skip_window, straddling]
         for mask in masks:
+            batches = list(t.selected(mask))
+            np.testing.assert_array_equal(np.concatenate([np.zeros(0, np.intp), *batches]),
+                                          np.flatnonzero(mask))
+            assert all(0 < at.size <= 16 for at in batches)
             write_qos_log(t, tmp_path / "masked.txt", header="part", where=mask)
             write_qos_log(t.subset(mask), tmp_path / "subset.txt", header="part")
             assert ((tmp_path / "masked.txt").read_bytes()
@@ -485,6 +491,8 @@ class TestWriteBytes:
         for bad in (np.ones(n - 1, bool), np.arange(n) % 2, np.ones(n)):
             with pytest.raises(OutOfBoundsError, match="boolean with one element per entry"):
                 write_qos_log(t, tmp_path / "bad.txt", where=bad)
+            with pytest.raises(OutOfBoundsError, match="boolean with one element per entry"):
+                t.selected(bad)
 
     def test_extreme_values_and_largest_ids(self, tmp_path):
         dims = (142, 4500, 64)

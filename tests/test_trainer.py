@@ -288,7 +288,7 @@ class TestEpoch:
     def test_warm_epoch_allocates_no_entry_sized_buffer(self, monkeypatch):
         """An epoch handed the model its workspace's last epoch returned
         allocates less than one entry-sized float64 row: the ids, gathered
-        rows, prediction table and scratch all come from the workspace.
+        rows, prediction rows and scratch all come from the workspace.
         The tensor spans more than one chunk, at the default chunk and at
         seven entries."""
         rng = np.random.default_rng(7)
@@ -344,10 +344,11 @@ class TestEpoch:
     ])
     def test_scoring_allocates_no_entry_sized_buffer(self, monkeypatch, chunk,
                                                      n_entries):
-        """After an epoch, the validation RMSE's error sums, the workspace's
-        objective and ``rmse_and_mae`` together allocate less than one
-        float64 row of the tensor they score: errors are summed chunk by
-        chunk, so what they hold is chunk-sized."""
+        """After an epoch, the validation RMSE's error sums, the objective
+        with the workspace and without it, and ``rmse_and_mae`` together
+        allocate less than one float64 row of the tensor they score: errors
+        are summed and slices counted chunk by chunk, so what they hold is
+        chunk-sized."""
         set_chunk(monkeypatch, chunk)
         rng = np.random.default_rng(8)
         dims = (60, 60, 64)
@@ -365,6 +366,7 @@ class TestEpoch:
             tracemalloc.reset_peak()
             error_sums(model, tensor)
             objective(model, tensor, cfg, workspace)
+            objective(model, tensor, cfg)
             rmse_and_mae(model, tensor)
             growth = tracemalloc.get_traced_memory()[1] - before
         finally:
