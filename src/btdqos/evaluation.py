@@ -17,12 +17,13 @@ once they are dropped.  So no partition outlives the cell that reads it.
 
 import logging
 import math
+import numbers
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .data_io import SplitSpec, split, write_csv
-from .errors import ConfigError, EmptyTestSetError
+from .errors import ConfigError, EmptyTestSetError, check_kind
 from .model import BlockStructure, BnbtModel
 from .rng import derive_seed
 from .sparse import SparseTensor3
@@ -155,7 +156,7 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
     ``split_specs`` maps sub-dataset labels to ratio triples, as a list of
     ``(label, (train, validation, test))``.  ``model_configs`` is a list of
     ``(label, BlockStructure)``.  ``repeats`` is either a run count or an
-    explicit list of per-run seeds; all per-cell randomness (the split
+    explicit list of per-run seeds, integers either way (not bools); all per-cell randomness (the split
     shuffle and the model init) is derived from the run seed and the cell
     labels, so the same seed always reproduces the same cell.  Each split
     is drawn once and kept as its labels; each cell forms its own
@@ -172,7 +173,9 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
         raise ConfigError("need at least one split spec")
     if not model_configs:
         raise ConfigError("need at least one model config")
-    seeds = list(range(repeats)) if isinstance(repeats, int) else [int(s) for s in repeats]
+    seeds = (list(range(check_kind(repeats, numbers.Integral, "repeats")))
+             if isinstance(repeats, numbers.Number)
+             else [int(check_kind(s, numbers.Integral, "every run seed")) for s in repeats])
     if not seeds:
         raise ConfigError("need at least one repeat")
 

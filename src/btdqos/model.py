@@ -26,7 +26,7 @@ from .errors import (
     NegativeValueError,
     check_kind,
 )
-from .sparse import MODES
+from .sparse import MODES, checked_ids
 
 #: Entries per chunk of every per-entry contraction.  ``predict_entries``,
 #: ``trainer.error_sums``, the trainer's slice counts and its epoch (its
@@ -34,11 +34,14 @@ from .sparse import MODES
 #: ``entry_chunks``, so their temporaries stay cache-sized however many
 #: entries there are.  Chosen by measurement on 2 cores: every size from
 #: 4096 to 32768 made a 1M-entry warm epoch faster than whole-tensor
-#: products, but a fit's peak memory grows with the chunk
-#: (``predict_entries`` holds up to about 18 chunk-sized rows of a (3,3,3)
-#: block while ``fit`` scores the validation set).  At 4096 a 50k-entry
-#: ``btdqos train`` peaked 1.2 MiB below whole-tensor scratch, at 8192
-#: 0.6 MiB below, at 16384 0.8 MiB above (at commit f5d8634).
+#: products, but a fit's peak memory grows with the chunk:
+#: ``predict_entries`` of a (3,3,3) block, which ``fit`` runs to score the
+#: validation set, peaks at 22.1 chunk-sized rows, its output included
+#: (``tracemalloc`` over one 4096-entry chunk; 18.1 at commit 0eca63d,
+#: before it ran the epoch's kernel with a chunk-sized contraction row).
+#: At 4096 a 50k-entry ``btdqos train`` peaked 1.2 MiB below whole-tensor
+#: scratch, at 8192 0.6 MiB below, at 16384 0.8 MiB above (at commit
+#: f5d8634).
 ENTRY_CHUNK = 4096
 
 
@@ -174,63 +177,96 @@ def init_random(dims, structure: BlockStructure, seed: int) -> BnbtModel:
     )
 
 
-def gather_rows(factor: np.ndarray, ids) -> np.ndarray:
-    """Rows ``factor[ids]`` laid out transposed, as a ``(rank, p)`` array.
+def gather(values, ids, out=None):
+    """``values[..., ids]``: the last axis of ``values`` taken at ``ids``.
 
-    One row per rank component and one column per entry keeps every
-    component contiguous over the entries: the layout ``row_outer``,
-    ``predict_entries`` and the trainer's per-slice sums read.
+    A bias vector gathers one value per entry, a transposed factor
+    ``factor.T`` its rows laid out as a ``(rank, p)`` array, one row per
+    rank component and one column per entry, so every component is
+    contiguous over the entries: the layout ``row_outer`` and the trainer's
+    per-slice sums read.  The ids must be in range (``sparse.checked_ids``),
+    so ``mode="clip"`` never clips; the default ``mode="raise"`` would stage
+    the result in a fresh array even when ``out`` is given.
     """
-    return np.take(factor.T, ids, axis=1)
+    return values.take(ids, axis=-1, out=out, mode="clip")
 
 
-def row_outer(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+def row_outer(x: np.ndarray, y: np.ndarray, buf=None) -> np.ndarray:
     """Per-entry outer product of gathered rows ``x (a, p)`` and ``y (b, p)``.
 
     Returns ``(a * b, p)`` whose row ``i * b + j`` is ``x[i] * y[j]``: the
     row order of a C-order reshape of a core whose leading axes are the
-    modes of ``x`` and ``y``, in that order.
+    modes of ``x`` and ``y``, in that order.  It is formed in the first
+    ``a * b * p`` elements of the flat scratch ``buf`` when one is given.
     """
     a, p = x.shape
     b = y.shape[0]
-    if out is None:
-        out = np.empty((a * b, p), dtype=np.float64)
+    out = np.empty((a * b, p)) if buf is None else buf[:a * b * p].reshape(a * b, p)
     np.multiply(x[:, None, :], y[None, :, :], out=out.reshape(a, b, p))
+    return out
+
+
+def contract(left, x, z, out, chunks, buf=None):
+    """``out = left @ row_outer(x, z)`` over the entries of ``chunks``, one
+    chunk at a time, each chunk's outer product formed in the flat scratch
+    ``buf`` (or a fresh array).
+
+    A one-column ``left`` (two rank-1 families) makes the product a
+    broadcast multiply, which runs several times faster than numpy's
+    matmul of that shape.
+    """
+    product = np.multiply if left.shape[1] == 1 else np.matmul
+    for part in chunks:
+        product(left, row_outer(x[:, part], z[:, part], buf), out=out[:, part])
+    return out
+
+
+def add_block_row(r, gathered, contr, out, spare=None):
+    """Block ``r``'s row, the per-entry dot of its gathered rows with their
+    contraction, into the blocks' sum ``out``: block 0 writes it, a later
+    block adds its row, formed in the ``spare`` row (or a fresh one)."""
+    if r == 0:
+        return np.einsum("kp,kp->p", gathered, contr, out=out)
+    out += np.einsum("kp,kp->p", gathered, contr, out=spare)
+    return out
+
+
+def sum_biases(biases, ids, out, spare=None):
+    """The biases' sum ``d[u] + e[s] + f[t]`` into ``out``, adding the user,
+    then the service, then the time bias; a bias is gathered into the
+    ``spare`` row (or a fresh one) before it is added."""
+    gather(biases[0], ids[0], out)
+    for bias, idx in zip(biases[1:], ids[1:]):
+        out += gather(bias, idx, spare)
     return out
 
 
 def predict_entries(model: BnbtModel, user_ids, service_ids, time_ids) -> np.ndarray:
     """Vectorized predictions for parallel 1-d index arrays.
 
-    Each block costs one factored contraction over the gathered factor
-    rows, on top of the three gathered biases: ``core.reshape(L*M, N).T``
-    times ``row_outer`` of the user and service rows contracts the core
-    with those rows in one matrix product, and its per-entry dot with the
-    time rows is the block term.  Entries go through in the chunks of
-    ``entry_chunks``, so the temporaries stay small and cache-resident
-    however many entries are asked for.  A block's temporaries are
-    released as soon as the next step has read them: the gathered user and
-    service rows once their outer product is formed, the outer product
-    once it is contracted, so about the largest of ``L + M + L*M``,
-    ``L*M + N`` and ``2N + 1`` chunk-sized rows are live beside the
-    output.
+    The ids must be integers within ``model.dims``, in three 1-D arrays of
+    one length (``sparse.checked_ids``); otherwise ``OutOfBoundsError``
+    names the mode.  Entries go through in the chunks of ``entry_chunks``,
+    so the temporaries stay chunk-sized however many entries are asked for.
+    Each chunk runs the epoch's own kernel: per block, ``contract`` of
+    ``core.reshape(L*M, N).T`` with the user and service rows, and
+    ``add_block_row`` of its dot with the time rows into the blocks' sum,
+    which is added to ``sum_biases``.  So the predictions of a training
+    tensor's ids equal, bitwise, the ones an epoch leaves in its
+    ``EpochWorkspace.yhat``.
     """
-    ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
-    (a, b, c), (d, e, f) = model.factors, model.biases
-    out = np.empty(ids[0].shape, dtype=np.float64)
+    ids = checked_ids(model.dims, (user_ids, service_ids, time_ids))
+    (a, b, c), out = model.factors, np.empty(ids[0].size)
     for chunk in entry_chunks(out.size):
-        u, s, t = (x[chunk] for x in ids)
-        part = out[chunk]
-        d.take(u, out=part)
-        part += e[s]
-        part += f[t]
-        for r, (l, m, n) in enumerate(model.structure.blocks):
-            # One expression, so no temporary outlives its one use.
-            part += np.einsum(
-                "np,np->p",
-                model.cores[r].reshape(l * m, n).T
-                @ row_outer(gather_rows(a[r], u), gather_rows(b[r], s)),
-                gather_rows(c[r], t))
+        u, s, t = idx = [x[chunk] for x in ids]
+        block_sum = np.empty(u.size)
+        for r, core in enumerate(model.cores):
+            l, m, n = core.shape
+            # The user and service rows are freed once contracted.
+            contr = contract(core.reshape(l * m, n).T, gather(a[r].T, u),
+                             gather(b[r].T, s), np.empty((n, u.size)), [slice(None)])
+            add_block_row(r, gather(c[r].T, t), contr, block_sum)
+        np.add(block_sum, sum_biases(model.biases, idx, out[chunk]), out=out[chunk])
     return out
 
 

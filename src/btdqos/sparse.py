@@ -10,17 +10,17 @@ reads them.  Codes are formed from ids by ``np.ravel_multi_index``, and
 ``unravel`` is the one place codes become ids again; ``ids`` unravels all
 of them on each access, so a consumer that needs only a slice of the
 entries unravels that slice.  ``from_codes`` validates, sorts and
-deduplicates; ``from_arrays`` is its id front end, which range-checks ids,
-naming the mode of one out of range, and forms their codes first.  Input
-whose codes are strictly increasing already (every log ``write_qos_log``
-writes) is kept without a sort, and float64 values (and, for
-``from_codes``, int64 codes) without a copy.  ``selected`` is the one
-reader of the entries a boolean mask selects: it checks the mask and
-yields their storage positions in batches of at most ``_CHUNK``.
-``subset`` builds a tensor from those batches (turning positions into a
-mask first) and ``data_io.write_qos_log`` renders each batch; both rely
-on the invariant, so a partition is read out in code order without being
-validated again.  ``n_shared``, the train/validation disjointness check
+deduplicates; ``from_arrays`` is its id front end, which checks ids with
+``checked_ids`` (as ``model.predict_entries`` does), naming the mode of a
+bad one, and forms their codes first.  Input whose codes are strictly
+increasing already (every log ``write_qos_log`` writes) is kept without a
+sort, and float64 values (and, for ``from_codes``, int64 codes) without a
+copy.  ``selected`` is the one reader of the entries a boolean mask
+selects: it checks the mask and yields their storage positions in batches
+of at most ``_CHUNK``.  ``subset`` builds a tensor from those batches
+(turning positions into a mask first) and ``data_io.write_qos_log``
+renders each batch; both rely on the invariant, so a partition is read
+out in code order without being validated again.  ``n_shared``, the train/validation disjointness check
 of a fit, looks up the smaller tensor's codes in the larger one's.
 
 A ``SplitTensor`` is a split as ``data_io.split`` draws it: the source
@@ -109,20 +109,11 @@ class SparseTensor3:
         so the caller must not write to it afterwards.
         """
         dims = _validated_dims(dims)
-        ids = [np.asarray(x) for x in (user_ids, service_ids, time_ids)]
+        ids = checked_ids(dims, (user_ids, service_ids, time_ids))
         vals = np.ascontiguousarray(values, dtype=np.float64)
-        if any(x.shape != vals.shape for x in ids) or vals.ndim != 1:
+        if vals.shape != ids[0].shape:
             raise OutOfBoundsError("index and value arrays must be 1-D and equal length")
-
-        # Ids are range-checked in the dtype they came in, so an index past
-        # int64 is reported, not wrapped or overflowed; integer ids then
-        # form the codes as they are, others (an empty float array, Python
-        # integers in an object array) are read as int64 first.
-        for axis, idx in enumerate(ids):
-            _check_in_range(idx, dims[axis], f"{MODES[axis]} ids", f"{MODES[axis]} index")
-        codes = np.ravel_multi_index(
-            [x if x.dtype.kind in "iu" else x.astype(np.int64) for x in ids], dims)
-        return cls.from_codes(dims, codes, vals)
+        return cls.from_codes(dims, np.ravel_multi_index(ids, dims), vals)
 
     @classmethod
     def from_codes(cls, dims, codes, values):
@@ -253,6 +244,25 @@ def _joined_positions(mask):
         size += at.size
     if size:
         yield np.concatenate(batch)
+
+
+def checked_ids(dims, ids):
+    """The ``(user, service, time)`` id arrays ``ids``, checked: 1-D, of one
+    length, and integers within ``dims``.  Anything else is an
+    ``OutOfBoundsError`` naming the mode.
+
+    Ids are range-checked in the dtype they came in, so an index past int64
+    is reported, not wrapped or overflowed.  Integer ids come back as they
+    are, others (an empty float array, Python integers in an object array)
+    as int64.
+    """
+    ids = [np.asarray(x) for x in ids]
+    for axis, (mode, idx) in enumerate(zip(MODES, ids)):
+        if idx.ndim != 1 or idx.shape != ids[0].shape:
+            raise OutOfBoundsError("the id arrays must be 1-D and of one length, "
+                                   f"got {mode} ids of shape {idx.shape}")
+        _check_in_range(idx, dims[axis], f"{mode} ids", f"{mode} index")
+    return [x if x.dtype.kind in "iu" else x.astype(np.int64) for x in ids]
 
 
 def _strictly_increasing(x) -> bool:

@@ -29,6 +29,9 @@ predictions are refreshed after each of the seven update passes (cores,
 A, B, C, d, e, f), not after every coordinate, and never by a full
 prediction pass: the epoch keeps two partial sums of them, the blocks'
 sum and the biases' sum, and the predictions are the sum of the two.
+Both sums are formed by the prediction kernel of ``model`` (``contract``,
+``add_block_row``, ``sum_biases``), the one ``predict_entries`` runs, so
+the epoch's predictions are bitwise the ones ``predict_entries`` gives.
 
 All seven passes run one step, which applies the ratio above and
 refreshes the updated parameters' partial sum; a pass differs from
@@ -84,11 +87,15 @@ from .errors import (
 )
 from .model import (
     BnbtModel,
+    add_block_row,
     check_dims,
+    contract,
     entry_chunks,
+    gather,
     init_random,
     predict_entries,
     row_outer,
+    sum_biases,
 )
 from .sparse import SparseTensor3, unravel
 
@@ -351,18 +358,19 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     - A core is an ``(L*M, N)`` matrix whose contraction is its block's
       time rows.  With ``ab`` the outer product of the user and service
       rows, it scatters by ``ab @ w.T`` and gathers by ``x.T @ ab``.
-    - Block rows go into the blocks' sum: the first block writes it, and
-      each later block adds its row.
+    - Block rows go into the blocks' sum by ``model.add_block_row``: the
+      first block writes it, and each later block adds its row.
     - A bias is a one-column factor whose contraction is a row of ones.
       Its numerator is the workspace's ``value_sums``, formed once per
       fit, and its denominator sums the predictions.  Its refresh re-forms
-      the biases' sum ``d[u] + e[s] + f[t]`` rather than updating it.
+      the biases' sum ``d[u] + e[s] + f[t]`` by ``model.sum_biases``
+      rather than updating it.
 
     Every product with an outer product of two gathered families runs over
     the workspace's ``chunks`` of entries, each forming the chunk's outer
     product in a chunk-sized scratch: a factor's contraction and a core's
-    gather chunk by chunk, and a core's two scatters as sums over the
-    chunks, both from each chunk's one outer product.
+    gather chunk by chunk (``model.contract``), and a core's two scatters
+    as sums over the chunks, both from each chunk's one outer product.
 
     The first fill of the two sums is the same refresh over the core terms
     and the biases, with no update.  Parameters whose slice has no
@@ -375,13 +383,15 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     structure; without one the epoch makes its own.  The epoch is warm when
     ``model`` is the model the workspace's last epoch returned: the rows and
     the sums it left are then the ones a fresh gather and first fill would
-    give (the time pass refreshes a block row with the first fill's
-    chunked contraction, and the biases' sum is never updated in place),
-    so the epoch skips both and its result is bitwise the same.
-    ``workspace.yhat`` ends holding the returned model's predictions of the
-    entries of ``train``; they match ``predict_entries`` up to rounding in
-    the last bits.  A model with a non-finite parameter raises
-    ``NonFiniteError`` before any arithmetic on it.
+    give, so the epoch skips both and its result is bitwise the same.  The
+    last pass to refresh the block rows is the time pass, and it forms each
+    one as the first fill and ``predict_entries`` do: the core unfolded
+    along the time mode, contracted with the user and service rows over the
+    same chunks, dotted with the time rows.  The biases' sum is re-formed,
+    never updated in place.  So ``workspace.yhat`` ends holding the returned
+    model's predictions of the entries of ``train``, bitwise equal to
+    ``predict_entries`` of their ids.  A model with a non-finite parameter
+    raises ``NonFiniteError`` before any arithmetic on it.
     """
     check_dims(model, train.dims)
     m = model.copy()
@@ -401,28 +411,6 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     def scratch(buf, n_rows, n_cols=n_obs):
         return buf[:n_rows * n_cols].reshape(n_rows, n_cols)
 
-    def take_into(values, idx, out):
-        # The tensor's indices are in range, so "clip" never clips; the
-        # default mode="raise" would stage the result in a fresh array.
-        return values.take(idx, axis=values.ndim - 1, out=out, mode="clip")
-
-    def outers(x, z):
-        # row_outer of two gathered families one chunk of entries at a time,
-        # in the chunk scratch: yields each chunk's entries and product.
-        for part in ws.chunks:
-            x_part, z_part = x[:, part], z[:, part]
-            yield part, row_outer(x_part, z_part, out=scratch(
-                ws.outer, len(x_part) * len(z_part), x_part.shape[1]))
-
-    def contract(left, x, z, out):
-        # out = left @ row_outer(x, z), chunk by chunk.  A one-column left
-        # (two rank-1 families) makes the product a broadcast multiply,
-        # which runs several times faster than numpy's matmul of that shape.
-        product = np.multiply if left.shape[1] == 1 else np.matmul
-        for part, xz in outers(x, z):
-            product(left, xz, out=out[:, part])
-        return out
-
     def factor_sums(axis, contr):
         # Per-slice sums of contr * y and contr * yhat, one rank component
         # at a time in the weighted row.
@@ -437,27 +425,12 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         # each chunk's outer product serves both.  The products go to the
         # contraction scratch, which a core term only uses in its refresh.
         num = den = 0
-        for part, ab in outers(a, b):
+        for part in ws.chunks:
+            ab = row_outer(a[:, part], b[:, part], ws.outer)
             cv = scratch(ws.contr, len(c), ab.shape[1])
             num = num + ab @ np.multiply(c[:, part], y[part], out=cv).T
             den = den + ab @ np.multiply(c[:, part], yhat[part], out=cv).T
         return num, den
-
-    def add_block_row(r, gathered, contr):
-        # Block r's row, the per-entry dot of its gathered rows with their
-        # contraction, into the blocks' sum: the first block writes it, a
-        # later one adds its row, formed in the weighted row.
-        if r == 0:
-            np.einsum("kp,kp->p", gathered, contr, out=ws.block_sum)
-        else:
-            ws.block_sum += np.einsum("kp,kp->p", gathered, contr, out=weighted)
-
-    def sum_biases():
-        # d[u] + e[s] + f[t], formed afresh, not updated in place, so the
-        # sum a warm epoch starts from is bitwise the first fill's.
-        take_into(m.biases[0], ids[0], ws.bias_sum)
-        for bias, idx in zip(m.biases[1:], ids[1:]):
-            ws.bias_sum += take_into(bias, idx, weighted)
 
     def core_terms():
         for r, (l, mm, n) in enumerate(blocks):
@@ -465,8 +438,9 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             # The reshape is a view, so the step writes the core in place:
             # BnbtModel.copy() returns C-contiguous arrays.
             yield (m.cores[r].reshape(l * mm, n), lambda: core_sums(a, b, c),
-                   lambda new: add_block_row(
-                       r, contract(new.T, a, b, scratch(ws.contr, n)), c),
+                   lambda new: add_block_row(r, c, contract(
+                       new.T, a, b, scratch(ws.contr, n), ws.chunks, ws.outer),
+                       ws.block_sum, weighted),
                    True)
 
     def factor_terms(axis):
@@ -477,10 +451,11 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             # Mode `axis` first, the other two in order, matching row_outer.
             unfolded = core.transpose(axis, *others).reshape(rank, -1)
             contr = contract(unfolded, *(rows[k][r] for k in others),
-                             scratch(ws.contr, rank))
+                             scratch(ws.contr, rank), ws.chunks, ws.outer)
             yield (m.factors[axis][r], lambda: factor_sums(axis, contr),
                    lambda new: add_block_row(
-                       r, take_into(new.T, ids[axis], rows[axis][r]), contr),
+                       r, gather(new.T, ids[axis], rows[axis][r]), contr,
+                       ws.block_sum, weighted),
                    observed)
 
     def bias_terms(axis):
@@ -488,7 +463,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         yield (m.biases[axis][:, None],
                lambda: (ws.value_sums[axis][:, None],
                         ws.slice_sums(axis, yhat)[:, None]),
-               lambda new: sum_biases(),
+               lambda new: sum_biases(m.biases, ids, ws.bias_sum, weighted),
                ws.counts[axis][:, None] > 0)
 
     def pass_step(terms, weight=None):
@@ -506,8 +481,8 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         _check_finite(m, "the model has a non-finite parameter")
         for family, idx, gathered in zip(m.factors, ids, rows):
             for f, out in zip(family, gathered):
-                take_into(f.T, idx, out)
-        sum_biases()
+                gather(f.T, idx, out)
+        sum_biases(m.biases, ids, ws.bias_sum, weighted)
         pass_step(core_terms())
     if not np.isfinite(yhat).all():
         raise NonFiniteError("model predictions are non-finite before the epoch")

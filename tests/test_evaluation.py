@@ -199,6 +199,12 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark(self._source(), [("s", (0.5, 0.2, 0.3))],
                           [("cp", cp_structure(2))], self._cfg(), repeats=0)
+        # A bool is no run count and a fractional seed is no seed, though
+        # True works as 1 and int(1.7) is 1.
+        for repeats, what in ((True, "repeats"), ([1.7], "every run seed")):
+            with pytest.raises(ConfigError, match=f"^{what} must be an integer"):
+                run_benchmark(self._source(), [("s", (0.5, 0.2, 0.3))],
+                              [("cp", cp_structure(2))], self._cfg(), repeats=repeats)
 
     def test_csv_outputs(self, tmp_path):
         report = run_benchmark(

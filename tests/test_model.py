@@ -5,7 +5,7 @@ import pytest
 
 from _reference import model_params_vector, predict_entry, ref_dense
 from btdqos import model as model_module
-from btdqos.errors import ConfigError, InvalidStructureError
+from btdqos.errors import ConfigError, InvalidStructureError, OutOfBoundsError
 from btdqos.model import (
     BlockStructure,
     BnbtModel,
@@ -143,6 +143,24 @@ def test_predict_entries_matches_scalar_path():
     for p in range(50):
         assert batch[p] == pytest.approx(
             predict_entry(m, int(ii[p]), int(jj[p]), int(kk[p])), abs=1e-12)
+
+
+@pytest.mark.parametrize("ids, message", [
+    pytest.param(([-1], [0], [0]), r"^user index -1 out of range \[0, 4\)$", id="negative"),
+    pytest.param(([1], [0, 3], [0, 4]),
+                 r"^the id arrays must be 1-D and of one length, got service ids of shape \(2,\)$",
+                 id="lengths"),
+    pytest.param(([1], [2.0], [0]), "^service ids must be integers, got dtype float64$",
+                 id="float"),
+    pytest.param(([1], [0], [5]), r"^time index 5 out of range \[0, 5\)$", id="past-dim"),
+])
+def test_predict_entries_rejects_bad_ids(ids, message):
+    """Ids must be integers within the model's dims, in three 1-D arrays of
+    one length; a bad id names its mode rather than wrapping, being
+    dropped or raising from numpy."""
+    m = init_random((4, 6, 5), BlockStructure(((2, 1, 3),)), 8)
+    with pytest.raises(OutOfBoundsError, match=message):
+        predict_entries(m, *ids)
 
 
 @pytest.mark.parametrize("n_entries, widths", [

@@ -59,6 +59,21 @@ def set_chunk(monkeypatch, chunk):
     monkeypatch.setattr(model_module, "ENTRY_CHUNK", chunk)
 
 
+def _small_instance():
+    """A random tensor of at most 6 x 6 x 6."""
+    dims, _, tensor, _ = random_instance(41, max_dim=6)
+    return dims, tensor
+
+
+def _uniform_instance():
+    """5,000 entries of a 142 x 500 x 64 tensor, uniform codes and values."""
+    rng = np.random.default_rng(3)
+    dims = (142, 500, 64)
+    codes = rng.choice(np.prod(dims), size=5000, replace=False)
+    return dims, SparseTensor3.from_arrays(
+        dims, *np.unravel_index(codes, dims), rng.uniform(0.1, 3.0, codes.size))
+
+
 def _arrays(items):
     """The numpy arrays among ``items``, looking into lists and tuples."""
     for item in items:
@@ -265,25 +280,30 @@ class TestEpoch:
                 epoch(model, tensor, ZERO_REG)
             assert not isinstance(raised.value, ValidationError)
 
-    @pytest.mark.parametrize("bias_enabled, blocks", [
-        pytest.param(False, ((2, 2, 2),), id="no-bias"),
-        pytest.param(True, ((1, 2, 3), (2, 2, 2), (3, 1, 2)), id="three-blocks"),
+    @pytest.mark.parametrize("bias_enabled, blocks, lambdas, instance, seed", [
+        pytest.param(False, ((2, 2, 2),), (0.01, 0.02, 0.005), _small_instance, 41,
+                     id="no-bias"),
+        pytest.param(True, THREE_BLOCKS.blocks, (0.01, 0.02, 0.005), _small_instance,
+                     41, id="three-blocks"),
+        pytest.param(True, ((2, 2, 2),) * 3, (0.001,) * 3, _uniform_instance, 1,
+                     id="btd3x222-5k"),
     ])
-    def test_yhat_buffer_holds_final_predictions(self, bias_enabled, blocks):
+    def test_yhat_buffer_holds_final_predictions(self, bias_enabled, blocks, lambdas,
+                                                 instance, seed):
         """The workspace's prediction buffer ends holding the new model's
-        predictions, also when the workspace is reused epoch after epoch."""
-        cfg = TrainConfig(lambda1=0.01, lambda2=0.02, lambda3=0.005,
-                          bias_enabled=bias_enabled, stop_on="train_loss")
-        dims, _, tensor, _ = random_instance(41, max_dim=6)
-        model = init_random(dims, BlockStructure(blocks), 41)
+        predictions bitwise, also when the workspace is reused epoch after
+        epoch: the epoch and ``predict_entries`` add the same block rows and
+        biases in the same order."""
+        cfg = TrainConfig(*lambdas, bias_enabled=bias_enabled, stop_on="train_loss")
+        dims, tensor = instance()
+        model = init_random(dims, BlockStructure(blocks), seed)
         if not bias_enabled:
             model.biases = [np.zeros(dim) for dim in dims]
         workspace = EpochWorkspace(tensor, model.structure)
         for _ in range(3):
             model = epoch(model, tensor, cfg, workspace)
-            np.testing.assert_allclose(workspace.yhat,
-                                       predict_entries(model, *tensor.ids),
-                                       rtol=1e-12)
+            np.testing.assert_array_equal(workspace.yhat,
+                                          predict_entries(model, *tensor.ids))
 
     def test_warm_epoch_allocates_no_entry_sized_buffer(self, monkeypatch):
         """An epoch handed the model its workspace's last epoch returned
@@ -583,7 +603,7 @@ class TestFit:
                 model.biases = [np.zeros(dim) for dim in train.dims]
             for loss in report.loss_trajectory:
                 model = epoch(model, train, cfg)
-                assert loss == pytest.approx(objective(model, train, cfg), rel=1e-12)
+                assert loss == objective(model, train, cfg)
             np.testing.assert_array_equal(model_params_vector(fitted),
                                           model_params_vector(model))
 
