@@ -28,7 +28,7 @@ from .errors import BtdqosError, ConfigError, ValidationError, check_kind
 from .evaluation import rmse_and_mae, run_benchmark
 from .model import BlockStructure, cp_structure, predict_entries
 from .rng import derive_seed
-from .sparse import PARTITIONS, SparseTensor3
+from .sparse import PARTITIONS
 from .trainer import TrainConfig, grid_search
 
 logger = logging.getLogger(__name__)
@@ -250,12 +250,13 @@ def cmd_train(args) -> int:
     name, result = _load_dataset(doc, config_dir)
     parts = split(result.tensor, spec)
     del result
-    train, validation = parts.train, parts.validation
     logger.info("training on %d entries (validation %d, test %d held out)",
                 *parts.counts.values())
-    # Written before the fit, so the source can go: a failed fit leaves them.
+    # Written before the fit's tensors are formed, so the writes hold the
+    # source only, and a failed fit leaves them.
     if splits_dir:
         _write_partitions(parts, splits_dir, name)
+    train, validation = parts.train, parts.validation
     del parts  # the fit needs train and validation only
 
     _, model, report = grid_search(train, validation, structure,
@@ -265,9 +266,10 @@ def cmd_train(args) -> int:
     write_csv(trajectory_path, ("epoch", "objective", "validation_rmse"),
               zip(range(1, report.epochs_run + 1), report.loss_trajectory,
                   report.validation_rmse_trajectory))
-    logger.info("stopped on %s after %d epochs; checkpoint %s, trajectory %s",
-                report.stop_reason, report.epochs_run, checkpoint_path,
-                trajectory_path)
+    logger.info("stopped on %s after %d epochs, %d of %d blocks dead; "
+                "checkpoint %s, trajectory %s", report.stop_reason,
+                report.epochs_run, report.dead_blocks, len(model.cores),
+                checkpoint_path, trajectory_path)
     return 0
 
 
@@ -282,8 +284,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(_resolve_input(args.checkpoint))
-    cell = SparseTensor3.from_arrays(model.dims, [args.i], [args.j], [args.k], [0.0])
-    print(format(predict_entries(model, *cell.ids)[0], "#.6g"))
+    print(format(predict_entries(model, [args.i], [args.j], [args.k])[0], "#.6g"))
     return 0
 
 

@@ -18,13 +18,14 @@ codes from ``np.ravel_multi_index``, float64 values), which are sized from
 the file.  A log in (user, service, time) order without repeats, as the
 partition files are, then becomes the tensor without a sort or another
 copy (``SparseTensor3.from_codes``), so ingest holds about 16 B per entry
-for the tensor plus one chunk.  A chunk is first screened for what
-``loadtxt`` would read without an error where ``_parse_lines`` reads
-otherwise: a ``#`` after data, and bytes that are not UTF-8.  A failed
-screen, or a ``loadtxt`` or ``np.ravel_multi_index`` error or warning
-(other than the one for a chunk without data), makes it parse the whole
-file again with ``_parse_lines``, one line at a time: a ``ValueError``
-from numpy covers a digit separator (``1_000``) and an id out of range.
+for the tensor plus one chunk.  A chunk is first screened (``_screen``)
+for what ``loadtxt`` would read without an error where ``_parse_lines``
+reads otherwise: a ``#`` after data, and bytes that are not UTF-8.  A
+``ValueError`` from the screen, ``loadtxt`` or ``np.ravel_multi_index``,
+or a numpy warning (other than the one for a chunk without data), makes
+it parse the whole file again with ``_parse_lines``, one line at a time:
+numpy's ``ValueError`` covers a digit separator (``1_000``) and an id
+out of range.
 So that path runs only for non-canonical or invalid input, and it raises
 every error with the line number of the file.  The file is decoded with
 ``surrogateescape``, so a byte that is not UTF-8 reaches the parsers as a
@@ -170,10 +171,6 @@ _RECORD_DTYPE = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-class _NotCanonical(Exception):
-    """The input needs the per-line parser to be read exactly."""
-
-
 def parse_qos_log(path, dims, one_based: bool = False) -> IngestResult:
     """Read a QoS log file into a sparse tensor of shape ``dims``.
 
@@ -185,7 +182,7 @@ def parse_qos_log(path, dims, one_based: bool = False) -> IngestResult:
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             codes, values, records = _parse_chunks(fh, dims, shift)
-        except (_NotCanonical, ValueError, Warning):
+        except (ValueError, Warning):
             fh.seek(0)
             return _parse_lines(fh, dims, shift)
     return IngestResult(SparseTensor3.from_codes(dims, codes, values), records,
@@ -200,13 +197,13 @@ def _parse_chunks(fh, dims, shift):
     Whenever a chunk does not fit, ``ndarray.resize`` sizes them for the
     records the rest of the file would hold at the density read so far,
     plus a 1/64 margin; they are cut to size at the end, so no chunk's rows
-    outlive it.  Raises ``_NotCanonical``, or whatever ``np.loadtxt`` raises,
-    for input it might read otherwise than ``_parse_lines``: ``loadtxt``
-    raises ``ValueError`` on a digit separator (``1_000``), and
-    ``np.ravel_multi_index`` on an id out of range.  ``loadtxt``'s warnings
-    are raised too: numpy before 2.0 reads an id of ``1.0`` as 1 with a
-    DeprecationWarning.  A chunk of comment and blank lines only is no
-    such input: it holds no records either way.
+    outlive it.  Raises ``ValueError`` for input it might read otherwise
+    than ``_parse_lines``: ``_screen`` raises it on a ``#`` after data and
+    on bytes that are not UTF-8, ``loadtxt`` on a digit separator
+    (``1_000``), and ``np.ravel_multi_index`` on an id out of range.
+    ``loadtxt``'s warnings are raised too: numpy before 2.0 reads an id of
+    ``1.0`` as 1 with a DeprecationWarning.  A chunk of comment and blank
+    lines only is no such input: it holds no records either way.
     """
     codes, values = np.zeros(0, np.int64), np.zeros(0, np.float64)
     file_size = os.fstat(fh.fileno()).st_size
@@ -243,7 +240,7 @@ def _parse_chunks(fh, dims, shift):
 
 
 def _screen(text):
-    """Raise ``_NotCanonical`` where ``np.loadtxt`` would read text that
+    """Raise ``ValueError`` where ``np.loadtxt`` would read text that
     ``_parse_lines`` reads otherwise, without an error of its own.
 
     ``loadtxt`` ends a record at any ``#``, but a ``#`` starts a comment
@@ -254,11 +251,11 @@ def _screen(text):
     ``ValueError``.  So a comment line may hold any text.
     """
     if not text.isascii() and _UNDECODABLE.search(text):
-        raise _NotCanonical("not UTF-8")
+        raise ValueError("not UTF-8")
     at = text.find("#")
     while at >= 0:
         if text[text.rfind("\n", 0, at) + 1:at].strip():
-            raise _NotCanonical("'#' after data")
+            raise ValueError("'#' after data")
         at = text.find("#", text.find("\n", at) + 1 or len(text))
 
 

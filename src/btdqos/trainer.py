@@ -146,12 +146,18 @@ STOP_MAX_ITER = "max_iter"
 
 @dataclass
 class TrainReport:
-    """Bookkeeping for one ``fit`` run."""
+    """Bookkeeping for one ``fit`` run.
+
+    ``dead_blocks`` counts the blocks of the returned model whose core is
+    exactly 0.0 everywhere: multiplicative updates never move such a block
+    again, so it adds nothing to any prediction.
+    """
 
     loss_trajectory: list = field(default_factory=list)
     validation_rmse_trajectory: list = field(default_factory=list)
     stop_reason: str = STOP_MAX_ITER
     wall_time: float = 0.0
+    dead_blocks: int = 0
 
     @property
     def epochs_run(self) -> int:
@@ -513,7 +519,10 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
     ``epoch``); each epoch leaves its training predictions in the
     workspace, whose predictions and slice counts score the epoch's
     objective.  The validation RMSE is scored from ``error_sums``, so
-    scoring an epoch allocates no entry-sized buffer.
+    scoring an epoch allocates no entry-sized buffer.  The report counts
+    the dead blocks of the returned model; when every block is dead while
+    some lambda is positive, the fit logs a warning naming the lambdas, as
+    the model is then its biases alone.
 
     Returns ``(model, TrainReport)``.
     """
@@ -559,9 +568,14 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
         validation_rmse_trajectory=val_rmses,
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - started,
+        dead_blocks=sum(not core.any() for core in model.cores),
     )
     logger.info("fit: %d epochs, stopped on %s, final loss %.6g",
                 report.epochs_run, stop_reason, losses[-1])
+    lambdas = (cfg.lambda1, cfg.lambda2, cfg.lambda3)
+    if report.dead_blocks == len(model.cores) and any(lambdas):
+        logger.warning("fit: all %d blocks are dead (all-zero cores) at "
+                       "lambda=(%g, %g, %g)", report.dead_blocks, *lambdas)
     return model, report
 
 

@@ -27,8 +27,8 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _run_module(args, cwd):
-    """Run ``python -m btdqos`` in ``cwd`` on the package this process imported.
+def _run_python(args, cwd=None):
+    """Run ``python args`` in ``cwd`` on the package this process imported.
 
     A relative ``PYTHONPATH`` (such as ``src``) would not resolve from
     ``cwd``, so the child gets the absolute directory that holds the
@@ -38,8 +38,13 @@ def _run_module(args, cwd):
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [package_root] + ([inherited] if inherited else [])))
-    return subprocess.run([sys.executable, "-m", "btdqos", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def _run_module(args, cwd):
+    """Run ``python -m btdqos args`` in ``cwd`` (see ``_run_python``)."""
+    return _run_python(["-m", "btdqos", *args], cwd)
 
 
 def _write_log(path, rows):
@@ -164,6 +169,20 @@ class TestTrain:
         flag, config, default = checkpoints
         assert flag == config
         assert flag != default
+
+    @pytest.mark.parametrize("flags", [[], ["--no-bias"]])
+    def test_summary_counts_the_dead_blocks_of_the_checkpoint(self, workdir, caplog,
+                                                              flags):
+        """The summary line counts the checkpoint's blocks with an all-zero
+        core, and the fit warns when that is all of them (the fixture's
+        lambdas are positive).  --no-bias is the fixture's zero-model run."""
+        with caplog.at_level("INFO"):
+            assert main(["train", "--config", str(FIXTURES / "train8.json"),
+                         *flags]) == 0
+        model = load_model(workdir / "out" / "model.json")
+        dead = sum(not core.any() for core in model.cores)
+        assert f"{dead} of {len(model.cores)} blocks dead;" in caplog.text
+        assert ("blocks are dead" in caplog.text) is (dead == len(model.cores))
 
     def test_no_bias_zeroes_bias_vectors(self, workdir):
         code = main(["train", "--config", str(FIXTURES / "train8.json"),
@@ -559,6 +578,17 @@ class TestBenchmark:
         assert "metrics need at least one test entry" in caplog.text
         assert "unexpected failure" not in caplog.text
         assert not (workdir / "bench").exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    """``run_benchmark`` imports the process-pool modules only when it
+    starts workers, so that the start-up of every command, which imports
+    the CLI, does without them."""
+    pool_modules = ("multiprocessing", "concurrent.futures.process")
+    proc = _run_python(["-c", "import sys, btdqos.cli; "
+                        f"print([m for m in {pool_modules!r} if m in sys.modules])"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from _reference import (
     ref_objective,
 )
 from btdqos import model as model_module
+from btdqos import trainer
 from btdqos.evaluation import rmse_and_mae
 from btdqos.errors import (
     ConfigError,
@@ -622,6 +623,33 @@ class TestFit:
         model, _ = fit(train, val, BlockStructure(((2, 2, 2),)), cfg)
         for bias in model.biases:
             assert not bias.any()
+
+    @pytest.mark.parametrize("zeroed", [(), (0,), (0, 1)])
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_dead_blocks_count_the_all_zero_cores(self, monkeypatch, caplog,
+                                                  lam, zeroed):
+        """The report counts the returned model's all-zero cores, and the fit
+        warns, naming its lambdas, exactly when that is every block and some
+        lambda is positive.  The blocks ``zeroed`` start with a zero core,
+        which no multiplicative update leaves."""
+        structure = BlockStructure(((2, 2, 2), (1, 1, 1)))
+        train, val, _, _ = self._split_instance(3, structure=structure)
+
+        def init(*args):
+            model = init_random(*args)
+            for r in zeroed:
+                model.cores[r][...] = 0.0
+            return model
+
+        monkeypatch.setattr(trainer, "init_random", init)
+        cfg = TrainConfig(lambda1=lam, lambda2=2 * lam, lambda3=3 * lam,
+                          max_iter=20, seed=3)
+        with caplog.at_level("WARNING", logger="btdqos.trainer"):
+            model, report = fit(train, val, structure, cfg)
+        assert report.dead_blocks == sum(not core.any() for core in model.cores)
+        warned = report.dead_blocks == len(structure.blocks) and lam > 0
+        assert ("blocks are dead" in caplog.text) is warned
+        assert (f"lambda=({lam:g}, {2 * lam:g}, {3 * lam:g})" in caplog.text) is warned
 
     def test_validation_stopping_requires_validation(self):
         train, _, _, _ = self._split_instance(5)
