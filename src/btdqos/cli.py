@@ -25,7 +25,7 @@ from .data_io import (
     write_split_manifest,
 )
 from .errors import BtdqosError, ConfigError, ValidationError, check_kind
-from .evaluation import rmse_and_mae, run_benchmark
+from .evaluation import check_labels, rmse_and_mae, run_benchmark
 from .model import BlockStructure, cp_structure, predict_entries
 from .rng import derive_seed
 from .sparse import PARTITIONS
@@ -85,16 +85,6 @@ def _fields(d, keys, where):
         return tuple(d[key] for key in keys)
     except KeyError as exc:
         raise ConfigError(f"{where} is missing {exc}")
-
-
-def _check_labels(pairs, what):
-    """A ConfigError unless every ``(label, _)`` of ``pairs`` has a string
-    label that no other pair uses: cells and aggregates are keyed by them."""
-    seen = set()
-    for label, _ in pairs:
-        if check_kind(label, str, f"every {what} label") in seen:
-            raise ConfigError(f"duplicate {what} label {label!r}")
-        seen.add(label)
 
 
 def _load_dataset(doc, config_dir):
@@ -298,7 +288,7 @@ def cmd_benchmark(args) -> int:
         split_specs.append((label, tuple(ratios)))
     if not split_specs:
         raise ConfigError("benchmark config needs a nonempty splits list")
-    _check_labels(split_specs, "split")
+    check_labels(split_specs, "split")
 
     models_doc = doc.get("models")
     if models_doc is None:
@@ -310,7 +300,7 @@ def cmd_benchmark(args) -> int:
             raise ConfigError("every model config needs a label")
         structure = _structure_from_dict(entry)
         model_configs.append((entry["label"], structure))
-    _check_labels(model_configs, "model")
+    check_labels(model_configs, "model")
 
     repeats = (args.repeats if args.repeats is not None
                else check_kind(doc.get("repeats", 1), numbers.Integral, "repeats"))

@@ -532,8 +532,6 @@ def load_model(path) -> BnbtModel:
             biases=[np.array(doc[key], dtype=np.float64) for key in _BIAS_KEYS],
         )
         validate_model(model)
-    except CorruptCheckpointError:
-        raise
     except Exception as exc:
         raise CorruptCheckpointError(f"{path}: invalid checkpoint ({exc})")
     return model

@@ -148,6 +148,16 @@ def _run_cell(task, shared=None):
     return cell
 
 
+def check_labels(pairs, what):
+    """A ConfigError unless every ``(label, _)`` of ``pairs`` has a string
+    label that no other pair uses: cells and aggregates are keyed by them."""
+    seen = set()
+    for label, _ in pairs:
+        if check_kind(label, str, f"every {what} label") in seen:
+            raise ConfigError(f"duplicate {what} label {label!r}")
+        seen.add(label)
+
+
 def run_benchmark(source: SparseTensor3, split_specs, model_configs,
                   cfg: TrainConfig, repeats, grids=None,
                   threads: int = 1) -> MetricsReport:
@@ -155,7 +165,8 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
 
     ``split_specs`` maps sub-dataset labels to ratio triples, as a list of
     ``(label, (train, validation, test))``.  ``model_configs`` is a list of
-    ``(label, BlockStructure)``.  ``repeats`` is either a run count or an
+    ``(label, BlockStructure)``; the labels of each list must be distinct
+    strings (``check_labels``).  ``repeats`` is either a run count or an
     explicit list of per-run seeds, integers either way (not bools); all per-cell randomness (the split
     shuffle and the model init) is derived from the run seed and the cell
     labels, so the same seed always reproduces the same cell.  Each split
@@ -173,6 +184,8 @@ def run_benchmark(source: SparseTensor3, split_specs, model_configs,
         raise ConfigError("need at least one split spec")
     if not model_configs:
         raise ConfigError("need at least one model config")
+    check_labels(split_specs, "split")
+    check_labels(model_configs, "model")
     seeds = (list(range(check_kind(repeats, numbers.Integral, "repeats")))
              if isinstance(repeats, numbers.Number)
              else [int(check_kind(s, numbers.Integral, "every run seed")) for s in repeats])

@@ -24,42 +24,30 @@ Ratios of nonnegative sums keep every parameter nonnegative without any
 projection step.  ``penalty_weights`` is the one table of the lambda * count
 weights, one entry per pass: the MU denominators and ``objective`` both read
 it.  The slice counts ``|obs(i)|`` are formed from the training codes by
-``_slice_counts``, in this module and nowhere else, once per fit.  The
-predictions are refreshed after each of the seven update passes (cores,
-A, B, C, d, e, f), not after every coordinate, and never by a full
-prediction pass: the epoch keeps two partial sums of them, the blocks'
-sum and the biases' sum, and the predictions are the sum of the two.
-Both sums are formed by the prediction kernel of ``model`` (``contract``,
-``add_block_row``, ``sum_biases``), the one ``predict_entries`` runs, so
-the epoch's predictions are bitwise the ones ``predict_entries`` gives.
+``_slice_counts``, in this module and nowhere else, once per fit.
 
-All seven passes run one step, which applies the ratio above and
-refreshes the updated parameters' partial sum; a pass differs from
-another only in the terms it hands the step (see ``epoch``).  The sums'
-first fill is the same refresh.  Every denominator gets the additive guard
-``EPSILON_GUARD`` so empty or all-zero slices cannot divide by zero;
-parameters of slices with no observations are left untouched.
+``epoch`` runs the seven SLF-NMUT passes in the paper's order (cores,
+A, B, C, d, e, f) as plain loops over one step, the ratio above with the
+additive guard ``EPSILON_GUARD`` in its denominator, so empty or all-zero
+slices cannot divide by zero; parameters of slices with no observations
+are left untouched.  The predictions are re-formed after each pass, not
+after every coordinate, and never by a full prediction pass: the epoch
+keeps two partial sums of them, the blocks' sum and the biases' sum, and
+the predictions are the sum of the two.  Both sums are formed by the
+prediction kernel of ``model`` (``contract``, ``add_block_row``,
+``sum_biases``), the one ``predict_entries`` runs, so the epoch's
+predictions are bitwise the ones ``predict_entries`` gives.
 
-Every entry-sized buffer of an epoch lives in an ``EpochWorkspace``: the
-training ids as ``np.intp``, the gathered factor rows, the contraction
-scratch, one weighted row, the predictions and their two partial sums.
-In 8 B rows, that is 136 B per training entry for cp3 (3 x (1,1,1)),
-152 B for tucker333 ((3,3,3)) and 216 B for btd3x222 (3 x (2,2,2)); the
-``EpochWorkspace`` docstring lists the rows.  No outer product of two
-gathered families is entry-sized: every product with one runs over
-the chunks of ``model.entry_chunks``, each formed in a chunk-sized
-scratch, so the contraction reads cache-sized blocks.  The workspace
-also holds the slice counts of the training ids, the per-slice sums of
-the values (the bias passes' numerators) and each user's run of entries
-(the entries are sorted user-major), over which the user-mode sums are
-one ``np.add.reduceat``.  ``fit`` makes one workspace when it starts and
-hands it to every epoch, so an epoch allocates no entry-sized buffer.
-An epoch whose input model is the one the same workspace's last epoch
-returned is warm: it skips the gathers and the sums' first fill, whose
-results the last epoch left in the workspace, bitwise.  ``fit`` scores
-the training objective from the predictions and counts the workspace
-holds, so a training iteration predicts the training set only inside the
-epoch.  A standalone ``epoch`` call makes a fresh workspace.
+Every entry-sized buffer of an epoch lives in an ``EpochWorkspace``.
+``fit`` makes one when it starts and hands it to every epoch, so an
+epoch allocates no entry-sized buffer.  An epoch whose input model is the
+one the same workspace's last epoch returned is warm: it skips the
+gathers and the sums' first fill, whose results the last epoch left in
+the workspace, bitwise.  ``fit`` scores the training objective from the
+predictions and counts the workspace holds, so a training iteration
+predicts the training set only inside the epoch.  A standalone ``epoch``
+call makes a fresh workspace.
+
 ``error_sums`` is the one scoring loop: ``objective``, ``fit``'s
 validation RMSE and ``evaluation.rmse_and_mae`` all add their errors
 through it, chunk by chunk, so none allocates an entry-sized residual.
@@ -148,9 +136,11 @@ STOP_MAX_ITER = "max_iter"
 class TrainReport:
     """Bookkeeping for one ``fit`` run.
 
-    ``dead_blocks`` counts the blocks of the returned model whose core is
-    exactly 0.0 everywhere: multiplicative updates never move such a block
-    again, so it adds nothing to any prediction.
+    ``dead_blocks`` counts the blocks of the returned model that add at
+    most ``EPSILON_GUARD`` to any prediction: those whose core sum times
+    the largest entry of each of their three factors, a bound on the
+    block's term at every cell as no parameter is negative, is at most
+    ``EPSILON_GUARD``.  A block with an all-zero core or factor is one.
     """
 
     loss_trajectory: list = field(default_factory=list)
@@ -220,13 +210,13 @@ def penalty_weights(train: SparseTensor3, counts, cfg: TrainConfig):
     A parameter's penalty is its lambda times the number of observed
     entries it touches: every entry for a core, the entries of its slice
     (``counts[axis]``, the ``_slice_counts`` of ``train``) for a factor row
-    or a bias.  The weights of a per-slice pass are ``(dim, 1)`` columns,
-    one per slice, so a bias pairs with them as the one-column factor
-    ``bias[:, None]``.
+    or a bias.  A factor pass's weights are ``(dim, 1)`` columns, one per
+    row of its ``(dim, rank)`` factors; a bias pass's are a ``(dim,)``
+    vector, like its bias.
     """
     return [cfg.lambda1 * train.n_entries,
             *(cfg.lambda2 * cnt[:, None] for cnt in counts),
-            *(cfg.lambda3 * cnt[:, None] for cnt in counts)]
+            *(cfg.lambda3 * cnt for cnt in counts)]
 
 
 def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
@@ -249,7 +239,7 @@ def objective(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
         counts = workspace.counts
         yhat = workspace.yhat if workspace.model is model else None
     loss, _ = error_sums(model, train, yhat)
-    passes = [model.cores, *model.factors, *([b[:, None]] for b in model.biases)]
+    passes = [model.cores, *model.factors, *([b] for b in model.biases)]
     for weight, params in zip(penalty_weights(train, counts, cfg), passes):
         loss += sum(float((weight * x * x).sum()) for x in params)
     return loss
@@ -339,62 +329,44 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
           workspace: EpochWorkspace | None = None) -> BnbtModel:
     """One full multiplicative-update pass; returns a new model.
 
-    Pass order is cores, user factors, service factors, time factors, then
-    the three biases; every pass sees the predictions left by the one
-    before.  The epoch gathers each block's factor rows once (re-gathering
-    only the family a pass updates) and keeps two partial sums of the
-    predictions: the blocks' sum and the biases' sum.  The predictions are
-    their sum, never a full recomputation.
+    The epoch runs the seven SLF-NMUT passes in order: the cores, the
+    user, service and time factors, then the user, service and time
+    biases.  Each pass is a loop over one ``step``, which multiplies a
+    parameter array x by the ratio of its numerator sums over its
+    denominator sums plus its ``penalty_weights`` weight times x.
 
-    All seven passes run one step over their terms.  A term is a parameter
-    matrix x, its MU ``sums`` (the per-slice, or per-core-entry, sums of
-    its contraction times y and times the predictions) and a ``refresh``
-    of its partial sum from the updated x.  The step multiplies x by the
-    SLF-NMUT ratio of the first sum over the second plus the penalty
-    weight times x and refreshes; after the pass it re-forms the
-    predictions as the blocks' sum plus the biases' sum, so every term of
-    a pass reads the same predictions.
+    - The core pass steps each block's core as an ``(L*M, N)`` matrix,
+      with sums ``ab @ (c * y).T`` and ``ab @ (c * yhat).T`` for ``ab``
+      the outer product of the user and service rows and ``c`` the time
+      rows, and then refreshes that block's row of the blocks' sum.
+    - A factor pass forms each block's contraction ``contr``, its core
+      unfolded along the mode times the outer product of the two other
+      gathered families; its sums are the per-slice sums of ``contr * y``
+      and ``contr * yhat``.  It steps the factor, re-gathers its rows and
+      adds the block's row, their per-entry dot with ``contr``.
+    - A bias pass's sums are the per-slice sums of the values and of the
+      predictions.  It steps the bias vector and re-forms the biases' sum
+      ``d[u] + e[s] + f[t]``, never updating it in place.
 
-    - A factor's contraction ``contr`` is its block's core with the outer
-      product of the two other gathered families (a row per column of x,
-      a column per entry).  It scatters by per-slice sums over the mode's
-      entries (``EpochWorkspace.slice_sums``), one rank component at a
-      time, and gathers by taking its updated rows.  Its block's refreshed
-      row is the per-entry dot of those rows with ``contr``.
-    - A core is an ``(L*M, N)`` matrix whose contraction is its block's
-      time rows.  With ``ab`` the outer product of the user and service
-      rows, it scatters by ``ab @ w.T`` and gathers by ``x.T @ ab``.
-    - Block rows go into the blocks' sum by ``model.add_block_row``: the
-      first block writes it, and each later block adds its row.
-    - A bias is a one-column factor whose contraction is a row of ones.
-      Its numerator is the workspace's ``value_sums``, formed once per
-      fit, and its denominator sums the predictions.  Its refresh re-forms
-      the biases' sum ``d[u] + e[s] + f[t]`` by ``model.sum_biases``
-      rather than updating it.
+    Every pass ends by re-forming the predictions as the blocks' sum plus
+    the biases' sum, so the blocks of a pass all read the predictions the
+    pass before left (a Jacobi step over the blocks).  Block rows go into
+    the blocks' sum by ``model.add_block_row``: block 0 writes it, a later
+    block adds its row.  Every product with an outer product of two
+    gathered families runs over the workspace's ``chunks``, so no such
+    outer product is entry-sized.
 
-    Every product with an outer product of two gathered families runs over
-    the workspace's ``chunks`` of entries, each forming the chunk's outer
-    product in a chunk-sized scratch: a factor's contraction and a core's
-    gather chunk by chunk (``model.contract``), and a core's two scatters
-    as sums over the chunks, both from each chunk's one outer product.
-
-    The first fill of the two sums is the same refresh over the core terms
-    and the biases, with no update.  Parameters whose slice has no
-    observations keep their current values.  Every MU denominator reads
-    its penalty weight from ``penalty_weights`` over the workspace's slice
-    counts.
-
-    The rows, the partial sums, the scratch and the predictions live in
-    ``workspace``, an ``EpochWorkspace`` made for ``train`` and the model's
-    structure; without one the epoch makes its own.  The epoch is warm when
-    ``model`` is the model the workspace's last epoch returned: the rows and
-    the sums it left are then the ones a fresh gather and first fill would
-    give, so the epoch skips both and its result is bitwise the same.  The
-    last pass to refresh the block rows is the time pass, and it forms each
-    one as the first fill and ``predict_entries`` do: the core unfolded
-    along the time mode, contracted with the user and service rows over the
-    same chunks, dotted with the time rows.  The biases' sum is re-formed,
-    never updated in place.  So ``workspace.yhat`` ends holding the returned
+    The buffers live in ``workspace``, an ``EpochWorkspace`` made for
+    ``train`` and the model's structure; without one the epoch makes its
+    own.  A cold epoch gathers the factor rows and fills the two sums
+    first, the blocks' rows by the core pass's refresh.  The epoch is warm
+    when ``model`` is the model the workspace's last epoch returned: it
+    skips the gathers and the fill, whose results that epoch left, so its
+    result is bitwise a cold epoch's.  That holds because the last pass
+    to refresh the block rows, the time pass, forms each one as the fill
+    and ``predict_entries`` do: the core unfolded along the time mode,
+    contracted with the user and service rows over the same chunks, dotted
+    with the time rows.  So ``workspace.yhat`` ends holding the returned
     model's predictions of the entries of ``train``, bitwise equal to
     ``predict_entries`` of their ids.  A model with a non-finite parameter
     raises ``NonFiniteError`` before any arithmetic on it.
@@ -429,7 +401,7 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
     def core_sums(a, b, c):
         # ab @ (c * y).T and ab @ (c * yhat).T, summed over the chunks, so
         # each chunk's outer product serves both.  The products go to the
-        # contraction scratch, which a core term only uses in its refresh.
+        # contraction scratch, which the core pass only uses to refresh.
         num = den = 0
         for part in ws.chunks:
             ab = row_outer(a[:, part], b[:, part], ws.outer)
@@ -438,18 +410,38 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             den = den + ab @ np.multiply(c[:, part], yhat[part], out=cv).T
         return num, den
 
-    def core_terms():
-        for r, (l, mm, n) in enumerate(blocks):
-            a, b, c = (family[r] for family in rows)
-            # The reshape is a view, so the step writes the core in place:
-            # BnbtModel.copy() returns C-contiguous arrays.
-            yield (m.cores[r].reshape(l * mm, n), lambda: core_sums(a, b, c),
-                   lambda new: add_block_row(r, c, contract(
-                       new.T, a, b, scratch(ws.contr, n), ws.chunks, ws.outer),
-                       ws.block_sum, weighted),
-                   True)
+    def step(x, num, den, weight, observed):
+        x[...] = np.where(observed, x * num / (den + weight * x + EPSILON_GUARD), x)
 
-    def factor_terms(axis):
+    def refresh_block(r):
+        l, mm, n = blocks[r]
+        a, b, c = (family[r] for family in rows)
+        contr = contract(m.cores[r].reshape(l * mm, n).T, a, b,
+                         scratch(ws.contr, n), ws.chunks, ws.outer)
+        add_block_row(r, c, contr, ws.block_sum, weighted)
+
+    if not warm:
+        _check_finite(m, "the model has a non-finite parameter")
+        for family, idx, gathered in zip(m.factors, ids, rows):
+            for f, out in zip(family, gathered):
+                gather(f.T, idx, out)
+        sum_biases(m.biases, ids, ws.bias_sum, weighted)
+        for r in range(len(blocks)):
+            refresh_block(r)
+        np.add(ws.block_sum, ws.bias_sum, out=yhat)
+    if not np.isfinite(yhat).all():
+        raise NonFiniteError("model predictions are non-finite before the epoch")
+    weights = penalty_weights(train, ws.counts, cfg)
+
+    for r, (l, mm, n) in enumerate(blocks):
+        # The reshape is a view, so the step writes the core in place:
+        # BnbtModel.copy() returns C-contiguous arrays.
+        step(m.cores[r].reshape(l * mm, n),
+             *core_sums(*(family[r] for family in rows)), weights[0], True)
+        refresh_block(r)
+    np.add(ws.block_sum, ws.bias_sum, out=yhat)
+
+    for axis in range(3):
         others = [k for k in range(3) if k != axis]
         observed = ws.counts[axis][:, None] > 0
         for r, core in enumerate(m.cores):
@@ -458,45 +450,18 @@ def epoch(model: BnbtModel, train: SparseTensor3, cfg: TrainConfig,
             unfolded = core.transpose(axis, *others).reshape(rank, -1)
             contr = contract(unfolded, *(rows[k][r] for k in others),
                              scratch(ws.contr, rank), ws.chunks, ws.outer)
-            yield (m.factors[axis][r], lambda: factor_sums(axis, contr),
-                   lambda new: add_block_row(
-                       r, gather(new.T, ids[axis], rows[axis][r]), contr,
-                       ws.block_sum, weighted),
-                   observed)
-
-    def bias_terms(axis):
-        # The bias as a one-column factor, updated in place.
-        yield (m.biases[axis][:, None],
-               lambda: (ws.value_sums[axis][:, None],
-                        ws.slice_sums(axis, yhat)[:, None]),
-               lambda new: sum_biases(m.biases, ids, ws.bias_sum, weighted),
-               ws.counts[axis][:, None] > 0)
-
-    def pass_step(terms, weight=None):
-        # Terms are taken one at a time, as they share the scratch buffers.
-        # Without a weight the step only refreshes the terms' partial sums.
-        for x, sums, refresh, observed in terms:
-            if weight is not None:
-                num, den = sums()
-                den = den + weight * x
-                x[...] = np.where(observed, x * num / (den + EPSILON_GUARD), x)
-            refresh(x)
+            x = m.factors[axis][r]
+            step(x, *factor_sums(axis, contr), weights[1 + axis], observed)
+            add_block_row(r, gather(x.T, ids[axis], rows[axis][r]), contr,
+                          ws.block_sum, weighted)
         np.add(ws.block_sum, ws.bias_sum, out=yhat)
 
-    if not warm:
-        _check_finite(m, "the model has a non-finite parameter")
-        for family, idx, gathered in zip(m.factors, ids, rows):
-            for f, out in zip(family, gathered):
-                gather(f.T, idx, out)
-        sum_biases(m.biases, ids, ws.bias_sum, weighted)
-        pass_step(core_terms())
-    if not np.isfinite(yhat).all():
-        raise NonFiniteError("model predictions are non-finite before the epoch")
-    passes = [core_terms(), *map(factor_terms, range(3))]
     if cfg.bias_enabled:
-        passes += map(bias_terms, range(3))
-    for terms, weight in zip(passes, penalty_weights(train, ws.counts, cfg)):
-        pass_step(terms, weight)
+        for axis in range(3):
+            step(m.biases[axis], ws.value_sums[axis], ws.slice_sums(axis, yhat),
+                 weights[4 + axis], ws.counts[axis] > 0)
+            sum_biases(m.biases, ids, ws.bias_sum, weighted)
+            np.add(ws.block_sum, ws.bias_sum, out=yhat)
 
     _check_finite(m, "update produced a non-finite parameter")
     ws.model = m
@@ -568,14 +533,16 @@ def fit(train: SparseTensor3, validation: SparseTensor3, structure,
         validation_rmse_trajectory=val_rmses,
         stop_reason=stop_reason,
         wall_time=time.perf_counter() - started,
-        dead_blocks=sum(not core.any() for core in model.cores),
+        dead_blocks=int(sum(core.sum() * a.max() * b.max() * c.max() <= EPSILON_GUARD
+                            for core, a, b, c in zip(model.cores, *model.factors))),
     )
     logger.info("fit: %d epochs, stopped on %s, final loss %.6g",
                 report.epochs_run, stop_reason, losses[-1])
     lambdas = (cfg.lambda1, cfg.lambda2, cfg.lambda3)
     if report.dead_blocks == len(model.cores) and any(lambdas):
-        logger.warning("fit: all %d blocks are dead (all-zero cores) at "
-                       "lambda=(%g, %g, %g)", report.dead_blocks, *lambdas)
+        logger.warning("fit: all %d blocks are dead (none adds more than %g to "
+                       "any prediction) at lambda=(%g, %g, %g)",
+                       report.dead_blocks, EPSILON_GUARD, *lambdas)
     return model, report
 
 

@@ -16,6 +16,7 @@ from btdqos import cli, errors
 from btdqos.cli import main
 from btdqos.data_io import load_model, parse_qos_log, save_model
 from btdqos.model import BlockStructure, init_random
+from btdqos.trainer import EPSILON_GUARD
 from test_model import single_block_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -173,16 +174,29 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [[], ["--no-bias"]])
     def test_summary_counts_the_dead_blocks_of_the_checkpoint(self, workdir, caplog,
                                                               flags):
-        """The summary line counts the checkpoint's blocks with an all-zero
-        core, and the fit warns when that is all of them (the fixture's
-        lambdas are positive).  --no-bias is the fixture's zero-model run."""
+        """The summary line counts the checkpoint's blocks whose core sum
+        times their factors' maxima is at most EPSILON_GUARD, and the fit
+        warns when that is all of them (the fixture's lambdas are
+        positive).  --no-bias is the fixture's zero-model run."""
         with caplog.at_level("INFO"):
             assert main(["train", "--config", str(FIXTURES / "train8.json"),
                          *flags]) == 0
         model = load_model(workdir / "out" / "model.json")
-        dead = sum(not core.any() for core in model.cores)
+        dead = int(sum(core.sum() * a.max() * b.max() * c.max() <= EPSILON_GUARD
+                       for core, a, b, c in zip(model.cores, *model.factors)))
         assert f"{dead} of {len(model.cores)} blocks dead;" in caplog.text
         assert ("blocks are dead" in caplog.text) is (dead == len(model.cores))
+
+    def test_no_bias_fixture_reports_its_block_dead(self, workdir, caplog):
+        """Without biases the fixture's fit stops with a block that adds
+        at most about 3e-17 to any cell, though its core is not all zero:
+        the summary counts it dead and the fit warns."""
+        with caplog.at_level("INFO"):
+            assert main(["train", "--config", str(FIXTURES / "train8.json"),
+                         "--no-bias"]) == 0
+        assert load_model(workdir / "out" / "model.json").cores[0].any()
+        assert "1 of 1 blocks dead;" in caplog.text
+        assert "all 1 blocks are dead" in caplog.text
 
     def test_no_bias_zeroes_bias_vectors(self, workdir):
         code = main(["train", "--config", str(FIXTURES / "train8.json"),

@@ -206,6 +206,23 @@ class TestRunBenchmark:
                 run_benchmark(self._source(), [("s", (0.5, 0.2, 0.3))],
                               [("cp", cp_structure(2))], self._cfg(), repeats=repeats)
 
+    @pytest.mark.parametrize("label, message", [
+        ("a", "^duplicate {} label 'a'"),
+        (3, "^every {} label must be a string"),
+    ], ids=["repeated", "not_a_string"])
+    @pytest.mark.parametrize("kind", ["split", "model"])
+    def test_labels_are_distinct_strings(self, kind, label, message):
+        """Cells, their splits and the aggregate rows are keyed by labels,
+        so a repeated or non-string one is refused before any fit."""
+        splits = [("a", (0.5, 0.2, 0.3)), (label, (0.3, 0.2, 0.5))]
+        models = [("a", cp_structure(1)), (label, cp_structure(2))]
+        if kind == "split":
+            models = models[:1]
+        else:
+            splits = splits[:1]
+        with pytest.raises(ConfigError, match=message.format(kind)):
+            run_benchmark(self._source(), splits, models, self._cfg(), repeats=1)
+
     def test_csv_outputs(self, tmp_path):
         report = run_benchmark(
             self._source(), [("toy.1", (0.5, 0.2, 0.3))],

@@ -3,9 +3,11 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
 
 from code_lines import code_lines  # noqa: E402
+from same_outputs import main as same_outputs  # noqa: E402
 
 SOURCE = '''"""Module docstring,
 on two lines."""
@@ -40,3 +42,11 @@ def test_code_lines_counts_only_lines_with_code():
 def test_code_lines_counts_a_string_statement_that_is_no_docstring():
     """Only the first statement of a scope is its docstring."""
     assert code_lines('x = 1\n"""not a docstring"""\n') == 2
+
+
+def test_same_outputs_of_a_tree_against_itself(capsys):
+    """Every output of the fixture runs is deterministic, apart from the
+    detail CSV's wall times, so a tree matches itself."""
+    src = str(REPO / "src")
+    assert same_outputs(["same_outputs.py", src, src]) == 0
+    assert capsys.readouterr().out.startswith("0 of ")

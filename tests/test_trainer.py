@@ -624,21 +624,24 @@ class TestFit:
         for bias in model.biases:
             assert not bias.any()
 
-    @pytest.mark.parametrize("zeroed", [(), (0,), (0, 1)])
+    @pytest.mark.parametrize("zeroed", [(), (("core", 0),), (("core", 0), ("core", 1)),
+                                        (("time", 1),)])
     @pytest.mark.parametrize("lam", [0.0, 0.01])
     def test_dead_blocks_count_the_all_zero_cores(self, monkeypatch, caplog,
                                                   lam, zeroed):
-        """The report counts the returned model's all-zero cores, and the fit
-        warns, naming its lambdas, exactly when that is every block and some
-        lambda is positive.  The blocks ``zeroed`` start with a zero core,
-        which no multiplicative update leaves."""
+        """The report counts the returned model's blocks whose core sum
+        times their factors' maxima is at most EPSILON_GUARD, and the fit
+        warns, naming its lambdas, exactly when that is every block and
+        some lambda is positive.  The blocks ``zeroed`` start with a zero
+        core or time factor, which no multiplicative update leaves, so
+        they count as dead."""
         structure = BlockStructure(((2, 2, 2), (1, 1, 1)))
         train, val, _, _ = self._split_instance(3, structure=structure)
 
         def init(*args):
             model = init_random(*args)
-            for r in zeroed:
-                model.cores[r][...] = 0.0
+            for part, r in zeroed:
+                (model.cores if part == "core" else model.factors[2])[r][...] = 0.0
             return model
 
         monkeypatch.setattr(trainer, "init_random", init)
@@ -646,7 +649,10 @@ class TestFit:
                           max_iter=20, seed=3)
         with caplog.at_level("WARNING", logger="btdqos.trainer"):
             model, report = fit(train, val, structure, cfg)
-        assert report.dead_blocks == sum(not core.any() for core in model.cores)
+        bounds = [core.sum() * a.max() * b.max() * c.max()
+                  for core, a, b, c in zip(model.cores, *model.factors)]
+        assert report.dead_blocks == sum(bound <= EPSILON_GUARD for bound in bounds)
+        assert all(bounds[r] <= EPSILON_GUARD for _, r in zeroed)
         warned = report.dead_blocks == len(structure.blocks) and lam > 0
         assert ("blocks are dead" in caplog.text) is warned
         assert (f"lambda=({lam:g}, {2 * lam:g}, {3 * lam:g})" in caplog.text) is warned
